@@ -4,9 +4,12 @@ TGDs fire only when no extension of the match already embeds the head;
 EGDs merge the two matched terms by renaming the deeper one to the
 shallower one across the whole atom set (argument-level).  A run applies,
 at every step, the first applicable (rule, substitution) pair in rule
-order and deterministic match-enumeration order, recomputed against the
-current state.  Every pair that stays applicable is eventually applied,
-and the final set of a finished run satisfies every rule.
+order and match order, which is the order `match_conjunction`
+enumerates: lexicographic in the ranks of the matched atoms.  The engine
+finds that pair incrementally, from per-rule queues of matches ordered by
+rank tuple, and selects the same sequence as a naive full rescan with
+`find_applicable`.  Every pair that stays applicable is eventually
+applied, and the final set of a finished run satisfies every rule.
 
 Boolean conjunctive queries are answered by homomorphism search into the
 finished chase; a witness found in a limit-truncated state is still sound
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -102,6 +106,12 @@ def match_conjunction(
     """Enumerate every binding of the body variables that embeds the
     conjunction into the atom set, in deterministic order (body atoms
     left to right, candidates in insertion order).
+
+    Order invariant, which the chase engine relies on: a binding fixes
+    the atom matched at each body position, and the bindings come in
+    lexicographic order of the tuple of those atoms' ranks
+    (`AtomSet.rank`).  Each position's candidates are a bucket or an
+    `arg0_bucket` list, and both keep rank order.
 
     Yields a live dict; callers that keep a binding must copy it.
     """
@@ -248,53 +258,109 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
 # The engine
 
 
+# Marks a rule whose base stream starts on its first use; until then the
+# stream covers every atom added, so the rule takes no delta matches.
+_PENDING = object()
+
+
 class _CompiledRule:
+    """A rule with its skolemised head, its join shapes and its queue.
+
+    A match is identified by its key, the tuple of the terms it binds to
+    `universals`.  Shapes give each atom as (predicate, indexes into the
+    key), so atoms are instantiated from a key without a binding dict.
+
+    The queue holds every match of the body not yet consumed since the
+    last merge, from two sources: `base`, a lazily consumed
+    `match_conjunction` over the state as of the last merge, and `heap`,
+    the delta matches that use an atom added since then, keyed by rank
+    tuple.  `base_key` is the next match of the base stream and
+    `base_rank` its rank tuple, computed only when the heap is not empty.
+    `queued` holds the keys of the delta matches, which the base stream
+    skips.  `dead` holds the keys of TGD matches that were applied
+    or found head-blocked; it survives merges, renamed.
+    """
+
     __slots__ = (
         "idx",
         "rule",
         "kind",
         "body",
-        "body_preds",
+        "shapes",
+        "anchors",
         "universals",
         "head",
+        "closed_head",
         "sk_head",
         "x",
         "y",
         "dead",
-        "trivial",
-        "exhausted_token",
+        "base",
+        "base_key",
+        "base_rank",
+        "heap",
+        "queued",
     )
 
     def __init__(self, idx: int, rule: Rule):
         self.idx = idx
         self.rule = rule
         self.body = rule.body
-        self.body_preds = tuple({a.predicate: None for a in rule.body})
         self.universals = rule.universals
+        where = {v: i for i, v in enumerate(self.universals)}
+
+        def shapes(atoms):
+            return tuple((a.predicate, tuple(where[v] for v in a.args)) for a in atoms)
+
+        self.shapes = shapes(rule.body)
+        # predicate -> [(args, rest of the body)] for each body position.
+        self.anchors: dict = {}
+        for pos, atom in enumerate(rule.body):
+            rest = rule.body[:pos] + rule.body[pos + 1 :]
+            self.anchors.setdefault(atom.predicate, []).append((atom.args, rest))
+        # Without existentials a TGD head is fully instantiated by the
+        # match, and it is embedded exactly when its atoms are present.
+        self.closed_head = None
         if type(rule) is TGD:
             self.kind = "tgd"
             self.head = rule.head
+            if not rule.existentials:
+                self.closed_head = shapes(rule.head)
             self.sk_head = skolemise(rule, rule_id=f"r{idx}").head
         else:
             self.kind = "egd"
-            self.x = rule.x
-            self.y = rule.y
-        # dead: matches that can never become applicable again while the
-        # set only grows (applied or head-blocked).  Cleared on merges.
-        # trivial: EGD matches equating a term with itself; permanent.
+            self.x = where[rule.x]
+            self.y = where[rule.y]
         self.dead: set = set()
-        self.trivial: set = set()
-        self.exhausted_token = None
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget the queue; the base stream starts again on first use."""
+        self.base = _PENDING
+        self.base_key = None
+        self.base_rank = None
+        self.heap: list = []
+        self.queued: set = set()
 
 
 class ChaseEngine:
     """One chase run over one ontology.
 
     Each step applies the first applicable pair in (rule order, match
-    order), recomputed against the current state.  The caches below only
-    skip work that provably cannot yield an applicable pair while the set
-    grows monotonically; every merge invalidates them, so the selected
-    sequence is identical to a naive full rescan.
+    order), the pair a naive rescan with `find_applicable` would pick.
+    Match order is lexicographic in the ranks of the matched atoms, so
+    each rule keeps its unconsumed matches in a queue ordered by rank
+    tuple (see `_CompiledRule`), and a step pops candidates rule by rule
+    until one passes the applicability test.  A popped candidate that
+    fails it stays inapplicable while the set grows, so it is never
+    queued again before the next merge.
+
+    A TGD step adds atoms at the end of the rank order; the matches that
+    use them are found by anchoring each body position on each new atom,
+    semi-naively.  An EGD step renames terms and so changes ranks: every
+    queue restarts from a fresh enumeration.  Blocked TGD matches stay
+    blocked under the renaming (it maps a head embedding to a head
+    embedding), so `dead` is renamed rather than cleared.
     """
 
     def __init__(
@@ -317,35 +383,80 @@ class ChaseEngine:
 
             random.Random(seed).shuffle(self.compiled)
 
-    def _token(self, cr: _CompiledRule):
-        ps = self.state.pred_stamp
-        return (
-            self.state.merge_stamp,
-            tuple(ps.get(p, 0) for p in cr.body_preds),
-        )
+    def _ranks(self, cr: _CompiledRule, key: tuple) -> tuple:
+        rank = self.state.rank
+        return tuple(rank(Atom(p, [key[i] for i in at])) for p, at in cr.shapes)
+
+    def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
+        """Queue every new match of the rule that uses an added atom."""
+        for atom in added:
+            for args, rest in cr.anchors.get(atom.predicate, ()):
+                init: dict = {}
+                for v, t in zip(args, atom.args):
+                    if init.setdefault(v, t) != t:
+                        break
+                else:
+                    for binding in match_conjunction(rest, self.state, init=init):
+                        key = tuple(binding[v] for v in cr.universals)
+                        if key not in cr.queued:
+                            cr.queued.add(key)
+                            heappush(cr.heap, (self._ranks(cr, key), key))
+
+    def _pop(self, cr: _CompiledRule) -> Optional[tuple]:
+        """Remove and return the key of the rule's least queued match."""
+        if cr.base_key is None and cr.base is not None:
+            if cr.base is _PENDING:
+                cr.base = match_conjunction(cr.body, self.state)
+            for binding in cr.base:
+                key = tuple(binding[v] for v in cr.universals)
+                if key not in cr.queued and key not in cr.dead:
+                    cr.base_key = key
+                    break
+            else:
+                cr.base = None
+        heap = cr.heap
+        if heap:
+            if cr.base_key is None:
+                return heappop(heap)[1]
+            if cr.base_rank is None:
+                cr.base_rank = self._ranks(cr, cr.base_key)
+            if heap[0][0] < cr.base_rank:
+                return heappop(heap)[1]
+        key = cr.base_key
+        cr.base_key = cr.base_rank = None
+        return key
 
     def _find_next(self):
         aset = self.state
         for cr in self.compiled:
-            token = self._token(cr)
-            if cr.exhausted_token == token:
-                continue
-            for binding in match_conjunction(cr.body, aset):
-                key = tuple(binding[v] for v in cr.universals)
-                if key in cr.dead or key in cr.trivial:
+            while True:
+                key = self._pop(cr)
+                if key is None:
+                    break
+                if cr.kind == "egd":
+                    if key[cr.x] != key[cr.y]:
+                        return cr, key
                     continue
-                if cr.kind == "tgd":
-                    if _head_embedded(cr.head, binding, aset):
-                        cr.dead.add(key)
-                        continue
-                    return cr, dict(binding)
-                tx, ty = binding[cr.x], binding[cr.y]
-                if tx == ty:
-                    cr.trivial.add(key)
-                    continue
-                return cr, dict(binding)
-            cr.exhausted_token = token
+                if cr.closed_head is None:
+                    blocked = _head_embedded(cr.head, dict(zip(cr.universals, key)), aset)
+                else:
+                    blocked = all(
+                        Atom(p, [key[i] for i in at]) in aset for p, at in cr.closed_head
+                    )
+                if not blocked:
+                    return cr, key
+                cr.dead.add(key)
         return None
+
+    def _merge(self, frm, to) -> None:
+        """Rename `frm` to `to` in the state and in every dead key, and
+        restart every queue."""
+        self.state.rewrite_in_place({frm: to})
+        for cr in self.compiled:
+            stale = [key for key in cr.dead if frm in key]
+            cr.dead.difference_update(stale)
+            cr.dead.update(tuple(to if t == frm else t for t in key) for key in stale)
+            cr.restart()
 
     def run(self) -> ChaseOutcome:
         limits = self.limits
@@ -358,12 +469,13 @@ class ChaseEngine:
             found = self._find_next()
             if found is None:
                 return Terminated(self.state, self.trace.steps, self.trace)
-            cr, sigma = found
+            cr, key = found
             if limits.max_steps is not None and self.trace.steps >= limits.max_steps:
                 return LimitExceeded(self.state, "max_steps", self.trace.steps, self.trace)
+            sigma = dict(zip(cr.universals, key))
             if cr.kind == "tgd":
                 new_atoms = [apply_syntactic(a, sigma) for a in cr.sk_head]
-                fresh = [a for a in new_atoms if a not in self.state]
+                fresh = [a for a in dict.fromkeys(new_atoms) if a not in self.state]
                 d = max(max(t.depth for t in a.args) for a in new_atoms)
                 if limits.max_term_depth is not None and d > limits.max_term_depth:
                     return LimitExceeded(self.state, "max_term_depth", self.trace.steps, self.trace)
@@ -374,18 +486,19 @@ class ChaseEngine:
                     return LimitExceeded(self.state, "max_atoms", self.trace.steps, self.trace)
                 for a in fresh:
                     self.state.add(a)
-                cr.dead.add(tuple(sigma[v] for v in cr.universals))
+                cr.dead.add(key)
+                for other in self.compiled:
+                    if other.base is not _PENDING:
+                        self._queue_delta(other, fresh)
                 self.trace.tgd_steps += 1
                 if d > self.trace.max_term_depth:
                     self.trace.max_term_depth = d
             else:
-                tx, ty = sigma[cr.x], sigma[cr.y]
+                tx, ty = key[cr.x], key[cr.y]
                 if term_key(tx) < term_key(ty):
-                    self.state.rewrite_in_place({ty: tx})
+                    self._merge(ty, tx)
                 else:
-                    self.state.rewrite_in_place({tx: ty})
-                for other in self.compiled:
-                    other.dead.clear()
+                    self._merge(tx, ty)
                 self.trace.egd_steps += 1
             self.trace.steps += 1
             self.trace.rule_fires[cr.idx] = self.trace.rule_fires.get(cr.idx, 0) + 1

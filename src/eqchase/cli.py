@@ -62,7 +62,12 @@ def _limits(args: argparse.Namespace) -> ChaseLimits:
 
 
 def _parse_file(path: str) -> Program:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(
+            EXIT_INVALID, f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from exc
     try:
         return parse(text)
     except ParseError as exc:

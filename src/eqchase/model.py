@@ -670,31 +670,35 @@ class AtomSet:
     """The working state of a saturation: an insertion-ordered set of
     atoms with a per-predicate index.
 
-    Mutation is confined to `add` and `rewrite_in_place`; iteration order
-    is insertion order, which keeps every run deterministic.
+    Every atom carries a rank, an integer that orders the set: iteration
+    order is rank order.  `add` gives a new atom a rank above every other;
+    `rewrite_in_place` gives each image the rank of its first preimage.
+    Mutation is confined to those two methods, which keeps every run
+    deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_arg0", "add_stamp", "pred_stamp", "merge_stamp")
+    __slots__ = ("_atoms", "_buckets", "_arg0", "_next_rank")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        self._atoms: dict[Atom, None] = {}
+        self._atoms: dict[Atom, int] = {}
         self._buckets: dict[Predicate, dict[Atom, None]] = {}
         self._arg0: dict[tuple[Predicate, Term], list[Atom]] = {}
-        self.add_stamp = 0
-        self.pred_stamp: dict[Predicate, int] = {}
-        self.merge_stamp = 0
+        self._next_rank = 0
         for a in atoms:
             self.add(a)
 
     def add(self, atom: Atom) -> bool:
         if atom in self._atoms:
             return False
-        self._atoms[atom] = None
+        self._atoms[atom] = self._next_rank
+        self._next_rank += 1
         self._buckets.setdefault(atom.predicate, {})[atom] = None
         self._arg0.setdefault((atom.predicate, atom.args[0]), []).append(atom)
-        self.add_stamp += 1
-        self.pred_stamp[atom.predicate] = self.add_stamp
         return True
+
+    def rank(self, atom: Atom) -> int:
+        """The atom's position in the set's order (KeyError if absent)."""
+        return self._atoms[atom]
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -729,27 +733,18 @@ class AtomSet:
 
     def rewrite_in_place(self, m: Mapping[Term, Term]) -> None:
         """Argument-level rewriting of the whole set, preserving the
-        surviving atoms' relative order (first image wins)."""
-        atoms = list(self._atoms)
-        self._atoms.clear()
+        surviving atoms' relative order (first image wins, and keeps the
+        rank of that preimage)."""
+        ranked = self._atoms
+        self._atoms = {}
         self._buckets.clear()
         self._arg0.clear()
-        for atom in atoms:
+        for atom, rank in ranked.items():
             img = _map_atom(atom, m)
             if img not in self._atoms:
-                self._atoms[img] = None
+                self._atoms[img] = rank
                 self._buckets.setdefault(img.predicate, {})[img] = None
                 self._arg0.setdefault((img.predicate, img.args[0]), []).append(img)
-        self.merge_stamp += 1
-        self.add_stamp += 1
-        for p in self._buckets:
-            self.pred_stamp[p] = self.add_stamp
-
-    def rewritten(self, m: Mapping[Term, Term]) -> "AtomSet":
-        out = AtomSet()
-        for atom in self._atoms:
-            out.add(_map_atom(atom, m))
-        return out
 
     def copy(self) -> "AtomSet":
         return AtomSet(self._atoms)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqchase import (
     EGD,
@@ -27,10 +29,13 @@ from eqchase import (
     find_applicable,
     homomorphism,
     is_applicable,
+    match_conjunction,
+    parse,
     satisfies,
     standard_axiomatisation,
+    term_key,
 )
-from corpus import random_ontology
+from corpus import random_facts, random_ontology, random_ruleset
 from rulesets import facts, ontology, query, rules
 
 a, b = Constant("a"), Constant("b")
@@ -246,6 +251,14 @@ def test_fairness_on_terminating_paper_sets():
         assert list(find_applicable(rules(name), out.result)) == []
 
 
+def test_max_atoms_counts_a_repeated_head_atom_once():
+    # Both head atoms instantiate to S(a,b): one new atom, two in all.
+    program = parse("A(X,Y,Z) -> S(X,Y), S(X,Z) .\nA(a,b,b) .\n")
+    out = chase(Ontology(program.rules, program.facts), ChaseLimits(max_atoms=2))
+    assert isinstance(out, Terminated)
+    assert len(out.result) == 2
+
+
 def test_chase_determinism_same_seed():
     o = ontology("thm2", "A(a) .\nA(b) .\nR(a,b) .\nR(b,a) .")
     runs = [chase(o, seed=3) for _ in range(2)]
@@ -261,3 +274,107 @@ def test_chase_on_step_observes_each_state():
     chase(o, on_step=lambda i, rule, sigma, aset: states.append(aset.to_frozenset()))
     assert len(states) >= 2
     assert states[-1] == chase(o).result.to_frozenset()
+
+
+# ---------------------------------------------------------------------------
+# The engine against the naive reference semantics
+
+
+def _render(rule, sigma):
+    return f"{rule!r} | " + ", ".join(f"{v.name}={sigma[v]}" for v in rule.universals)
+
+
+def _oracle_steps(o, limits, seed):
+    """The naive run: at every step the first pair `find_applicable` yields
+    over the rules in the engine's (seed-shuffled) order, applied with
+    `apply`.  Stops where the engine's step and depth caps stop it."""
+    order = list(o.rules)
+    if seed:
+        random.Random(seed).shuffle(order)
+    state = AtomSet(o.facts)
+    steps = []
+    while len(steps) < limits.max_steps:
+        pair = next(find_applicable(order, state), None)
+        if pair is None:
+            break
+        rule, sigma = pair
+        after = apply(rule, sigma, state)
+        if after.max_term_depth() > limits.max_term_depth:
+            break
+        steps.append(_render(rule, sigma))
+        state = after
+    return steps
+
+
+def _engine_steps(o, limits, seed):
+    steps = []
+    chase(o, limits, seed=seed,
+          on_step=lambda i, rule, sigma, aset: steps.append(_render(rule, sigma)))
+    return steps
+
+
+EGD_FAMILY = (
+    "A(X) -> exists W . R(X,W), B(W) .\n"
+    "R(X,Y), R(X,Z) -> Y = Z .\n"
+    "E(X,Y) -> R(X,Y) .\n"
+    "R(X,Y), B(Y) -> C(X) .\n"
+)
+TC_RULES = "E(X,Y) -> T(X,Y) .\nT(X,Y), E(Y,Z) -> T(X,Z) .\n"
+
+
+def _differential_cases():
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(120):
+            yield random_ontology(rng), seed
+    for n in (3, 5, 8):
+        rng = random.Random(f"egd:{n}")
+        text = EGD_FAMILY + "".join(f"A(c{i}) .\n" for i in range(n))
+        text += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
+        program = parse(text)
+        for seed in range(3):
+            yield Ontology(program.rules, program.facts), seed
+    for n in (3, 6):
+        rng = random.Random(f"tc:{n}")
+        edges = [(i, i + 1) for i in range(n)] + [(i, rng.randrange(i + 1, n + 1)) for i in range(n)]
+        program = parse(TC_RULES + "".join(f"E(v{i},v{j}) .\n" for i, j in edges))
+        for seed in range(2):
+            yield Ontology(program.rules, program.facts), seed
+
+
+def test_engine_selects_the_naive_step_sequence():
+    limits = ChaseLimits(max_steps=60, max_term_depth=4)
+    cases = 0
+    for o, seed in _differential_cases():
+        assert _engine_steps(o, limits, seed) == _oracle_steps(o, limits, seed)
+        cases += 1
+    assert cases == 3 * 120 + 9 + 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_blocked_tgd_matches_stay_blocked_across_merges(n):
+    """A TGD match whose head is embedded before an EGD step is, renamed
+    through the merge, still not applicable after it: argument-level
+    renaming carries the head embedding along."""
+    rng = random.Random(n)
+    rs = random_ruleset(rng, egd_share=0.5)
+    o = Ontology(rs, random_facts(rng, rs, max_facts=8))
+    state = AtomSet(o.facts)
+    for _ in range(30):
+        pair = next(find_applicable(o.rules, state), None)
+        if pair is None:
+            return
+        rule, sigma = pair
+        after = apply(rule, sigma, state)
+        if after.max_term_depth() > 4:
+            return
+        if type(rule) is EGD:
+            tx, ty = sigma[rule.x], sigma[rule.y]
+            frm, to = (ty, tx) if term_key(tx) < term_key(ty) else (tx, ty)
+            for tgd in o.rules.tgds():
+                for binding in match_conjunction(tgd.body, state):
+                    if not is_applicable(tgd, dict(binding), state):
+                        renamed = {v: to if t == frm else t for v, t in binding.items()}
+                        assert not is_applicable(tgd, renamed, after)
+        state = after

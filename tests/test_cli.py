@@ -184,3 +184,12 @@ def test_missing_file_is_internal_error_not_crash(capsys):
     code, _, err = run(capsys, "chase", "no-such-file.rules")
     assert code == 3
     assert "internal error" in err
+
+
+def test_non_utf8_file_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.rules"
+    bad.write_bytes(b"A(X) -> B(X) .\nA(\xff) .\n")
+    code, _, err = run(capsys, "chase", str(bad))
+    assert code == 1
+    assert err.startswith(f"{bad}: not valid UTF-8")
+    assert "internal error" not in err
