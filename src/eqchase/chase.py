@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -105,7 +106,7 @@ def match_conjunction(
 ) -> Iterator[dict]:
     """Enumerate every binding of the body variables that embeds the
     conjunction into the atom set, in deterministic order (body atoms
-    left to right, candidates in insertion order).
+    left to right, candidates in rank order).
 
     Order invariant, which the chase engine relies on: a binding fixes
     the atom matched at each body position, and the bindings come in
@@ -270,15 +271,18 @@ class _CompiledRule:
     `universals`.  Shapes give each atom as (predicate, indexes into the
     key), so atoms are instantiated from a key without a binding dict.
 
-    The queue holds every match of the body not yet consumed since the
-    last merge, from two sources: `base`, a lazily consumed
-    `match_conjunction` over the state as of the last merge, and `heap`,
-    the delta matches that use an atom added since then, keyed by rank
-    tuple.  `base_key` is the next match of the base stream and
-    `base_rank` its rank tuple, computed only when the heap is not empty.
-    `queued` holds the keys of the delta matches, which the base stream
-    skips.  `dead` holds the keys of TGD matches that were applied
-    or found head-blocked; it survives merges, renamed.
+    The queue holds every match of the body not yet consumed, from two
+    sources: `base`, a lazily consumed `match_conjunction` over the state
+    as of the rule's first use, and `heap`, entries (rank tuple, push
+    number, key) for the matches found by anchoring on an atom added
+    since then or re-ranked by a merge.  A merge drains `base` into
+    `heap`, so a rule has a base stream at most once.  `base_key` is the
+    next match of the base stream and `base_rank` its rank tuple,
+    computed only when the heap is not empty.  `queued` maps every key
+    ever pushed to the rank tuple of its last push; the base stream skips
+    these keys, and a heap entry is live only while its rank tuple is that
+    one.  `dead` holds the keys of TGD matches that were applied or found
+    head-blocked; it survives merges, renamed.
     """
 
     __slots__ = (
@@ -332,15 +336,11 @@ class _CompiledRule:
             self.x = where[rule.x]
             self.y = where[rule.y]
         self.dead: set = set()
-        self.restart()
-
-    def restart(self) -> None:
-        """Forget the queue; the base stream starts again on first use."""
         self.base = _PENDING
         self.base_key = None
         self.base_rank = None
         self.heap: list = []
-        self.queued: set = set()
+        self.queued: dict = {}
 
 
 class ChaseEngine:
@@ -357,10 +357,19 @@ class ChaseEngine:
 
     A TGD step adds atoms at the end of the rank order; the matches that
     use them are found by anchoring each body position on each new atom,
-    semi-naively.  An EGD step renames terms and so changes ranks: every
-    queue restarts from a fresh enumeration.  Blocked TGD matches stay
-    blocked under the renaming (it maps a head embedding to a head
-    embedding), so `dead` is renamed rather than cleared.
+    semi-naively.  An EGD step renames one term and so removes the atoms
+    that hold it and gives their images, or atoms they collide with, new
+    ranks.  The queues are repaired, not rebuilt: each started rule first
+    drains its base stream into its heap, then anchors on every atom the
+    rewrite re-ranked and pushes each match whose rank tuple is not its
+    queued one.  Rules are constant-free, so a queued match over atoms
+    the merge left alone keeps its key and rank tuple, and one over a
+    removed atom holds the merged-away term: such keys are dropped when
+    popped, by a check against `gone`, the merged-away terms.  Blocked
+    TGD matches stay blocked under the renaming (it maps a head embedding
+    to a head embedding), so `dead` is renamed rather than cleared and a
+    dead match is never pushed again; a re-ranked EGD match that was
+    consumed equates equal terms and stays rejected.
     """
 
     def __init__(
@@ -382,14 +391,21 @@ class ChaseEngine:
             import random
 
             random.Random(seed).shuffle(self.compiled)
+        self.gone: set = set()
+        self._pushes = count()
 
     def _ranks(self, cr: _CompiledRule, key: tuple) -> tuple:
         rank = self.state.rank
         return tuple(rank(Atom(p, [key[i] for i in at])) for p, at in cr.shapes)
 
-    def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
-        """Queue every new match of the rule that uses an added atom."""
-        for atom in added:
+    def _push(self, cr: _CompiledRule, key: tuple, ranks: tuple) -> None:
+        cr.queued[key] = ranks
+        heappush(cr.heap, (ranks, next(self._pushes), key))
+
+    def _anchored(self, cr: _CompiledRule, atoms: Sequence[Atom]) -> Iterator[tuple]:
+        """The keys of the rule's matches that use one of the atoms,
+        found by anchoring each body position on each atom."""
+        for atom in atoms:
             for args, rest in cr.anchors.get(atom.predicate, ()):
                 init: dict = {}
                 for v, t in zip(args, atom.args):
@@ -397,13 +413,26 @@ class ChaseEngine:
                         break
                 else:
                     for binding in match_conjunction(rest, self.state, init=init):
-                        key = tuple(binding[v] for v in cr.universals)
-                        if key not in cr.queued:
-                            cr.queued.add(key)
-                            heappush(cr.heap, (self._ranks(cr, key), key))
+                        yield tuple(binding[v] for v in cr.universals)
+
+    def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
+        """Queue every new match of the rule that uses an added atom."""
+        for key in self._anchored(cr, added):
+            if key not in cr.queued:
+                self._push(cr, key, self._ranks(cr, key))
+
+    def _drain(self, cr: _CompiledRule) -> None:
+        """Move the rest of the rule's base stream into its heap."""
+        if cr.base_key is not None:
+            self._push(cr, cr.base_key, cr.base_rank or self._ranks(cr, cr.base_key))
+        for binding in cr.base:
+            key = tuple(binding[v] for v in cr.universals)
+            if key not in cr.queued and key not in cr.dead:
+                self._push(cr, key, self._ranks(cr, key))
+        cr.base = cr.base_key = cr.base_rank = None
 
     def _pop(self, cr: _CompiledRule) -> Optional[tuple]:
-        """Remove and return the key of the rule's least queued match."""
+        """Remove and return the key of the rule's least live queued match."""
         if cr.base_key is None and cr.base is not None:
             if cr.base is _PENDING:
                 cr.base = match_conjunction(cr.body, self.state)
@@ -415,13 +444,18 @@ class ChaseEngine:
             else:
                 cr.base = None
         heap = cr.heap
-        if heap:
-            if cr.base_key is None:
-                return heappop(heap)[1]
-            if cr.base_rank is None:
-                cr.base_rank = self._ranks(cr, cr.base_key)
-            if heap[0][0] < cr.base_rank:
-                return heappop(heap)[1]
+        gone = self.gone
+        while heap:
+            if cr.base_key is not None:
+                if cr.base_rank is None:
+                    cr.base_rank = self._ranks(cr, cr.base_key)
+                if not heap[0][0] < cr.base_rank:
+                    break
+            ranks, _, key = heappop(heap)
+            # Entries go stale only at merges, so before the first one
+            # every entry is live.
+            if not gone or (cr.queued[key] is ranks and gone.isdisjoint(key)):
+                return key
         key = cr.base_key
         cr.base_key = cr.base_rank = None
         return key
@@ -450,13 +484,23 @@ class ChaseEngine:
 
     def _merge(self, frm, to) -> None:
         """Rename `frm` to `to` in the state and in every dead key, and
-        restart every queue."""
-        self.state.rewrite_in_place({frm: to})
-        for cr in self.compiled:
+        repair the queue of every started rule; pending rules stay
+        pending."""
+        started = [cr for cr in self.compiled if cr.base is not _PENDING]
+        for cr in started:
+            if cr.base is not None:
+                self._drain(cr)
+        changed = self.state.rewrite_in_place({frm: to})
+        self.gone.add(frm)
+        for cr in started:
             stale = [key for key in cr.dead if frm in key]
             cr.dead.difference_update(stale)
             cr.dead.update(tuple(to if t == frm else t for t in key) for key in stale)
-            cr.restart()
+            for key in self._anchored(cr, changed):
+                if key not in cr.dead:
+                    ranks = self._ranks(cr, key)
+                    if cr.queued.get(key) != ranks:
+                        self._push(cr, key, ranks)
 
     def run(self) -> ChaseOutcome:
         limits = self.limits

@@ -68,6 +68,8 @@ def _parse_file(path: str) -> Program:
         raise _CliFailure(
             EXIT_INVALID, f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
         ) from exc
+    except OSError as exc:
+        raise _CliFailure(EXIT_INVALID, f"{path}: cannot read ({exc.strerror or exc})") from exc
     try:
         return parse(text)
     except ParseError as exc:

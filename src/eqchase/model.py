@@ -10,8 +10,10 @@ skolemisation of existential heads.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 # Predicate kinds.  Equality proper (written `x = y` in rule heads) never
 # appears as a data atom; the reserved binary predicate `eq` is the ordinary
@@ -667,23 +669,32 @@ def skolemise_ruleset(rules: RuleSet) -> tuple[Union[SkolemisedTGD, EGD], ...]:
 
 
 class AtomSet:
-    """The working state of a saturation: an insertion-ordered set of
-    atoms with a per-predicate index.
+    """The working state of a saturation: a set of atoms with a
+    per-predicate index and a first-argument index.
 
     Every atom carries a rank, an integer that orders the set: iteration
-    order is rank order.  `add` gives a new atom a rank above every other;
-    `rewrite_in_place` gives each image the rank of its first preimage.
-    Mutation is confined to those two methods, which keeps every run
-    deterministic.
+    order is rank order, and so is the order of every `bucket` and
+    `arg0_bucket` list.  `add` gives a new atom a rank above every other.
+    `rewrite_in_place` gives each image the least rank among its
+    preimages and the atom it may equal already, so an image reuses a
+    rank.  A rewrite touches only the atoms that hold a rewritten term; it
+    finds them through an index from each term to the atoms holding it as
+    an argument, which the first rewrite builds, so a set that is never
+    rewritten does not pay for it.  Mutation is confined to those two
+    methods, which keeps every run deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_arg0", "_next_rank")
+    __slots__ = ("_atoms", "_buckets", "_arg0", "_next_rank", "_occ", "_in_order")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict[Atom, int] = {}
-        self._buckets: dict[Predicate, dict[Atom, None]] = {}
+        self._buckets: dict[Predicate, list[Atom]] = {}
         self._arg0: dict[tuple[Predicate, Term], list[Atom]] = {}
         self._next_rank = 0
+        # term -> the atoms holding it as an argument; None until a rewrite.
+        self._occ: Optional[dict[Term, set[Atom]]] = None
+        # Whether `_atoms` iterates in rank order; a rewrite can break it.
+        self._in_order = True
         for a in atoms:
             self.add(a)
 
@@ -692,8 +703,10 @@ class AtomSet:
             return False
         self._atoms[atom] = self._next_rank
         self._next_rank += 1
-        self._buckets.setdefault(atom.predicate, {})[atom] = None
+        self._buckets.setdefault(atom.predicate, []).append(atom)
         self._arg0.setdefault((atom.predicate, atom.args[0]), []).append(atom)
+        if self._occ is not None:
+            self._index(atom)
         return True
 
     def rank(self, atom: Atom) -> int:
@@ -704,6 +717,9 @@ class AtomSet:
         return atom in self._atoms
 
     def __iter__(self) -> Iterator[Atom]:
+        if not self._in_order:
+            self._atoms = dict(sorted(self._atoms.items(), key=itemgetter(1)))
+            self._in_order = True
         return iter(self._atoms)
 
     def __len__(self) -> int:
@@ -731,34 +747,86 @@ class AtomSet:
         b = self._buckets.get(predicate)
         return len(b) if b else 0
 
-    def rewrite_in_place(self, m: Mapping[Term, Term]) -> None:
-        """Argument-level rewriting of the whole set, preserving the
-        surviving atoms' relative order (first image wins, and keeps the
-        rank of that preimage)."""
-        ranked = self._atoms
-        self._atoms = {}
-        self._buckets.clear()
-        self._arg0.clear()
-        for atom, rank in ranked.items():
-            img = _map_atom(atom, m)
-            if img not in self._atoms:
-                self._atoms[img] = rank
-                self._buckets.setdefault(img.predicate, {})[img] = None
-                self._arg0.setdefault((img.predicate, img.args[0]), []).append(img)
+    def rewrite_in_place(self, m: Mapping[Term, Term]) -> list[Atom]:
+        """Argument-level rewriting of the set, with the result of a sweep
+        over the whole set in rank order where the first image wins and
+        keeps the rank of that preimage.
+
+        Only the atoms holding a key of `m` are unlinked; their images are
+        linked in preimage rank order.  A new image takes its preimage's
+        rank, an image equal to a higher-ranked atom moves that atom down
+        to the preimage's rank, and any other image is dropped.  Returns,
+        in rank order, the atoms whose rank is new or changed.
+        """
+        m = {t: u for t, u in m.items() if t != u}
+        ranks = self._atoms
+        occ = self._occ
+        if occ is None:
+            occ = self._occ = {}
+            for atom in ranks:
+                self._index(atom)
+        hit: set[Atom] = set()
+        for t in m:
+            hit.update(occ.pop(t, ()))
+        pre = sorted(hit, key=ranks.__getitem__)
+        pre_ranks = [ranks[a] for a in pre]
+        for a in pre:
+            self._unlink(a)
+            del ranks[a]
+            for t in a.args:
+                held = occ.get(t)
+                if held is not None:
+                    held.discard(a)
+        changed = []
+        for a, r in zip(pre, pre_ranks):
+            img = _map_atom(a, m)
+            old = ranks.get(img)
+            if old is None:
+                ranks[img] = r
+                self._index(img)
+            elif old > r:
+                self._unlink(img)
+                ranks[img] = r
+            else:
+                continue
+            self._link(img)
+            changed.append(img)
+        if changed:
+            self._in_order = False
+        return changed
+
+    def _index(self, atom: Atom) -> None:
+        for t in atom.args:
+            self._occ.setdefault(t, set()).add(atom)
+
+    def _link(self, atom: Atom) -> None:
+        rank = self._atoms.__getitem__
+        insort(self._buckets.setdefault(atom.predicate, []), atom, key=rank)
+        insort(self._arg0.setdefault((atom.predicate, atom.args[0]), []), atom, key=rank)
+
+    def _unlink(self, atom: Atom) -> None:
+        rank = self._atoms.__getitem__
+        r = rank(atom)
+        for index, k in ((self._buckets, atom.predicate),
+                         (self._arg0, (atom.predicate, atom.args[0]))):
+            atoms = index[k]
+            del atoms[bisect_left(atoms, r, key=rank)]
+            if not atoms:
+                del index[k]
 
     def copy(self) -> "AtomSet":
-        return AtomSet(self._atoms)
+        return AtomSet(self)
 
     def to_frozenset(self) -> frozenset:
         return frozenset(self._atoms)
 
     def sorted_atoms(self) -> list[Atom]:
-        return sorted(self._atoms, key=lambda a: a.sort_key)
+        return sorted(self, key=lambda a: a.sort_key)
 
     def terms(self) -> Iterator[Term]:
         """Distinct argument terms in first-occurrence order."""
         seen: dict[Term, None] = {}
-        for atom in self._atoms:
+        for atom in self:
             for t in atom.args:
                 if t not in seen:
                     seen[t] = None

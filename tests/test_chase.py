@@ -327,7 +327,7 @@ def _differential_cases():
         rng = random.Random(seed)
         for _ in range(120):
             yield random_ontology(rng), seed
-    for n in (3, 5, 8):
+    for n in (3, 5, 8, 12, 16):
         rng = random.Random(f"egd:{n}")
         text = EGD_FAMILY + "".join(f"A(c{i}) .\n" for i in range(n))
         text += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
@@ -348,7 +348,7 @@ def test_engine_selects_the_naive_step_sequence():
     for o, seed in _differential_cases():
         assert _engine_steps(o, limits, seed) == _oracle_steps(o, limits, seed)
         cases += 1
-    assert cases == 3 * 120 + 9 + 4
+    assert cases == 3 * 120 + 15 + 4
 
 
 @settings(max_examples=200, deadline=None)

@@ -180,10 +180,18 @@ def test_bench_skips_bad_files(capsys, tmp_path):
     assert "good" in out
 
 
-def test_missing_file_is_internal_error_not_crash(capsys):
+def test_missing_file_is_bad_input(capsys):
     code, _, err = run(capsys, "chase", "no-such-file.rules")
-    assert code == 3
-    assert "internal error" in err
+    assert code == 1
+    assert err.startswith("no-such-file.rules: cannot read (")
+    assert "internal error" not in err
+
+
+def test_directory_path_is_bad_input(capsys, tmp_path):
+    code, _, err = run(capsys, "check", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"{tmp_path}: cannot read (")
+    assert "internal error" not in err
 
 
 def test_non_utf8_file_is_bad_input(capsys, tmp_path):

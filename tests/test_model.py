@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqchase import (
     EQ,
@@ -260,6 +262,86 @@ def test_atomset_ordering_and_terms():
     assert s.sorted_atoms() == [Atom(P1, [a]), Atom(R2, [b, a])]
     s.rewrite_in_place({b: a})
     assert s == {Atom(R2, [a, a]), Atom(P1, [a])}
+
+
+class _SweepReference:
+    """The rewrite as a sweep over the whole set in rank order, where the
+    first image wins and keeps the rank of its preimage."""
+
+    def __init__(self):
+        self.ranks = {}
+        self.next_rank = 0
+
+    def add(self, atom):
+        if atom in self.ranks:
+            return False
+        self.ranks[atom] = self.next_rank
+        self.next_rank += 1
+        return True
+
+    def rewrite(self, m):
+        out = {}
+        for atom, r in sorted(self.ranks.items(), key=lambda item: item[1]):
+            out.setdefault(Atom(atom.predicate, [m.get(t, t) for t in atom.args]), r)
+        changed = [img for img, r in out.items() if self.ranks.get(img) != r]
+        self.ranks = out
+        return changed
+
+    def order(self):
+        return sorted(self.ranks, key=self.ranks.__getitem__)
+
+
+c, d = Constant("c"), Constant("d")
+_TERMS = [a, b, c, d, Functional(f, [a])]
+_PREDS = [P1, R2, Predicate("S", 3)]
+_op = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_PREDS), st.lists(st.sampled_from(_TERMS), min_size=3, max_size=3)),
+    st.tuples(st.just("rewrite"), st.sampled_from(_TERMS), st.sampled_from(_TERMS)),
+)
+
+
+def _run_ops(ops):
+    s, ref = AtomSet(), _SweepReference()
+    for kind, x, y in ops:
+        if kind == "add":
+            atom = Atom(x, y[: x.arity])
+            assert s.add(atom) == ref.add(atom)
+        else:
+            assert s.rewrite_in_place({x: y}) == ref.rewrite({x: y})
+        order = ref.order()
+        assert list(s) == order
+        assert [s.rank(atom) for atom in order] == [ref.ranks[atom] for atom in order]
+        for p in _PREDS:
+            assert list(s.bucket(p)) == [atom for atom in order if atom.predicate == p]
+            for t in _TERMS:
+                assert list(s.arg0_bucket(p, t)) == [
+                    atom for atom in order if atom.predicate == p and atom.args[0] == t
+                ]
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_op, max_size=24))
+# R(a,b) with b -> a: the image's arguments become equal.
+@example([("add", R2, [a, b, a]), ("rewrite", b, a)])
+# The image collides with an existing atom of higher rank, which moves down.
+@example([("add", R2, [b, c, a]), ("add", R2, [a, c, a]), ("rewrite", b, a)])
+# The image collides with an existing atom of lower rank and is dropped.
+@example([("add", R2, [a, c, a]), ("add", R2, [b, c, a]), ("rewrite", b, a)])
+# A rewritten first argument, then adds that must land after the images.
+@example([("add", R2, [c, a, a]), ("add", P1, [d, a, a]), ("add", R2, [d, b, a]),
+          ("rewrite", d, c), ("add", R2, [c, c, a]), ("rewrite", c, a)])
+def test_incremental_rewrite_matches_the_whole_set_sweep(ops):
+    _run_ops(ops)
+
+
+def test_rewrite_reports_new_and_reranked_atoms():
+    s = _run_ops([("add", R2, [a, c, a]), ("add", R2, [b, c, a]), ("add", P1, [b, a, a]),
+                  ("add", R2, [a, b, a]), ("add", R2, [c, a, a])])
+    # R(b,c) collides with the older R(a,c) and is dropped; P(b) becomes
+    # P(a) at rank 2; R(a,b) becomes R(a,a) at rank 3.
+    assert s.rewrite_in_place({b: a}) == [Atom(P1, [a]), Atom(R2, [a, a])]
+    assert [s.rank(x) for x in s] == [0, 2, 3, 4]
 
 
 def test_term_key_consistent_with_compare():
