@@ -18,23 +18,19 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Union
 
 import itertools
 
 from .model import (
-    EGD,
     EQUALS,
     STAR,
-    TGD,
     Atom,
     AtomSet,
     RuleSet,
     Term,
-    apply_syntactic,
-    skolemise,
 )
-from .chase import ChaseLimits, match_conjunction
+from .chase import ChaseLimits, _CompiledRule, match_conjunction
 from .axiomatisation import (
     AxiomatisedRuleSet,
     canonical_singularisation,
@@ -81,7 +77,13 @@ class _Saturation:
     current set, so every body match is found exactly when its last atom
     is processed.  Replacement maps from EGD matches stay active: a new
     map sweeps the whole current set, and every later atom passes through
-    all active maps."""
+    all active maps.
+
+    Rules are compiled once into the chase engine's `_CompiledRule`: a
+    match fires at most once per key (the rule's `dead` set), and a TGD
+    head is instantiated from the key by the rule's template.  A
+    derivation record is built only for an atom the set does not hold
+    yet; the others are dropped unrecorded."""
 
     def __init__(self, rules: RuleSet, limits: ChaseLimits, include_eq_star: bool):
         self.limits = limits
@@ -90,20 +92,15 @@ class _Saturation:
         self.derivations: dict[Atom, tuple] = {}
         self.maps: list[tuple[Term, Term, int, tuple]] = []
         self.map_seen: set[tuple[Term, Term]] = set()
-        self.compiled = []
-        self.index: dict = {}
+        # predicate -> the rules whose body holds it, in rule order.
+        self.readers: dict = {}
+        for idx, rule in enumerate(rules):
+            cr = _CompiledRule(idx, rule)
+            for pred in cr.anchors:
+                self.readers.setdefault(pred, []).append(cr)
         self.witness: Optional[tuple[Atom, Term]] = None
         self.stop_reason: Optional[str] = None
         self.ci = critical_instance(rules, include_eq_star)
-        for idx, rule in enumerate(rules):
-            if type(rule) is TGD:
-                sk = skolemise(rule, rule_id=f"r{idx}")
-                entry = ("tgd", idx, rule, sk.head, set())
-            else:
-                entry = ("egd", idx, rule, None, set())
-            self.compiled.append(entry)
-            for pos, atom in enumerate(rule.body):
-                self.index.setdefault(atom.predicate, []).append((entry, pos))
 
     def _add(self, atom: Atom, deriv: tuple) -> None:
         if not self.atoms.add(atom):
@@ -125,48 +122,18 @@ class _Saturation:
             self.stop_reason = "max_term_depth"
             raise _Stop()
 
-    def _anchored(self, body: Sequence[Atom], pos: int, atom: Atom) -> Iterator[dict]:
-        binding: dict = {}
-        for v, t in zip(body[pos].args, atom.args):
-            bound = binding.get(v)
-            if bound is None:
-                binding[v] = t
-            elif bound != t:
-                return
-        rest = body[:pos] + body[pos + 1 :]
-        yield from match_conjunction(rest, self.atoms, init=binding)
+    def _fire_tgd(self, cr: _CompiledRule, key: tuple) -> None:
+        body = None
+        for atom in cr.instantiate(key):
+            if atom not in self.atoms:
+                if body is None:
+                    body = cr.body_atoms(key)
+                self._add(atom, ("tgd", cr.idx, key, body))
 
-    def _fire_tgd(self, entry, binding: dict) -> None:
-        _, idx, rule, sk_head, fired = entry
-        key = tuple(binding[v] for v in rule.universals)
-        if key in fired:
-            return
-        fired.add(key)
-        sigma = dict(binding)
-        body_instance = tuple(
-            Atom(a.predicate, [sigma[v] for v in a.args]) for a in rule.body
-        )
-        sig_items = tuple(sigma[v] for v in rule.universals)
-        for head_atom in sk_head:
-            self._add(
-                apply_syntactic(head_atom, sigma),
-                ("tgd", idx, sig_items, body_instance),
-            )
-
-    def _fire_egd(self, entry, binding: dict) -> None:
-        _, idx, rule, _, fired = entry
-        key = tuple(binding[v] for v in rule.universals)
-        if key in fired:
-            return
-        fired.add(key)
-        sigma = dict(binding)
-        tx, ty = sigma[rule.x], sigma[rule.y]
+    def _fire_egd(self, cr: _CompiledRule, key: tuple) -> None:
+        tx, ty = key[cr.x], key[cr.y]
         if tx == ty:
             return
-        body_instance = tuple(
-            Atom(a.predicate, [sigma[v] for v in a.args]) for a in rule.body
-        )
-        sig_items = tuple(sigma[v] for v in rule.universals)
         pairs = []
         if tx.depth <= ty.depth:
             pairs.append((ty, tx))
@@ -176,26 +143,28 @@ class _Saturation:
             if (frm, to) in self.map_seen:
                 continue
             self.map_seen.add((frm, to))
-            self.maps.append((frm, to, idx, (sig_items, body_instance)))
+            self.maps.append((frm, to, cr.idx, key))
             for existing in list(self.atoms):
-                img = Atom(
-                    existing.predicate,
-                    [to if t == frm else t for t in existing.args],
-                )
-                if img != existing:
-                    self._add(img, ("egd", idx, sig_items, existing, frm, to))
+                self._rewrite(existing, frm, to, cr.idx, key)
+
+    def _rewrite(self, atom: Atom, frm: Term, to: Term, idx: int, key: tuple) -> None:
+        """Add the image of the atom under the replacement of frm by to."""
+        if frm in atom.args:
+            img = Atom(atom.predicate, [to if t == frm else t for t in atom.args])
+            self._add(img, ("egd", idx, key, atom, frm, to))
 
     def _process(self, atom: Atom) -> None:
-        for frm, to, idx, (sig_items, _body) in list(self.maps):
-            img = Atom(atom.predicate, [to if t == frm else t for t in atom.args])
-            if img != atom:
-                self._add(img, ("egd", idx, sig_items, atom, frm, to))
-        for entry, pos in self.index.get(atom.predicate, ()):
-            for binding in self._anchored(entry[2].body, pos, atom):
-                if entry[0] == "tgd":
-                    self._fire_tgd(entry, binding)
-                else:
-                    self._fire_egd(entry, binding)
+        for frm, to, idx, key in self.maps:
+            self._rewrite(atom, frm, to, idx, key)
+        for cr in self.readers.get(atom.predicate, ()):
+            keyof, dead = cr.key, cr.dead
+            fire = self._fire_tgd if cr.kind == "tgd" else self._fire_egd
+            for init, rest in cr.anchorings(atom):
+                for binding in match_conjunction(rest, self.atoms, init=init):
+                    key = keyof(binding)
+                    if key not in dead:
+                        dead.add(key)
+                        fire(cr, key)
 
     def run(self) -> SaturationOutcome:
         deadline = None

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -30,6 +31,7 @@ from .model import (
     Atom,
     AtomSet,
     BCQ,
+    Functional,
     Ontology,
     Rule,
     RuleSet,
@@ -111,40 +113,82 @@ def match_conjunction(
     Order invariant, which the chase engine relies on: a binding fixes
     the atom matched at each body position, and the bindings come in
     lexicographic order of the tuple of those atoms' ranks
-    (`AtomSet.rank`).  Each position's candidates are a bucket or an
-    `arg0_bucket` list, and both keep rank order.
+    (`AtomSet.rank`).  Each position's candidates keep rank order.
+
+    Which variables are bound at a body position depends on the position
+    alone (those of `init` and of the earlier atoms), so each position's
+    candidate source is fixed when the call is made:
+
+    * first argument bound: the `arg0_bucket` list of its value, which is
+      live, so it also holds atoms added while the enumeration runs;
+    * another argument bound (the first such one): the `arg_bucket` list
+      of its value, cut at the set's `rank_bound()` as of the call;
+    * no argument bound: a copy of the predicate's bucket made at the
+      call.
+
+    So only a position with a bound first argument sees atoms added after
+    the call, exactly as if every other position scanned the whole bucket
+    as of the call.
 
     Yields a live dict; callers that keep a binding must copy it.
     """
     binding: dict = dict(init) if init else {}
-    buckets = [aset.bucket(a.predicate) for a in body]
-    n = len(body)
+    if not body:
+        return iter((binding,))
+    below = aset.rank_bound()
+    bound = set(binding)
+    plan = []
+    for atom in body:
+        args = atom.args
+        # The first bound argument picks the candidates.  Any other
+        # variable bound before this atom is checked; its first
+        # occurrence in the atom binds it, and a repeat is checked
+        # against that occurrence.
+        src = var = None
+        checks, repeats, binds = [], [], []
+        first: dict = {}
+        for j, v in enumerate(args):
+            if v in bound:
+                if src is None:
+                    src, var = j, v
+                else:
+                    checks.append((j, v))
+            elif v in first:
+                repeats.append((first[v], j))
+            else:
+                first[v] = j
+                binds.append((j, v))
+        snapshot = aset.bucket(atom.predicate) if src is None else None
+        plan.append((atom.predicate, src, var, checks, repeats, binds, snapshot))
+        bound.update(first)
+    n = len(plan)
 
     def rec(i: int) -> Iterator[dict]:
-        if i == n:
-            yield binding
-            return
-        atom = body[i]
-        first = binding.get(atom.args[0])
-        # A bound first argument narrows the candidates via the index;
-        # the filtered candidates come in the same relative order as a
-        # full bucket scan, so enumeration order is unchanged.
-        cands = buckets[i] if first is None else aset.arg0_bucket(atom.predicate, first)
+        pred, src, var, checks, repeats, binds, cands = plan[i]
+        if src == 0:
+            cands = aset.arg0_bucket(pred, binding[var])
+        elif src is not None:
+            cands = aset.arg_bucket(pred, src, binding[var], below)
+        want = [(j, binding[v]) for j, v in checks]
+        last = i + 1 == n
         for cand in cands:
-            trail = []
-            ok = True
-            for v, t in zip(atom.args, cand.args):
-                bound = binding.get(v)
-                if bound is None:
-                    binding[v] = t
-                    trail.append(v)
-                elif bound != t:
-                    ok = False
+            args = cand.args
+            for j, t in want:
+                u = args[j]
+                if u is not t and u != t:
                     break
-            if ok:
-                yield from rec(i + 1)
-            for v in trail:
-                del binding[v]
+            else:
+                for j, k in repeats:
+                    u, t = args[j], args[k]
+                    if u is not t and u != t:
+                        break
+                else:
+                    for j, v in binds:
+                        binding[v] = args[j]
+                    if last:
+                        yield binding
+                    else:
+                        yield from rec(i + 1)
 
     return rec(0)
 
@@ -264,12 +308,27 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
 _PENDING = object()
 
 
+def _key_getter(variables: tuple) -> Callable[[Mapping], tuple]:
+    """A function from a binding to the tuple of its values at the variables."""
+    if len(variables) == 1:
+        (v,) = variables
+        return lambda binding: (binding[v],)
+    return itemgetter(*variables)
+
+
 class _CompiledRule:
-    """A rule with its skolemised head, its join shapes and its queue.
+    """A rule with its skolemised head, its join shapes and its queue;
+    the acyclicity saturation uses the same form without the queue.
 
     A match is identified by its key, the tuple of the terms it binds to
     `universals`.  Shapes give each atom as (predicate, indexes into the
     key), so atoms are instantiated from a key without a binding dict.
+    `template` does the same for the skolemised head of a TGD: each
+    argument is an index into the key or the Skolem symbol of an
+    existential, whose term is that symbol applied to the whole key.
+    `anchors` maps each body predicate to (args, rest of the body) for
+    each body position holding it, the join that anchoring a match on an
+    atom at that position leaves.
 
     The queue holds every match of the body not yet consumed, from two
     sources: `base`, a lazily consumed `match_conjunction` over the state
@@ -282,7 +341,9 @@ class _CompiledRule:
     ever pushed to the rank tuple of its last push; the base stream skips
     these keys, and a heap entry is live only while its rank tuple is that
     one.  `dead` holds the keys of TGD matches that were applied or found
-    head-blocked; it survives merges, renamed.
+    head-blocked; it survives merges, renamed.  `dead_at` maps each term
+    to the dead keys holding it; the first merge builds it, so a run
+    without merges does not pay for it.
     """
 
     __slots__ = (
@@ -293,12 +354,14 @@ class _CompiledRule:
         "shapes",
         "anchors",
         "universals",
+        "key",
         "head",
-        "closed_head",
-        "sk_head",
+        "closed",
+        "template",
         "x",
         "y",
         "dead",
+        "dead_at",
         "base",
         "base_key",
         "base_rank",
@@ -311,36 +374,81 @@ class _CompiledRule:
         self.rule = rule
         self.body = rule.body
         self.universals = rule.universals
+        self.key = _key_getter(self.universals)
         where = {v: i for i, v in enumerate(self.universals)}
-
-        def shapes(atoms):
-            return tuple((a.predicate, tuple(where[v] for v in a.args)) for a in atoms)
-
-        self.shapes = shapes(rule.body)
-        # predicate -> [(args, rest of the body)] for each body position.
+        self.shapes = tuple(
+            (a.predicate, tuple(where[v] for v in a.args)) for a in rule.body
+        )
         self.anchors: dict = {}
         for pos, atom in enumerate(rule.body):
             rest = rule.body[:pos] + rule.body[pos + 1 :]
             self.anchors.setdefault(atom.predicate, []).append((atom.args, rest))
-        # Without existentials a TGD head is fully instantiated by the
-        # match, and it is embedded exactly when its atoms are present.
-        self.closed_head = None
         if type(rule) is TGD:
             self.kind = "tgd"
             self.head = rule.head
-            if not rule.existentials:
-                self.closed_head = shapes(rule.head)
-            self.sk_head = skolemise(rule, rule_id=f"r{idx}").head
+            # Without existentials a TGD head is fully instantiated by the
+            # match, and it is embedded exactly when its atoms are present.
+            self.closed = not rule.existentials
+            symbols = skolemise(rule, rule_id=f"r{idx}").symbols
+            where.update(zip(rule.existentials, symbols))
+            self.template = tuple(
+                (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
+            )
         else:
             self.kind = "egd"
             self.x = where[rule.x]
             self.y = where[rule.y]
         self.dead: set = set()
+        self.dead_at: Optional[dict] = None
         self.base = _PENDING
         self.base_key = None
         self.base_rank = None
         self.heap: list = []
         self.queued: dict = {}
+
+    def anchorings(self, atom: Atom) -> Iterator[tuple[dict, tuple]]:
+        """(binding, rest of the body) for each body position the atom
+        matches, in body order."""
+        for args, rest in self.anchors.get(atom.predicate, ()):
+            init = dict(zip(args, atom.args))
+            if len(init) == len(args) or all(init[v] == t for v, t in zip(args, atom.args)):
+                yield init, rest
+
+    def bury(self, key: tuple) -> None:
+        """Mark the match dead, so it is never queued again."""
+        self.dead.add(key)
+        if self.dead_at is not None:
+            self._index_dead(key)
+
+    def rename_dead(self, frm, to) -> None:
+        """Rename `frm` to `to` in every dead key."""
+        if self.dead_at is None:
+            self.dead_at = {}
+            for key in self.dead:
+                self._index_dead(key)
+        stale = self.dead_at.pop(frm, ())
+        for key in stale:
+            self.dead.discard(key)
+            for t in key:
+                if t != frm:
+                    self.dead_at[t].discard(key)
+        for key in stale:
+            self.bury(tuple(to if t == frm else t for t in key))
+
+    def _index_dead(self, key: tuple) -> None:
+        for t in key:
+            self.dead_at.setdefault(t, set()).add(key)
+
+    def instantiate(self, key: tuple) -> list[Atom]:
+        """The skolemised head atoms of the match with this key."""
+        return [
+            Atom(p, [key[a] if type(a) is int else Functional(a, key) for a in args])
+            for p, args in self.template
+        ]
+
+    def body_atoms(self, key: tuple) -> tuple[Atom, ...]:
+        """The body atoms of the match with this key."""
+        return tuple(Atom(p, [key[i] for i in at]) for p, at in self.shapes)
 
 
 class ChaseEngine:
@@ -395,8 +503,7 @@ class ChaseEngine:
         self._pushes = count()
 
     def _ranks(self, cr: _CompiledRule, key: tuple) -> tuple:
-        rank = self.state.rank
-        return tuple(rank(Atom(p, [key[i] for i in at])) for p, at in cr.shapes)
+        return tuple(map(self.state.rank, cr.body_atoms(key)))
 
     def _push(self, cr: _CompiledRule, key: tuple, ranks: tuple) -> None:
         cr.queued[key] = ranks
@@ -406,14 +513,9 @@ class ChaseEngine:
         """The keys of the rule's matches that use one of the atoms,
         found by anchoring each body position on each atom."""
         for atom in atoms:
-            for args, rest in cr.anchors.get(atom.predicate, ()):
-                init: dict = {}
-                for v, t in zip(args, atom.args):
-                    if init.setdefault(v, t) != t:
-                        break
-                else:
-                    for binding in match_conjunction(rest, self.state, init=init):
-                        yield tuple(binding[v] for v in cr.universals)
+            for init, rest in cr.anchorings(atom):
+                for binding in match_conjunction(rest, self.state, init=init):
+                    yield cr.key(binding)
 
     def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
         """Queue every new match of the rule that uses an added atom."""
@@ -426,7 +528,7 @@ class ChaseEngine:
         if cr.base_key is not None:
             self._push(cr, cr.base_key, cr.base_rank or self._ranks(cr, cr.base_key))
         for binding in cr.base:
-            key = tuple(binding[v] for v in cr.universals)
+            key = cr.key(binding)
             if key not in cr.queued and key not in cr.dead:
                 self._push(cr, key, self._ranks(cr, key))
         cr.base = cr.base_key = cr.base_rank = None
@@ -437,7 +539,7 @@ class ChaseEngine:
             if cr.base is _PENDING:
                 cr.base = match_conjunction(cr.body, self.state)
             for binding in cr.base:
-                key = tuple(binding[v] for v in cr.universals)
+                key = cr.key(binding)
                 if key not in cr.queued and key not in cr.dead:
                     cr.base_key = key
                     break
@@ -471,15 +573,13 @@ class ChaseEngine:
                     if key[cr.x] != key[cr.y]:
                         return cr, key
                     continue
-                if cr.closed_head is None:
-                    blocked = _head_embedded(cr.head, dict(zip(cr.universals, key)), aset)
+                if cr.closed:
+                    blocked = all(a in aset for a in cr.instantiate(key))
                 else:
-                    blocked = all(
-                        Atom(p, [key[i] for i in at]) in aset for p, at in cr.closed_head
-                    )
+                    blocked = _head_embedded(cr.head, dict(zip(cr.universals, key)), aset)
                 if not blocked:
                     return cr, key
-                cr.dead.add(key)
+                cr.bury(key)
         return None
 
     def _merge(self, frm, to) -> None:
@@ -493,9 +593,7 @@ class ChaseEngine:
         changed = self.state.rewrite_in_place({frm: to})
         self.gone.add(frm)
         for cr in started:
-            stale = [key for key in cr.dead if frm in key]
-            cr.dead.difference_update(stale)
-            cr.dead.update(tuple(to if t == frm else t for t in key) for key in stale)
+            cr.rename_dead(frm, to)
             for key in self._anchored(cr, changed):
                 if key not in cr.dead:
                     ranks = self._ranks(cr, key)
@@ -518,7 +616,7 @@ class ChaseEngine:
                 return LimitExceeded(self.state, "max_steps", self.trace.steps, self.trace)
             sigma = dict(zip(cr.universals, key))
             if cr.kind == "tgd":
-                new_atoms = [apply_syntactic(a, sigma) for a in cr.sk_head]
+                new_atoms = cr.instantiate(key)
                 fresh = [a for a in dict.fromkeys(new_atoms) if a not in self.state]
                 d = max(max(t.depth for t in a.args) for a in new_atoms)
                 if limits.max_term_depth is not None and d > limits.max_term_depth:
@@ -530,7 +628,7 @@ class ChaseEngine:
                     return LimitExceeded(self.state, "max_atoms", self.trace.steps, self.trace)
                 for a in fresh:
                     self.state.add(a)
-                cr.dead.add(key)
+                cr.bury(key)
                 for other in self.compiled:
                     if other.base is not _PENDING:
                         self._queue_delta(other, fresh)

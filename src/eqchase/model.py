@@ -670,26 +670,34 @@ def skolemise_ruleset(rules: RuleSet) -> tuple[Union[SkolemisedTGD, EGD], ...]:
 
 class AtomSet:
     """The working state of a saturation: a set of atoms with a
-    per-predicate index and a first-argument index.
+    per-predicate index, a first-argument index and a lazy index on the
+    other argument positions.
 
     Every atom carries a rank, an integer that orders the set: iteration
-    order is rank order, and so is the order of every `bucket` and
-    `arg0_bucket` list.  `add` gives a new atom a rank above every other.
-    `rewrite_in_place` gives each image the least rank among its
+    order is rank order, and so is the order of every `bucket`,
+    `arg0_bucket` and `arg_bucket` list.  `add` gives a new atom a rank
+    above every other, and `rank_bound()` is the rank the next new atom
+    gets.  `rewrite_in_place` gives each image the least rank among its
     preimages and the atom it may equal already, so an image reuses a
     rank.  A rewrite touches only the atoms that hold a rewritten term; it
     finds them through an index from each term to the atoms holding it as
     an argument, which the first rewrite builds, so a set that is never
-    rewritten does not pay for it.  Mutation is confined to those two
-    methods, which keeps every run deterministic.
+    rewritten does not pay for it.  In the same way, the index behind
+    `arg_bucket`, from (predicate, position, term) to the atoms holding
+    the term at that position, is built for one (predicate, position) on
+    its first lookup and kept up to date from then on; positions never
+    looked up cost nothing.  Mutation is confined to those two methods,
+    which keeps every run deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_arg0", "_next_rank", "_occ", "_in_order")
+    __slots__ = ("_atoms", "_buckets", "_arg0", "_pos", "_next_rank", "_occ", "_in_order")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict[Atom, int] = {}
         self._buckets: dict[Predicate, list[Atom]] = {}
         self._arg0: dict[tuple[Predicate, Term], list[Atom]] = {}
+        # predicate -> position -> term -> atoms, for the positions looked up.
+        self._pos: dict[Predicate, dict[int, dict[Term, list[Atom]]]] = {}
         self._next_rank = 0
         # term -> the atoms holding it as an argument; None until a rewrite.
         self._occ: Optional[dict[Term, set[Atom]]] = None
@@ -705,6 +713,10 @@ class AtomSet:
         self._next_rank += 1
         self._buckets.setdefault(atom.predicate, []).append(atom)
         self._arg0.setdefault((atom.predicate, atom.args[0]), []).append(atom)
+        positions = self._pos.get(atom.predicate) if self._pos else None
+        if positions:
+            for i, index in positions.items():
+                index.setdefault(atom.args[i], []).append(atom)
         if self._occ is not None:
             self._index(atom)
         return True
@@ -712,6 +724,11 @@ class AtomSet:
     def rank(self, atom: Atom) -> int:
         """The atom's position in the set's order (KeyError if absent)."""
         return self._atoms[atom]
+
+    def rank_bound(self) -> int:
+        """A rank above every atom in the set and below every atom added
+        later."""
+        return self._next_rank
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -742,6 +759,23 @@ class AtomSet:
     def arg0_bucket(self, predicate: Predicate, first: Term) -> Sequence[Atom]:
         """Atoms of the predicate whose first argument is `first`."""
         return self._arg0.get((predicate, first), ())
+
+    def arg_bucket(self, predicate: Predicate, pos: int, term: Term, below: int) -> list[Atom]:
+        """A new list of the atoms of the predicate that hold `term` at
+        argument `pos` and rank below `below`, in rank order."""
+        positions = self._pos.setdefault(predicate, {})
+        index = positions.get(pos)
+        if index is None:
+            index = positions[pos] = {}
+            for atom in self._buckets.get(predicate, ()):
+                index.setdefault(atom.args[pos], []).append(atom)
+        atoms = index.get(term)
+        if not atoms:
+            return []
+        rank = self._atoms.__getitem__
+        if rank(atoms[-1]) < below:
+            return atoms[:]
+        return atoms[: bisect_left(atoms, below, key=rank)]
 
     def bucket_size(self, predicate: Predicate) -> int:
         b = self._buckets.get(predicate)
@@ -799,16 +833,23 @@ class AtomSet:
         for t in atom.args:
             self._occ.setdefault(t, set()).add(atom)
 
+    def _lists(self, atom: Atom) -> list[tuple[dict, object]]:
+        """(index, key) for every rank-ordered list that holds the atom."""
+        lists = [(self._buckets, atom.predicate), (self._arg0, (atom.predicate, atom.args[0]))]
+        positions = self._pos.get(atom.predicate)
+        if positions:
+            lists.extend((index, atom.args[i]) for i, index in positions.items())
+        return lists
+
     def _link(self, atom: Atom) -> None:
         rank = self._atoms.__getitem__
-        insort(self._buckets.setdefault(atom.predicate, []), atom, key=rank)
-        insort(self._arg0.setdefault((atom.predicate, atom.args[0]), []), atom, key=rank)
+        for index, k in self._lists(atom):
+            insort(index.setdefault(k, []), atom, key=rank)
 
     def _unlink(self, atom: Atom) -> None:
         rank = self._atoms.__getitem__
         r = rank(atom)
-        for index, k in ((self._buckets, atom.predicate),
-                         (self._arg0, (atom.predicate, atom.args[0]))):
+        for index, k in self._lists(atom):
             atoms = index[k]
             del atoms[bisect_left(atoms, r, key=rank)]
             if not atoms:

@@ -16,6 +16,7 @@ from eqchase import (
     Terminated,
     Variable,
     apply_syntactic,
+    canonical_singularisation,
     check_pipeline,
     chase,
     critical_instance,
@@ -23,6 +24,7 @@ from eqchase import (
     is_cyclic,
     is_emfa,
     is_mfa,
+    parse,
     skolemise,
     standard_axiomatisation,
     star_atom,
@@ -197,6 +199,30 @@ def test_witness_derivation_replays():
     report = is_emfa(rs, LIMITS)
     assert report.derivation  # human-readable chain is attached
     assert report.witness_term is not None and is_cyclic(report.witness_term)
+
+
+# A chain family with a loop-back rule: every notion is cyclic.
+LOOPING_CHAIN = parse(
+    "P0(X1,X2) -> exists W0 . P1(X2,W0) .\n"
+    "P1(X1,X2) -> exists W1 . P2(X2,W1) .\n"
+    "P2(X1,X2) -> exists W2 . P3(X2,W2) .\n"
+    "P3(X1,X2) -> X1 = X2 .\n"
+    "P3(X1,X2) -> P0(X1,X2) .\n"
+).rules
+
+
+@pytest.mark.parametrize(
+    "name,notion",
+    [("thm2", "mfa-st"), ("thm4", "mfa-st"), ("thm4", "mfa-sing"), ("ex3", "mfa-st"),
+     ("ex3", "mfa-sing"), ("chain", "mfa-st"), ("chain", "mfa-sing")],
+)
+def test_axiomatised_witness_derivation_replays(name, notion):
+    rs = LOOPING_CHAIN if name == "chain" else rules(name)
+    axiomatise = standard_axiomatisation if notion == "mfa-st" else canonical_singularisation
+    ax = axiomatise(rs).rules
+    out = emfa_set(ax, LIMITS)
+    assert out.status == "cyclic"
+    assert _replay(out, ax)
 
 
 def test_emfa_equals_mfa_on_equality_free_sets():

@@ -10,27 +10,14 @@ engine must leave all three unchanged.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from eqchase.cli import main
+from perfbench_loader import load_workloads
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-w = _load_workloads()
+w = load_workloads()
 PINNED = json.loads(w.EGD_REFERENCE.read_text())
 POOL = [(n, v) for n in w.EGD_SIZES for v in range(w.EGD_VARIANTS)]
 
