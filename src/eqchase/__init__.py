@@ -11,7 +11,6 @@ from .model import (
     AXIOM_EQ,
     EQ,
     EGD,
-    EQUALITY,
     ORDINARY,
     STAR,
     TGD,
@@ -30,14 +29,9 @@ from .model import (
     Violation,
     apply_syntactic,
     apply_term_map,
-    depth,
-    is_cyclic,
     skolemise,
-    skolemise_ruleset,
     star_atom,
     star_term,
-    term_compare,
-    term_key,
     validate,
     validate_query,
     validate_ruleset,

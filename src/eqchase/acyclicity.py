@@ -23,7 +23,6 @@ from typing import Optional, Union
 import itertools
 
 from .model import (
-    EQUALS,
     STAR,
     Atom,
     AtomSet,
@@ -42,18 +41,11 @@ COMPLETED = "completed"
 CYCLIC = "cyclic"
 LIMIT = "limit-exceeded"
 
-ACYCLIC_VERDICT = "acyclic"
-CYCLIC_VERDICT = "cyclic"
-LIMIT_VERDICT = "limit-exceeded"
 
-
-def critical_instance(rules: RuleSet, include_eq_star: bool = False) -> list[Atom]:
+def critical_instance(rules: RuleSet) -> list[Atom]:
     """One fact per predicate of the rule set, every argument `*`.
-    Equality itself is excluded unless explicitly requested."""
-    facts = [Atom(p, (STAR,) * p.arity) for p in rules.predicates()]
-    if include_eq_star and rules.egds():
-        facts.append(Atom(EQUALS, (STAR, STAR)))
-    return facts
+    Equality is not a predicate, so it has no fact."""
+    return [Atom(p, (STAR,) * p.arity) for p in rules.predicates()]
 
 
 @dataclass
@@ -85,7 +77,7 @@ class _Saturation:
     derivation record is built only for an atom the set does not hold
     yet; the others are dropped unrecorded."""
 
-    def __init__(self, rules: RuleSet, limits: ChaseLimits, include_eq_star: bool):
+    def __init__(self, rules: RuleSet, limits: ChaseLimits):
         self.limits = limits
         self.atoms = AtomSet()
         self.queue: deque[Atom] = deque()
@@ -100,7 +92,7 @@ class _Saturation:
                 self.readers.setdefault(pred, []).append(cr)
         self.witness: Optional[tuple[Atom, Term]] = None
         self.stop_reason: Optional[str] = None
-        self.ci = critical_instance(rules, include_eq_star)
+        self.ci = critical_instance(rules)
 
     def _add(self, atom: Atom, deriv: tuple) -> None:
         if not self.atoms.add(atom):
@@ -196,15 +188,11 @@ class _Saturation:
         )
 
 
-def emfa_set(
-    rules: RuleSet,
-    limits: ChaseLimits = ChaseLimits(),
-    include_eq_star: bool = False,
-) -> SaturationOutcome:
+def emfa_set(rules: RuleSet, limits: ChaseLimits = ChaseLimits()) -> SaturationOutcome:
     """Saturate the closure from the critical instance, halting early on
     the first cyclic term.  Without limits the computation still halts:
     atoms free of cyclic terms over a finite signature are finitely many."""
-    return _Saturation(rules, limits, include_eq_star).run()
+    return _Saturation(rules, limits).run()
 
 
 @dataclass
@@ -217,7 +205,6 @@ class CheckReport:
     witness_atom: Optional[Atom] = None
     witness_term: Optional[Term] = None
     limit: Optional[str] = None
-    derivation: Optional[tuple] = None
 
     def to_json(self, timing: bool = True) -> dict:
         out: dict = {"notion": self.notion, "verdict": self.verdict}
@@ -235,62 +222,24 @@ class CheckReport:
         return out
 
 
-def _witness_chain(outcome: SaturationOutcome) -> Optional[tuple]:
-    """The derivation of the witness atom back to the critical instance,
-    oldest step first."""
-    if outcome.witness_atom is None or outcome.derivations is None:
-        return None
-    chain: list[tuple] = []
-    seen: set[Atom] = set()
-
-    def walk(atom: Atom) -> None:
-        if atom in seen:
-            return
-        seen.add(atom)
-        record = outcome.derivations.get(atom)
-        if record is None or record[0] == "ci":
-            return
-        if record[0] == "tgd":
-            _, idx, _sig, body_instance = record
-            for parent in body_instance:
-                walk(parent)
-            chain.append(("tgd", idx, str(atom)))
-        else:
-            _, idx, _sig, source, frm, to = record
-            walk(source)
-            chain.append(("egd", idx, str(atom), f"{frm}->{to}"))
-
-    walk(outcome.witness_atom)
-    return tuple(chain)
-
-
 def _report(notion: str, outcome: SaturationOutcome, elapsed_ms: float) -> CheckReport:
-    verdict = {
-        COMPLETED: ACYCLIC_VERDICT,
-        CYCLIC: CYCLIC_VERDICT,
-        LIMIT: LIMIT_VERDICT,
-    }[outcome.status]
     return CheckReport(
         notion=notion,
-        verdict=verdict,
+        verdict="acyclic" if outcome.status == COMPLETED else outcome.status,
         set_size=len(outcome.atoms),
         elapsed_ms=elapsed_ms,
         steps=outcome.steps,
         witness_atom=outcome.witness_atom,
         witness_term=outcome.witness_term,
         limit=outcome.limit,
-        derivation=_witness_chain(outcome),
     )
 
 
 def is_emfa(
-    rules: RuleSet,
-    limits: ChaseLimits = ChaseLimits(),
-    include_eq_star: bool = False,
-    notion: str = "emfa",
+    rules: RuleSet, limits: ChaseLimits = ChaseLimits(), *, notion: str = "emfa"
 ) -> CheckReport:
     t0 = time.perf_counter()
-    outcome = emfa_set(rules, limits, include_eq_star)
+    outcome = emfa_set(rules, limits)
     return _report(notion, outcome, (time.perf_counter() - t0) * 1000.0)
 
 

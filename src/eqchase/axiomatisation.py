@@ -32,7 +32,6 @@ from .model import (
     RuleSet,
     Term,
     Variable,
-    term_key,
 )
 
 #: Provenance labels.
@@ -280,7 +279,7 @@ def pi(aset: AtomSet) -> GroundRewriting:
     if not is_ep_complete(aset):
         raise EqIncompleteError("atom set is not eq-complete")
     nbr = _eq_neighbours(aset)
-    return {t: min(nbr[t], key=term_key) for t in aset.terms()}
+    return {t: min(nbr[t], key=lambda u: u.order_key) for t in aset.terms()}
 
 
 def bracket(aset: AtomSet) -> AtomSet:

@@ -39,7 +39,6 @@ from .model import (
     Variable,
     apply_syntactic,
     skolemise,
-    term_key,
     validate,
     validate_query,
 )
@@ -62,12 +61,6 @@ class ChaseLimits:
     max_atoms: Optional[int] = None
     max_term_depth: Optional[int] = None
     wall_clock_ms: Optional[int] = None
-
-    def bounded(self) -> bool:
-        return any(
-            v is not None
-            for v in (self.max_steps, self.max_atoms, self.max_term_depth, self.wall_clock_ms)
-        )
 
 
 @dataclass
@@ -268,7 +261,7 @@ def apply(rule: Rule, sigma: Substitution, aset: AtomSet) -> AtomSet:
             out.add(apply_syntactic(atom, sigma))
     else:
         tx, ty = sigma[rule.x], sigma[rule.y]
-        if term_key(tx) < term_key(ty):
+        if tx.order_key < ty.order_key:
             out.rewrite_in_place({ty: tx})
         else:
             out.rewrite_in_place({tx: ty})
@@ -303,11 +296,6 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
 # The engine
 
 
-# Marks a rule whose base stream starts on its first use; until then the
-# stream covers every atom added, so the rule takes no delta matches.
-_PENDING = object()
-
-
 def _key_getter(variables: tuple) -> Callable[[Mapping], tuple]:
     """A function from a binding to the tuple of its values at the variables."""
     if len(variables) == 1:
@@ -330,20 +318,17 @@ class _CompiledRule:
     each body position holding it, the join that anchoring a match on an
     atom at that position leaves.
 
-    The queue holds every match of the body not yet consumed, from two
-    sources: `base`, a lazily consumed `match_conjunction` over the state
-    as of the rule's first use, and `heap`, entries (rank tuple, push
-    number, key) for the matches found by anchoring on an atom added
-    since then or re-ranked by a merge.  A merge drains `base` into
-    `heap`, so a rule has a base stream at most once.  `base_key` is the
-    next match of the base stream and `base_rank` its rank tuple,
-    computed only when the heap is not empty.  `queued` maps every key
-    ever pushed to the rank tuple of its last push; the base stream skips
-    these keys, and a heap entry is live only while its rank tuple is that
-    one.  `dead` holds the keys of TGD matches that were applied or found
-    head-blocked; it survives merges, renamed.  `dead_at` maps each term
-    to the dead keys holding it; the first merge builds it, so a run
-    without merges does not pay for it.
+    The queue is `heap`, entries (rank tuple, push number, key) for every
+    match of the body not yet consumed.  The rule's first use sets
+    `started` and fills it with one `match_conjunction` over the state as
+    of then; until that use the rule takes no matches.  From then on
+    every match found by anchoring on an added atom, or on an atom a
+    merge re-ranked, is pushed.  `queued` maps every key ever pushed to
+    the rank tuple of its last push, and a heap entry is live only while
+    its rank tuple is that one.  `dead` holds the keys of TGD matches
+    that were applied or found head-blocked; it survives merges, renamed.
+    `dead_at` maps each term to the dead keys holding it; the first merge
+    builds it, so a run without merges does not pay for it.
     """
 
     __slots__ = (
@@ -362,9 +347,7 @@ class _CompiledRule:
         "y",
         "dead",
         "dead_at",
-        "base",
-        "base_key",
-        "base_rank",
+        "started",
         "heap",
         "queued",
     )
@@ -389,7 +372,7 @@ class _CompiledRule:
             # Without existentials a TGD head is fully instantiated by the
             # match, and it is embedded exactly when its atoms are present.
             self.closed = not rule.existentials
-            symbols = skolemise(rule, rule_id=f"r{idx}").symbols
+            symbols = skolemise(rule).symbols
             where.update(zip(rule.existentials, symbols))
             self.template = tuple(
                 (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
@@ -400,9 +383,7 @@ class _CompiledRule:
             self.y = where[rule.y]
         self.dead: set = set()
         self.dead_at: Optional[dict] = None
-        self.base = _PENDING
-        self.base_key = None
-        self.base_rank = None
+        self.started = False
         self.heap: list = []
         self.queued: dict = {}
 
@@ -448,7 +429,7 @@ class _CompiledRule:
 
     def body_atoms(self, key: tuple) -> tuple[Atom, ...]:
         """The body atoms of the match with this key."""
-        return tuple(Atom(p, [key[i] for i in at]) for p, at in self.shapes)
+        return tuple([Atom(p, [key[i] for i in at]) for p, at in self.shapes])
 
 
 class ChaseEngine:
@@ -467,17 +448,17 @@ class ChaseEngine:
     use them are found by anchoring each body position on each new atom,
     semi-naively.  An EGD step renames one term and so removes the atoms
     that hold it and gives their images, or atoms they collide with, new
-    ranks.  The queues are repaired, not rebuilt: each started rule first
-    drains its base stream into its heap, then anchors on every atom the
-    rewrite re-ranked and pushes each match whose rank tuple is not its
-    queued one.  Rules are constant-free, so a queued match over atoms
-    the merge left alone keeps its key and rank tuple, and one over a
-    removed atom holds the merged-away term: such keys are dropped when
-    popped, by a check against `gone`, the merged-away terms.  Blocked
-    TGD matches stay blocked under the renaming (it maps a head embedding
-    to a head embedding), so `dead` is renamed rather than cleared and a
-    dead match is never pushed again; a re-ranked EGD match that was
-    consumed equates equal terms and stays rejected.
+    ranks.  The queues are repaired, not rebuilt: each started rule
+    anchors on every atom the rewrite re-ranked and pushes each match
+    whose rank tuple is not its queued one.  Rules are constant-free, so
+    a queued match over atoms the merge left alone keeps its key and rank
+    tuple, and one over a removed atom holds the merged-away term: such
+    keys are dropped when popped, by a check against `gone`, the
+    merged-away terms.  Blocked TGD matches stay blocked under the
+    renaming (it maps a head embedding to a head embedding), so `dead` is
+    renamed rather than cleared and a dead match is never pushed again; a
+    re-ranked EGD match that was consumed equates equal terms and stays
+    rejected.
     """
 
     def __init__(
@@ -523,44 +504,28 @@ class ChaseEngine:
             if key not in cr.queued:
                 self._push(cr, key, self._ranks(cr, key))
 
-    def _drain(self, cr: _CompiledRule) -> None:
-        """Move the rest of the rule's base stream into its heap."""
-        if cr.base_key is not None:
-            self._push(cr, cr.base_key, cr.base_rank or self._ranks(cr, cr.base_key))
-        for binding in cr.base:
+    def _start(self, cr: _CompiledRule) -> None:
+        """Queue every match of the rule in the current state.  The
+        matches come in rank-tuple order, so the list is a heap as built."""
+        cr.started = True
+        for binding in match_conjunction(cr.body, self.state):
             key = cr.key(binding)
-            if key not in cr.queued and key not in cr.dead:
-                self._push(cr, key, self._ranks(cr, key))
-        cr.base = cr.base_key = cr.base_rank = None
+            ranks = cr.queued[key] = self._ranks(cr, key)
+            cr.heap.append((ranks, next(self._pushes), key))
 
     def _pop(self, cr: _CompiledRule) -> Optional[tuple]:
         """Remove and return the key of the rule's least live queued match."""
-        if cr.base_key is None and cr.base is not None:
-            if cr.base is _PENDING:
-                cr.base = match_conjunction(cr.body, self.state)
-            for binding in cr.base:
-                key = cr.key(binding)
-                if key not in cr.queued and key not in cr.dead:
-                    cr.base_key = key
-                    break
-            else:
-                cr.base = None
+        if not cr.started:
+            self._start(cr)
         heap = cr.heap
         gone = self.gone
         while heap:
-            if cr.base_key is not None:
-                if cr.base_rank is None:
-                    cr.base_rank = self._ranks(cr, cr.base_key)
-                if not heap[0][0] < cr.base_rank:
-                    break
             ranks, _, key = heappop(heap)
             # Entries go stale only at merges, so before the first one
             # every entry is live.
             if not gone or (cr.queued[key] is ranks and gone.isdisjoint(key)):
                 return key
-        key = cr.base_key
-        cr.base_key = cr.base_rank = None
-        return key
+        return None
 
     def _find_next(self):
         aset = self.state
@@ -584,12 +549,8 @@ class ChaseEngine:
 
     def _merge(self, frm, to) -> None:
         """Rename `frm` to `to` in the state and in every dead key, and
-        repair the queue of every started rule; pending rules stay
-        pending."""
-        started = [cr for cr in self.compiled if cr.base is not _PENDING]
-        for cr in started:
-            if cr.base is not None:
-                self._drain(cr)
+        repair the queue of every started rule."""
+        started = [cr for cr in self.compiled if cr.started]
         changed = self.state.rewrite_in_place({frm: to})
         self.gone.add(frm)
         for cr in started:
@@ -630,14 +591,14 @@ class ChaseEngine:
                     self.state.add(a)
                 cr.bury(key)
                 for other in self.compiled:
-                    if other.base is not _PENDING:
+                    if other.started:
                         self._queue_delta(other, fresh)
                 self.trace.tgd_steps += 1
                 if d > self.trace.max_term_depth:
                     self.trace.max_term_depth = d
             else:
                 tx, ty = key[cr.x], key[cr.y]
-                if term_key(tx) < term_key(ty):
+                if tx.order_key < ty.order_key:
                     self._merge(ty, tx)
                 else:
                     self._merge(tx, ty)

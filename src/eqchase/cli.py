@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: validate, chase, query, axiomatise, check, bench.  Exit
-codes: 0 success, 1 validation error, 2 resource limit exceeded,
-3 internal error.
+codes: 0 success, 1 bad input (a usage, parse or validation error),
+2 resource limit exceeded, 3 internal error.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock timings from the output (for golden tests)")
+
+
+def _count(text: str) -> int:
+    """The argparse type of a count: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def _limits(args: argparse.Namespace) -> ChaseLimits:
@@ -101,11 +112,17 @@ def _load_program(args: argparse.Namespace) -> Program:
     return program
 
 
-def _require_valid(program: Program) -> Ontology:
+def _violations(program: Program) -> tuple[Ontology, list]:
+    """The program's ontology and the violations of it and its queries."""
     ontology = Ontology(program.rules, program.facts)
     violations = validate(ontology)
     for q in program.queries:
         violations.extend(validate_query(q))
+    return ontology, violations
+
+
+def _require_valid(program: Program) -> Ontology:
+    ontology, violations = _violations(program)
     if violations:
         raise _CliFailure(EXIT_INVALID, "\n".join(str(v) for v in violations))
     return ontology
@@ -116,11 +133,7 @@ def _require_valid(program: Program) -> Ontology:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    program = _load_program(args)
-    ontology = Ontology(program.rules, program.facts)
-    violations = validate(ontology)
-    for q in program.queries:
-        violations.extend(validate_query(q))
+    _, violations = _violations(_load_program(args))
     if args.format == "json":
         print(json.dumps({"ok": not violations, "violations": [str(v) for v in violations]}))
     else:
@@ -282,10 +295,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     limits = _limits(args)
     if args.notion == "all":
         reports = check_pipeline(rules, limits, sing_cap=args.sing_cap)
-        if args.ci_include_eq:
-            reports[0] = is_emfa(rules, limits, include_eq_star=True)
     elif args.notion == "emfa":
-        reports = [is_emfa(rules, limits, include_eq_star=args.ci_include_eq)]
+        reports = [is_emfa(rules, limits)]
     elif args.notion == "mfa-st":
         reports = [is_mfa(standard_axiomatisation(rules), limits, notion="mfa-st")]
     else:
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--facts", action="append", metavar="FILE")
     p.add_argument("--kind", choices=("st", "sing", "sing-all"), required=True)
-    p.add_argument("--sing-cap", type=int, default=8, metavar="N")
+    p.add_argument("--sing-cap", type=_count, default=8, metavar="N")
     _add_common(p)
     p.set_defaults(fn=_cmd_axiomatise)
 
@@ -402,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--facts", action="append", metavar="FILE")
     p.add_argument("--notion", choices=("emfa", "mfa-st", "mfa-sing", "all"), default="all")
-    p.add_argument("--sing-cap", type=int, default=0, metavar="N",
+    p.add_argument("--sing-cap", type=_count, default=0, metavar="N",
                    help="additionally check up to N enumerated singularisations")
-    p.add_argument("--ci-include-eq", action="store_true",
-                   help="add the equality fact over '*' to the critical instance")
     _add_common(p, formats=("text", "json", "csv"))
     p.set_defaults(fn=_cmd_check)
 
@@ -419,7 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a hit limit here;
+        # `--help` exits 0.
+        if exc.code:
+            return EXIT_INVALID
+        raise
     try:
         return args.fn(args)
     except _CliFailure as exc:

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 # appears as a data atom; the reserved binary predicate `eq` is the ordinary
 # stand-in used by the equality axiomatisations.
 ORDINARY = "ordinary"
-EQUALITY = "equality"
 AXIOM_EQ = "axiom-eq"
 
 RESERVED_EQ_NAME = "eq"
@@ -33,9 +32,9 @@ class Predicate:
     def __init__(self, name: str, arity: int, kind: str = ORDINARY):
         if arity < 1:
             raise ValueError(f"predicate {name!r} must have arity >= 1")
-        if kind not in (ORDINARY, EQUALITY, AXIOM_EQ):
+        if kind not in (ORDINARY, AXIOM_EQ):
             raise ValueError(f"unknown predicate kind {kind!r}")
-        if kind in (EQUALITY, AXIOM_EQ) and arity != 2:
+        if kind == AXIOM_EQ and arity != 2:
             raise ValueError(f"{kind} predicate must be binary")
         self.name = name
         self.arity = arity
@@ -60,30 +59,24 @@ class Predicate:
 #: The reserved predicate used by axiomatisations in place of equality.
 EQ = Predicate(RESERVED_EQ_NAME, 2, AXIOM_EQ)
 
-#: Equality itself.  Only ever materialised as an atom when a caller
-#: explicitly asks for a `* = *` critical-instance fact.
-EQUALS = Predicate("≈", 2, EQUALITY)
-
 _EMPTY_SYMS: frozenset = frozenset()
 
 
 class SkolemSymbol:
     """A function symbol introduced for one existential variable.
 
-    Identity is (name, arity); `origin` records which rule and variable
-    the symbol was minted for, purely as metadata.  Because existential
-    variable names never repeat across the rules of one rule set, naming
-    the symbol after its variable keeps it unique within the set and
-    stable across the equality-elimination transforms (which copy rules
-    verbatim or leave their heads untouched).
+    Identity is (name, arity).  Because existential variable names never
+    repeat across the rules of one rule set, naming the symbol after its
+    variable keeps it unique within the set and stable across the
+    equality-elimination transforms (which copy rules verbatim or leave
+    their heads untouched).
     """
 
-    __slots__ = ("name", "arity", "origin", "_hash")
+    __slots__ = ("name", "arity", "_hash")
 
-    def __init__(self, name: str, arity: int, origin: tuple[str, str] = ("", "")):
+    def __init__(self, name: str, arity: int):
         self.name = name
         self.arity = arity
-        self.origin = origin
         self._hash = hash(("sk", name, arity))
 
     def __eq__(self, other: object) -> bool:
@@ -161,7 +154,12 @@ class Variable:
 class Functional:
     """A term built from a Skolem symbol.  Depth, variable occurrence,
     the set of function symbols inside, and cyclicity are precomputed
-    bottom-up so the hot paths can read them in O(1)."""
+    bottom-up so the hot paths can read them in O(1).
+
+    The depth of a term is 1 for constants and variables, else one more
+    than the deepest argument.  A term is cyclic iff some functional
+    subterm's symbol occurs again strictly inside one of that subterm's
+    arguments, at any nesting depth."""
 
     __slots__ = ("fn", "args", "depth", "has_var", "cyclic", "fn_symbols",
                  "_hash", "_key")
@@ -202,6 +200,13 @@ class Functional:
 
     @property
     def order_key(self):
+        """Sort key realising the total term order, shared by every term
+        kind.
+
+        Depth is the primary component, so merging always renames deeper
+        terms into shallower ones; ties break lexicographically on term
+        kind, root symbol and then recursively on arguments.
+        """
         if self._key is None:
             self._key = (self.depth, 2, self.fn.name) + tuple(
                 a.order_key for a in self.args
@@ -213,38 +218,6 @@ Term = Union[Constant, Variable, Functional]
 
 #: The distinguished constant every critical-instance fact is built from.
 STAR = Constant("*")
-
-
-def depth(t: Term) -> int:
-    """Depth of a term: 1 for constants and variables, else one more than
-    the deepest argument."""
-    return t.depth
-
-
-def term_key(t: Term):
-    """Sort key realising the total term order.
-
-    Depth is the primary component, so merging always renames deeper
-    terms into shallower ones; ties break lexicographically on term kind,
-    root symbol and then recursively on arguments.
-    """
-    return t.order_key
-
-
-def term_compare(t: Term, u: Term) -> int:
-    """Three-way comparison under the total term order (-1, 0 or 1)."""
-    a, b = t.order_key, u.order_key
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def is_cyclic(t: Term) -> bool:
-    """True iff some functional subterm's symbol occurs again strictly
-    inside one of that subterm's arguments, at any nesting depth."""
-    return t.cyclic
 
 
 class Atom:
@@ -429,15 +402,6 @@ class TGD:
         if self._universals is None:
             self._universals = _first_occurrence_vars(self.body)
         return self._universals
-
-    def frontier(self) -> tuple[Variable, ...]:
-        ex = set(self.existentials)
-        seen = []
-        for atom in self.head:
-            for v in atom.variables():
-                if v not in ex and v not in seen:
-                    seen.append(v)
-        return tuple(seen)
 
 
 class EGD:
@@ -634,7 +598,7 @@ class SkolemisedTGD:
     symbols: tuple[SkolemSymbol, ...]
 
 
-def skolemise(rule: TGD, rule_id: str = "r0") -> SkolemisedTGD:
+def skolemise(rule: TGD) -> SkolemisedTGD:
     """Replace each existential variable w by f_w(x1..xn) over the rule's
     universal variables in first-occurrence order.
 
@@ -647,21 +611,11 @@ def skolemise(rule: TGD, rule_id: str = "r0") -> SkolemisedTGD:
     mapping: dict[Variable, Term] = {}
     symbols = []
     for w in rule.existentials:
-        sym = SkolemSymbol(f"f_{w.name}", len(univ), origin=(rule_id, w.name))
+        sym = SkolemSymbol(f"f_{w.name}", len(univ))
         symbols.append(sym)
         mapping[w] = Functional(sym, univ)
     head = tuple(apply_syntactic_partial(a, mapping) for a in rule.head)
     return SkolemisedTGD(rule, rule.body, head, tuple(symbols))
-
-
-def skolemise_ruleset(rules: RuleSet) -> tuple[Union[SkolemisedTGD, EGD], ...]:
-    out: list[Union[SkolemisedTGD, EGD]] = []
-    for i, r in enumerate(rules):
-        if type(r) is TGD:
-            out.append(skolemise(r, rule_id=f"r{i}"))
-        else:
-            out.append(r)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -902,8 +856,6 @@ def _check_rule(r: Rule, where: str, arities: dict[str, int]) -> list[Violation]
     atoms = list(r.body) + (list(r.head) if type(r) is TGD else [])
     for atom in atoms:
         p = atom.predicate
-        if p.kind == EQUALITY:
-            out.append(Violation(where, "rules must not contain equality atoms"))
         if p.kind == ORDINARY and p.name == RESERVED_EQ_NAME:
             out.append(Violation(where, f"predicate name {RESERVED_EQ_NAME!r} is reserved"))
         known = arities.setdefault(p.name, p.arity)
@@ -962,9 +914,6 @@ def validate(ontology: Ontology) -> list[Violation]:
     for j, fact in enumerate(ontology.facts):
         where = f"fact {j + 1} ({fact})"
         p = fact.predicate
-        if p.kind == EQUALITY:
-            out.append(Violation(where, "facts must be equality-free"))
-            continue
         if p.kind == AXIOM_EQ:
             out.append(Violation(where, f"facts must not use the reserved predicate {RESERVED_EQ_NAME!r}"))
             continue
@@ -996,8 +945,6 @@ def validate_query(q: BCQ) -> list[Violation]:
     arities: dict[str, int] = {}
     for atom in q.body:
         p = atom.predicate
-        if p.kind == EQUALITY:
-            out.append(Violation("query", "queries must not contain equality"))
         known = arities.setdefault(p.name, p.arity)
         if known != p.arity:
             out.append(Violation("query", f"predicate {p.name!r} used with arities {known} and {p.arity}"))

@@ -1,8 +1,8 @@
-"""Read-only access to the benchmark's job definitions.
+"""Read-only access to the benchmark's modules.
 
-`perfbench/` is not a package, so its `workloads.py` is loaded from its
-file.  The module is loaded once per process and shared by every test
-that imports it.
+`perfbench/` is not a package, so its `workloads.py` and `tracer.py` are
+loaded from their files.  Each module is loaded once per process and
+shared by every test that imports it.
 """
 
 from __future__ import annotations
@@ -12,15 +12,24 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-_NAME = "perfbench_workloads"
+
+
+def _load(stem: str):
+    name = f"perfbench_{stem}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return module
 
 
 def load_workloads():
     """The module `perfbench/workloads.py`."""
-    module = sys.modules.get(_NAME)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(_NAME, PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_NAME] = module  # dataclasses look their module up here
-        spec.loader.exec_module(module)
-    return module
+    return _load("workloads")
+
+
+def load_tracer():
+    """The module `perfbench/tracer.py`."""
+    return _load("tracer")

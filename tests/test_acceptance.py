@@ -30,7 +30,6 @@ from eqchase import (
     chase,
     emfa_set,
     homomorphism,
-    is_cyclic,
     is_emfa,
     is_mfa,
     satisfies,
@@ -126,7 +125,7 @@ def test_criterion_05():
     rs = rules("ex4")
     report = is_emfa(rs, CHECK_LIMITS)
     assert report.verdict == "cyclic"
-    assert is_cyclic(report.witness_term)
+    assert report.witness_term.cyclic
     assert report.witness_term.fn.name in ("f_V", "f_W")
     sings = list(singularisations(rs))
     assert len(sings) == 2
@@ -200,7 +199,7 @@ def test_criterion_08():
                     on_step=lambda i, r, s, aset: states.append(aset.to_frozenset()),
                 )
                 assert isinstance(out, Terminated)
-                assert not any(is_cyclic(t) for atom in out.result for t in atom.args)
+                assert not any(t.cyclic for atom in out.result for t in atom.args)
                 for state in [frozenset(fact_set)] + states:
                     assert {star_atom(atom) for atom in state} <= fixpoint
     assert acyclic >= 40

@@ -32,7 +32,6 @@ from eqchase import (
     singularise_conjunction,
     singularise_query,
     standard_axiomatisation,
-    term_compare,
     validate_ruleset,
 )
 from rulesets import facts, query, rules
@@ -238,7 +237,7 @@ def test_pi_class_respect_and_idempotence_properties():
             assert Atom(EQ, (t, image)) in aset
             for u in mapping:
                 if u != image and Atom(EQ, (t, u)) in aset:
-                    assert term_compare(image, u) == -1
+                    assert image.order_key < u.order_key
 
 
 def test_termination_transfer_thm1_thm3_on_paper_sets():

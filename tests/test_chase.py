@@ -33,7 +33,6 @@ from eqchase import (
     parse,
     satisfies,
     standard_axiomatisation,
-    term_key,
 )
 from corpus import random_facts, random_ontology, random_ruleset
 from rulesets import facts, ontology, query, rules
@@ -371,7 +370,7 @@ def test_blocked_tgd_matches_stay_blocked_across_merges(n):
             return
         if type(rule) is EGD:
             tx, ty = sigma[rule.x], sigma[rule.y]
-            frm, to = (ty, tx) if term_key(tx) < term_key(ty) else (tx, ty)
+            frm, to = (ty, tx) if tx.order_key < ty.order_key else (tx, ty)
             for tgd in o.rules.tgds():
                 for binding in match_conjunction(tgd.body, state):
                     if not is_applicable(tgd, dict(binding), state):

@@ -3,6 +3,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from eqchase.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -201,3 +203,30 @@ def test_non_utf8_file_is_bad_input(capsys, tmp_path):
     assert code == 1
     assert err.startswith(f"{bad}: not valid UTF-8")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", THM2, "--notion", "bogus"),
+        ("chase", THM2, "--max-steps", "abc"),
+        ("check", THM2, "--sing-cap", "-1"),
+        ("axiomatise", THM2, "--kind", "sing-all", "--sing-cap", "-1"),
+        ("check", THM2, "--ci-include-eq"),
+    ],
+    ids=["unknown-notion", "non-integer", "negative-sing-cap-check",
+         "negative-sing-cap-axiomatise", "removed-option"],
+)
+def test_usage_error_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+    assert "internal error" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--sing-cap" in capsys.readouterr().out

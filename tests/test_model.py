@@ -22,12 +22,7 @@ from eqchase import (
     Variable,
     apply_syntactic,
     apply_term_map,
-    depth,
-    is_cyclic,
     skolemise,
-    skolemise_ruleset,
-    term_compare,
-    term_key,
     validate,
     validate_ruleset,
 )
@@ -44,14 +39,14 @@ R2 = Predicate("R", 2)
 
 
 def test_depth_base_cases():
-    assert depth(a) == 1
-    assert depth(X) == 1
+    assert a.depth == 1
+    assert X.depth == 1
 
 
 def test_depth_functional():
-    assert depth(Functional(f, [a])) == 2
+    assert Functional(f, [a]).depth == 2
     # max of argument depths plus one
-    assert depth(Functional(g2, [a, Functional(f, [b])])) == 3
+    assert Functional(g2, [a, Functional(f, [b])]).depth == 3
 
 
 def _universe_depth3():
@@ -65,25 +60,25 @@ def _universe_depth3():
 def test_term_order_is_strict_and_total():
     universe = _universe_depth3()
     for t, u in itertools.product(universe, universe):
-        c = term_compare(t, u)
-        assert c == -term_compare(u, t)
-        assert (c == 0) == (t == u)
-        if depth(t) < depth(u):
-            assert c == -1
+        lt, gt = t.order_key < u.order_key, u.order_key < t.order_key
+        assert not (lt and gt)
+        assert (lt or gt) == (t != u)
+        if t.depth < u.depth:
+            assert lt
 
 
 def test_term_order_transitive():
     universe = _universe_depth3()
     for t, u, v in itertools.product(universe, repeat=3):
-        if term_compare(t, u) <= 0 and term_compare(u, v) <= 0:
-            assert term_compare(t, v) <= 0
+        if t.order_key <= u.order_key and u.order_key <= v.order_key:
+            assert t.order_key <= v.order_key
 
 
 def test_term_order_examples():
-    assert term_compare(a, Functional(f, [a])) == -1
-    assert term_compare(a, a) == 0
-    assert term_compare(a, b) in (-1, 1)
-    assert term_compare(a, b) == -term_compare(b, a)
+    assert a.order_key < Functional(f, [a]).order_key
+    assert a.order_key == Constant("a").order_key
+    assert a.order_key != b.order_key
+    assert (a.order_key < b.order_key) != (b.order_key < a.order_key)
 
 
 def _cyclic_oracle(t) -> bool:
@@ -99,11 +94,11 @@ def _cyclic_oracle(t) -> bool:
 
 
 def test_is_cyclic_examples():
-    assert is_cyclic(Functional(f, [Functional(f, [STAR])]))
-    assert not is_cyclic(Functional(f, [Functional(g, [STAR])]))
+    assert Functional(f, [Functional(f, [STAR])]).cyclic
+    assert not Functional(f, [Functional(g, [STAR])]).cyclic
     t = Functional(g2, [Functional(f, [a]), Functional(f, [Functional(g, [a])])])
     assert _cyclic_oracle(t)
-    assert is_cyclic(t)
+    assert t.cyclic
 
 
 def test_is_cyclic_matches_oracle_on_random_terms():
@@ -111,7 +106,7 @@ def test_is_cyclic_matches_oracle_on_random_terms():
     syms = [f, g, g2, SkolemSymbol("h", 1)]
     for _ in range(500):
         t = random_term(rng, syms, max_depth=5)
-        assert is_cyclic(t) == _cyclic_oracle(t)
+        assert t.cyclic == _cyclic_oracle(t)
 
 
 def test_is_cyclic_monotone_under_embedding():
@@ -119,9 +114,9 @@ def test_is_cyclic_monotone_under_embedding():
     syms = [f, g, g2]
     for _ in range(200):
         t = random_term(rng, syms, max_depth=4)
-        if is_cyclic(t):
-            assert is_cyclic(Functional(g2, [t, a]))
-            assert is_cyclic(Functional(SkolemSymbol("fresh", 1), [t]))
+        if t.cyclic:
+            assert Functional(g2, [t, a]).cyclic
+            assert Functional(SkolemSymbol("fresh", 1), [t]).cyclic
 
 
 def test_apply_term_map_argument_level_only():
@@ -193,7 +188,7 @@ def test_skolemise_shapes():
 def test_skolemise_distinct_symbols_for_distinct_existentials():
     r1 = TGD([Atom(P1, [X])], (Variable("V"),), [Atom(R2, [X, Variable("V")])])
     r2 = TGD([Atom(P1, [X])], (W,), [Atom(R2, [X, W])])
-    sk = skolemise_ruleset(RuleSet([r1, r2]))
+    sk = [skolemise(r) for r in RuleSet([r1, r2])]
     syms = {s for r in sk for s in r.symbols}
     assert len(syms) == 2
 
@@ -222,10 +217,6 @@ def test_validate_theorem2_ontology_clean():
 
 
 def test_validate_flags_equality_in_facts():
-    from eqchase.model import EQUALS
-
-    o = Ontology(rules("thm2"), (Atom(EQUALS, [a, a]),))
-    assert any("equality-free" in v.message for v in validate(o))
     o = Ontology(rules("thm2"), (Atom(EQ, [a, a]),))
     assert any("reserved" in v.message for v in validate(o))
 
@@ -343,9 +334,3 @@ def test_rewrite_reports_new_and_reranked_atoms():
     assert s.rewrite_in_place({b: a}) == [Atom(P1, [a]), Atom(R2, [a, a])]
     assert [s.rank(x) for x in s] == [0, 2, 3, 4]
 
-
-def test_term_key_consistent_with_compare():
-    universe = _universe_depth3()
-    assert sorted(universe, key=term_key) == sorted(
-        universe, key=lambda t: sum(term_compare(t, u) for u in universe)
-    )
