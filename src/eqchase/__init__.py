@@ -28,10 +28,7 @@ from .model import (
     Variable,
     Violation,
     apply_syntactic,
-    apply_term_map,
     skolemise,
-    star_atom,
-    star_term,
     validate,
     validate_query,
     validate_ruleset,
@@ -61,7 +58,6 @@ from .axiomatisation import (
     bracket,
     canonical_query_singularisation,
     canonical_singularisation,
-    ep_completion,
     is_ep_complete,
     pi,
     singularisation_count,

@@ -71,11 +71,12 @@ class _Saturation:
     map sweeps the whole current set, and every later atom passes through
     all active maps.
 
-    Rules are compiled once into the chase engine's `_CompiledRule`: a
-    match fires at most once per key (the rule's `dead` set), and a TGD
-    head is instantiated from the key by the rule's template.  A
-    derivation record is built only for an atom the set does not hold
-    yet; the others are dropped unrecorded."""
+    Rules are compiled once into the chase engine's `_CompiledRule`, with
+    plans in body order: a match fires at most once per key (the rule's
+    `dead` set), and a TGD head is instantiated from the key by the
+    rule's template.  A derivation record is built only for an atom the
+    set does not hold yet, with the body instance the plan matched; the
+    others are dropped unrecorded."""
 
     def __init__(self, rules: RuleSet, limits: ChaseLimits):
         self.limits = limits
@@ -84,12 +85,14 @@ class _Saturation:
         self.derivations: dict[Atom, tuple] = {}
         self.maps: list[tuple[Term, Term, int, tuple]] = []
         self.map_seen: set[tuple[Term, Term]] = set()
-        # predicate -> the rules whose body holds it, in rule order.
+        # predicate -> (rule, plan anchored at a body position holding
+        # it), in rule order, then body order.
         self.readers: dict = {}
         for idx, rule in enumerate(rules):
             cr = _CompiledRule(idx, rule)
-            for pred in cr.anchors:
-                self.readers.setdefault(pred, []).append(cr)
+            cr.compile()
+            for pred, plans in cr.plans.items():
+                self.readers.setdefault(pred, []).extend((cr, plan) for plan in plans)
         self.witness: Optional[tuple[Atom, Term]] = None
         self.stop_reason: Optional[str] = None
         self.ci = critical_instance(rules)
@@ -114,17 +117,17 @@ class _Saturation:
             self.stop_reason = "max_term_depth"
             raise _Stop()
 
-    def _fire_tgd(self, cr: _CompiledRule, key: tuple) -> None:
+    def _fire_tgd(self, cr: _CompiledRule, key: tuple, matched: list) -> None:
         body = None
         for atom in cr.instantiate(key):
             if atom not in self.atoms:
                 if body is None:
-                    body = cr.body_atoms(key)
+                    body = tuple(matched)
                 self._add(atom, ("tgd", cr.idx, key, body))
 
-    def _fire_egd(self, cr: _CompiledRule, key: tuple) -> None:
+    def _fire_egd(self, cr: _CompiledRule, key: tuple, matched: list) -> None:
         tx, ty = key[cr.x], key[cr.y]
-        if tx == ty:
+        if tx is ty:
             return
         pairs = []
         if tx.depth <= ty.depth:
@@ -142,21 +145,24 @@ class _Saturation:
     def _rewrite(self, atom: Atom, frm: Term, to: Term, idx: int, key: tuple) -> None:
         """Add the image of the atom under the replacement of frm by to."""
         if frm in atom.args:
-            img = Atom(atom.predicate, [to if t == frm else t for t in atom.args])
+            img = Atom(atom.predicate, [to if t is frm else t for t in atom.args])
             self._add(img, ("egd", idx, key, atom, frm, to))
 
     def _process(self, atom: Atom) -> None:
         for frm, to, idx, key in self.maps:
             self._rewrite(atom, frm, to, idx, key)
-        for cr in self.readers.get(atom.predicate, ()):
-            keyof, dead = cr.key, cr.dead
+        aset = self.atoms
+        for cr, plan in self.readers.get(atom.predicate, ()):
+            slots = plan.seed(atom)
+            if slots is None:
+                continue
+            dead = cr.dead
             fire = self._fire_tgd if cr.kind == "tgd" else self._fire_egd
-            for init, rest in cr.anchorings(atom):
-                for binding in match_conjunction(rest, self.atoms, init=init):
-                    key = keyof(binding)
-                    if key not in dead:
-                        dead.add(key)
-                        fire(cr, key)
+            for slots in match_conjunction(plan, aset, slots):
+                key = tuple(slots)
+                if key not in dead:
+                    dead.add(key)
+                    fire(cr, key, plan.matched)
 
     def run(self) -> SaturationOutcome:
         deadline = None
@@ -171,20 +177,17 @@ class _Saturation:
                     raise _Stop()
                 self._process(self.queue.popleft())
         except _Stop:
-            steps = len(self.atoms) - len(self.ci)
-            if self.stop_reason == CYCLIC:
-                atom, term = self.witness
-                return SaturationOutcome(
-                    CYCLIC, self.atoms, atom, term,
-                    steps=steps, derivations=self.derivations,
-                )
-            return SaturationOutcome(
-                LIMIT, self.atoms, limit=self.stop_reason,
-                steps=steps, derivations=self.derivations,
-            )
+            status = CYCLIC if self.stop_reason == CYCLIC else LIMIT
+        else:
+            status = COMPLETED
+        # The atoms derived beyond the critical instance, none while a
+        # limit stops the saturation part-way through adding it.
+        steps = max(0, len(self.atoms) - len(self.ci))
+        atom, term = self.witness or (None, None)
         return SaturationOutcome(
-            COMPLETED, self.atoms,
-            steps=len(self.atoms) - len(self.ci), derivations=self.derivations,
+            status, self.atoms, atom, term,
+            limit=self.stop_reason if status == LIMIT else None,
+            steps=steps, derivations=self.derivations,
         )
 
 

@@ -21,7 +21,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     EQ,
-    EGD,
     TGD,
     Atom,
     AtomSet,
@@ -288,25 +287,8 @@ def bracket(aset: AtomSet) -> AtomSet:
     mapping = pi(aset)
     out = AtomSet()
     for atom in aset:
-        if atom.predicate == EQ:
+        if atom.predicate is EQ:
             continue
         out.add(Atom(atom.predicate, [mapping.get(t, t) for t in atom.args]))
     return out
 
-
-def ep_completion(aset: AtomSet) -> AtomSet:
-    """Close a set under eq reflexivity, symmetry and transitivity; handy
-    for building eq-complete sets in tests and oracles."""
-    out = aset.copy()
-    classes: dict[Term, set[Term]] = {}
-    for t in out.terms():
-        classes.setdefault(t, {t})
-    for atom in list(out.bucket(EQ)):
-        t, u = atom.args
-        merged = classes.setdefault(t, {t}) | classes.setdefault(u, {u})
-        for v in merged:
-            classes[v] = merged
-    for t, cls in classes.items():
-        for u in cls:
-            out.add(Atom(EQ, (t, u)))
-    return out

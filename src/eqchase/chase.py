@@ -5,11 +5,12 @@ EGDs merge the two matched terms by renaming the deeper one to the
 shallower one across the whole atom set (argument-level).  A run applies,
 at every step, the first applicable (rule, substitution) pair in rule
 order and match order, which is the order `match_conjunction`
-enumerates: lexicographic in the ranks of the matched atoms.  The engine
-finds that pair incrementally, from per-rule queues of matches ordered by
-rank tuple, and selects the same sequence as a naive full rescan with
-`find_applicable`.  Every pair that stays applicable is eventually
-applied, and the final set of a finished run satisfies every rule.
+enumerates over the rule body: lexicographic in the ranks of the matched
+atoms.  The engine finds that pair incrementally, from per-rule queues
+of matches ordered by rank tuple, and selects the same sequence as a
+naive full rescan with `find_applicable`.  Every pair that stays
+applicable is eventually applied, and the final set of a finished run
+satisfies every rule.
 
 Boolean conjunctive queries are answered by homomorphism search into the
 finished chase; a witness found in a limit-truncated state is still sound
@@ -20,13 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
-from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
-    EGD,
     TGD,
     Atom,
     AtomSet,
@@ -94,23 +93,141 @@ ChaseOutcome = Union[Terminated, LimitExceeded]
 # Conjunction matching
 
 
+def _step(atom: Atom, bound: set, slot: Mapping) -> tuple:
+    """How to match the atom once the variables in `bound` are bound:
+    (source argument, its slot, checks, repeats, binds).  The first bound
+    argument picks the candidates, and any other bound argument is a
+    check (argument, slot).  A variable's first occurrence in the atom
+    binds it (argument, slot), and a repeat is checked against that
+    occurrence (argument, argument).  Adds the atom's variables to
+    `bound`."""
+    src = var = None
+    checks, repeats, binds = [], [], []
+    first: dict = {}
+    for j, v in enumerate(atom.args):
+        if v in bound:
+            if src is None:
+                src, var = j, slot[v]
+            else:
+                checks.append((j, slot[v]))
+        elif v in first:
+            repeats.append((first[v], j))
+        else:
+            first[v] = j
+            binds.append((j, slot[v]))
+    bound.update(first)
+    return src, var, tuple(checks), tuple(repeats), tuple(binds)
+
+
+class _Plan:
+    """A join over a body, compiled once, that binds the variables to
+    slots (`slot` maps each variable to its index in the slot list).
+
+    `steps` gives, for each body atom joined, (predicate, body position)
+    and its `_step`.  Without `size` the atoms are joined in body order;
+    with it (a function from a predicate to its bucket size) in greedy
+    connected order: next an atom that holds a bound variable, then the
+    one with the smaller bucket.  An anchored plan leaves out the atom
+    at body position `pos`: `seed` matches that atom itself, by its
+    `repeats` and `binds`.  Running the plan records the atom matched at
+    each body position in `matched`, so a plan runs one enumeration at a
+    time.
+    """
+
+    __slots__ = ("steps", "pos", "repeats", "binds", "matched", "slots")
+
+    def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None):
+        bound = set(bound)
+        todo = list(range(len(body)))
+        self.pos = pos
+        if pos is not None:
+            todo.remove(pos)
+            _, _, _, self.repeats, self.binds = _step(body[pos], bound, slot)
+        steps = []
+        while todo:
+            i = todo[0]
+            if size is not None:
+                i = min(todo, key=lambda k: (
+                    bound.isdisjoint(body[k].args), size(body[k].predicate), k))
+            todo.remove(i)
+            steps.append((body[i].predicate, i) + _step(body[i], bound, slot))
+        self.steps = tuple(steps)
+        self.matched: list = [None] * len(body)
+        self.slots: list = [None] * len(slot)
+
+    def seed(self, atom: Atom) -> Optional[list]:
+        """The slot list with the anchor atom's variables bound, or None
+        when the atom does not match the anchor position."""
+        args = atom.args
+        for j, k in self.repeats:
+            if args[j] is not args[k]:
+                return None
+        slots = self.slots
+        for j, s in self.binds:
+            slots[s] = args[j]
+        self.matched[self.pos] = atom
+        return slots
+
+
+def _execute(plan: _Plan, aset: AtomSet, slots: list) -> Iterator[list]:
+    """Run the plan over the slot list, yielding it at every match."""
+    steps = plan.steps
+    if not steps:
+        return iter((slots,))
+    matched = plan.matched
+    below = aset.rank_bound()
+    snapshots = [aset.bucket(step[0]) if step[2] is None else None for step in steps]
+    last = len(steps) - 1
+
+    def rec(i: int) -> Iterator[list]:
+        pred, pos, src, var, checks, repeats, binds = steps[i]
+        if src is None:
+            cands = snapshots[i]
+        elif src == 0:
+            cands = aset.arg0_bucket(pred, slots[var])
+        else:
+            cands = aset.arg_bucket(pred, src, slots[var], below)
+        want = [(j, slots[s]) for j, s in checks]
+        for cand in cands:
+            args = cand.args
+            for j, t in want:
+                if args[j] is not t:
+                    break
+            else:
+                for j, k in repeats:
+                    if args[j] is not args[k]:
+                        break
+                else:
+                    for j, s in binds:
+                        slots[s] = args[j]
+                    matched[pos] = cand
+                    if i == last:
+                        yield slots
+                    else:
+                        yield from rec(i + 1)
+
+    return rec(0)
+
+
 def match_conjunction(
-    body: Sequence[Atom],
+    body: Union[_Plan, Sequence[Atom]],
     aset: AtomSet,
-    init: Optional[Mapping[Variable, object]] = None,
-) -> Iterator[dict]:
+    init: Union[list, Mapping[Variable, object], None] = None,
+) -> Iterator:
     """Enumerate every binding of the body variables that embeds the
-    conjunction into the atom set, in deterministic order (body atoms
-    left to right, candidates in rank order).
+    conjunction into the atom set, in deterministic order.
 
-    Order invariant, which the chase engine relies on: a binding fixes
-    the atom matched at each body position, and the bindings come in
-    lexicographic order of the tuple of those atoms' ranks
-    (`AtomSet.rank`).  Each position's candidates keep rank order.
+    Given a compiled `_Plan`, runs it over the slot list `init` and yields
+    that list, live, at every match.  Given atoms, compiles a plan in body
+    order with the variables of `init` bound and yields a new dict per
+    binding, `init` included.
 
-    Which variables are bound at a body position depends on the position
-    alone (those of `init` and of the earlier atoms), so each position's
-    candidate source is fixed when the call is made:
+    Order invariant: candidates come in rank order at each step, so a
+    plan in body order yields its bindings in lexicographic order of the
+    tuple of the matched atoms' ranks (`AtomSet.rank`); the chase engine
+    relies on this only through the rank tuples it queues.
+
+    Each step's candidate source is fixed when the call is made:
 
     * first argument bound: the `arg0_bucket` list of its value, which is
       live, so it also holds atoms added while the enumeration runs;
@@ -119,71 +236,20 @@ def match_conjunction(
     * no argument bound: a copy of the predicate's bucket made at the
       call.
 
-    So only a position with a bound first argument sees atoms added after
-    the call, exactly as if every other position scanned the whole bucket
-    as of the call.
-
-    Yields a live dict; callers that keep a binding must copy it.
+    So only a step with a bound first argument sees atoms added after
+    the call, exactly as if every other step scanned the whole bucket as
+    of the call.
     """
-    binding: dict = dict(init) if init else {}
-    if not body:
-        return iter((binding,))
-    below = aset.rank_bound()
-    bound = set(binding)
-    plan = []
-    for atom in body:
-        args = atom.args
-        # The first bound argument picks the candidates.  Any other
-        # variable bound before this atom is checked; its first
-        # occurrence in the atom binds it, and a repeat is checked
-        # against that occurrence.
-        src = var = None
-        checks, repeats, binds = [], [], []
-        first: dict = {}
-        for j, v in enumerate(args):
-            if v in bound:
-                if src is None:
-                    src, var = j, v
-                else:
-                    checks.append((j, v))
-            elif v in first:
-                repeats.append((first[v], j))
-            else:
-                first[v] = j
-                binds.append((j, v))
-        snapshot = aset.bucket(atom.predicate) if src is None else None
-        plan.append((atom.predicate, src, var, checks, repeats, binds, snapshot))
-        bound.update(first)
-    n = len(plan)
-
-    def rec(i: int) -> Iterator[dict]:
-        pred, src, var, checks, repeats, binds, cands = plan[i]
-        if src == 0:
-            cands = aset.arg0_bucket(pred, binding[var])
-        elif src is not None:
-            cands = aset.arg_bucket(pred, src, binding[var], below)
-        want = [(j, binding[v]) for j, v in checks]
-        last = i + 1 == n
-        for cand in cands:
-            args = cand.args
-            for j, t in want:
-                u = args[j]
-                if u is not t and u != t:
-                    break
-            else:
-                for j, k in repeats:
-                    u, t = args[j], args[k]
-                    if u is not t and u != t:
-                        break
-                else:
-                    for j, v in binds:
-                        binding[v] = args[j]
-                    if last:
-                        yield binding
-                    else:
-                        yield from rec(i + 1)
-
-    return rec(0)
+    if type(body) is _Plan:
+        return _execute(body, aset, init)
+    init = init or {}
+    variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
+    slot = {v: i for i, v in enumerate(variables)}
+    plan = _Plan(body, slot, init)
+    slots = plan.slots
+    for v, t in init.items():
+        slots[slot[v]] = t
+    return (dict(zip(variables, found)) for found in _execute(plan, aset, slots))
 
 
 def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
@@ -244,7 +310,7 @@ def is_applicable(rule: Rule, sigma: Substitution, aset: AtomSet) -> bool:
         return False
     if type(rule) is TGD:
         return not _head_embedded(rule.head, sigma, aset)
-    return sigma[rule.x] != sigma[rule.y]
+    return sigma[rule.x] is not sigma[rule.y]
 
 
 def apply(rule: Rule, sigma: Substitution, aset: AtomSet) -> AtomSet:
@@ -277,7 +343,7 @@ def find_applicable(rules: RuleSet, aset: AtomSet) -> Iterator[tuple[Rule, Subst
             if type(rule) is TGD:
                 if not _head_embedded(rule.head, sigma, aset):
                     yield rule, sigma
-            elif sigma[rule.x] != sigma[rule.y]:
+            elif sigma[rule.x] is not sigma[rule.y]:
                 yield rule, sigma
 
 
@@ -287,7 +353,7 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
         if type(rule) is TGD:
             if not _head_embedded(rule.head, binding, aset):
                 return False
-        elif binding[rule.x] != binding[rule.y]:
+        elif binding[rule.x] is not binding[rule.y]:
             return False
     return True
 
@@ -296,27 +362,16 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
 # The engine
 
 
-def _key_getter(variables: tuple) -> Callable[[Mapping], tuple]:
-    """A function from a binding to the tuple of its values at the variables."""
-    if len(variables) == 1:
-        (v,) = variables
-        return lambda binding: (binding[v],)
-    return itemgetter(*variables)
-
-
 class _CompiledRule:
-    """A rule with its skolemised head, its join shapes and its queue;
-    the acyclicity saturation uses the same form without the queue.
+    """A rule with its skolemised head, its join plans and its queue; the
+    acyclicity saturation uses the same form without the queue.
 
     A match is identified by its key, the tuple of the terms it binds to
-    `universals`.  Shapes give each atom as (predicate, indexes into the
-    key), so atoms are instantiated from a key without a binding dict.
-    `template` does the same for the skolemised head of a TGD: each
-    argument is an index into the key or the Skolem symbol of an
-    existential, whose term is that symbol applied to the whole key.
-    `anchors` maps each body predicate to (args, rest of the body) for
-    each body position holding it, the join that anchoring a match on an
-    atom at that position leaves.
+    `universals`, which are the slots of the rule's plans (`compile`).
+    `template` gives each atom of the skolemised head of a TGD as
+    (predicate, arguments), each argument an index into the key or the
+    Skolem symbol of an existential, whose term is that symbol applied to
+    the whole key.
 
     The queue is `heap`, entries (rank tuple, push number, key) for every
     match of the body not yet consumed.  The rule's first use sets
@@ -331,41 +386,14 @@ class _CompiledRule:
     builds it, so a run without merges does not pay for it.
     """
 
-    __slots__ = (
-        "idx",
-        "rule",
-        "kind",
-        "body",
-        "shapes",
-        "anchors",
-        "universals",
-        "key",
-        "head",
-        "closed",
-        "template",
-        "x",
-        "y",
-        "dead",
-        "dead_at",
-        "started",
-        "heap",
-        "queued",
-    )
+    __slots__ = ("idx", "rule", "kind", "universals", "whole", "plans", "head", "closed",
+                 "template", "x", "y", "dead", "dead_at", "started", "heap", "queued")
 
     def __init__(self, idx: int, rule: Rule):
         self.idx = idx
         self.rule = rule
-        self.body = rule.body
         self.universals = rule.universals
-        self.key = _key_getter(self.universals)
         where = {v: i for i, v in enumerate(self.universals)}
-        self.shapes = tuple(
-            (a.predicate, tuple(where[v] for v in a.args)) for a in rule.body
-        )
-        self.anchors: dict = {}
-        for pos, atom in enumerate(rule.body):
-            rest = rule.body[:pos] + rule.body[pos + 1 :]
-            self.anchors.setdefault(atom.predicate, []).append((atom.args, rest))
         if type(rule) is TGD:
             self.kind = "tgd"
             self.head = rule.head
@@ -387,13 +415,18 @@ class _CompiledRule:
         self.heap: list = []
         self.queued: dict = {}
 
-    def anchorings(self, atom: Atom) -> Iterator[tuple[dict, tuple]]:
-        """(binding, rest of the body) for each body position the atom
-        matches, in body order."""
-        for args, rest in self.anchors.get(atom.predicate, ()):
-            init = dict(zip(args, atom.args))
-            if len(init) == len(args) or all(init[v] == t for v, t in zip(args, atom.args)):
-                yield init, rest
+    def compile(self, size: Optional[Callable] = None) -> None:
+        """Build the join plans over the key's slots: `whole` for the
+        body, and `plans`, which maps each body predicate to the plans
+        anchored at each body position holding it, in body order.  `size`
+        is as for `_Plan`."""
+        body = self.rule.body
+        slot = {v: i for i, v in enumerate(self.universals)}
+        self.whole = _Plan(body, slot, size=size)
+        self.plans: dict = {}
+        for pos, atom in enumerate(body):
+            plan = _Plan(body, slot, size=size, pos=pos)
+            self.plans.setdefault(atom.predicate, []).append(plan)
 
     def bury(self, key: tuple) -> None:
         """Mark the match dead, so it is never queued again."""
@@ -411,10 +444,10 @@ class _CompiledRule:
         for key in stale:
             self.dead.discard(key)
             for t in key:
-                if t != frm:
+                if t is not frm:
                     self.dead_at[t].discard(key)
         for key in stale:
-            self.bury(tuple(to if t == frm else t for t in key))
+            self.bury(tuple(to if t is frm else t for t in key))
 
     def _index_dead(self, key: tuple) -> None:
         for t in key:
@@ -427,10 +460,6 @@ class _CompiledRule:
             for p, args in self.template
         ]
 
-    def body_atoms(self, key: tuple) -> tuple[Atom, ...]:
-        """The body atoms of the match with this key."""
-        return tuple([Atom(p, [key[i] for i in at]) for p, at in self.shapes])
-
 
 class ChaseEngine:
     """One chase run over one ontology.
@@ -442,7 +471,9 @@ class ChaseEngine:
     tuple (see `_CompiledRule`), and a step pops candidates rule by rule
     until one passes the applicability test.  A popped candidate that
     fails it stays inapplicable while the set grows, so it is never
-    queued again before the next merge.
+    queued again before the next merge.  Since the queues, not the
+    matcher, order the matches, a rule's plans join in greedy connected
+    order, compiled at its first use with the bucket sizes of then.
 
     A TGD step adds atoms at the end of the rank order; the matches that
     use them are found by anchoring each body position on each new atom,
@@ -483,35 +514,42 @@ class ChaseEngine:
         self.gone: set = set()
         self._pushes = count()
 
-    def _ranks(self, cr: _CompiledRule, key: tuple) -> tuple:
-        return tuple(map(self.state.rank, cr.body_atoms(key)))
-
     def _push(self, cr: _CompiledRule, key: tuple, ranks: tuple) -> None:
         cr.queued[key] = ranks
         heappush(cr.heap, (ranks, next(self._pushes), key))
 
     def _anchored(self, cr: _CompiledRule, atoms: Sequence[Atom]) -> Iterator[tuple]:
-        """The keys of the rule's matches that use one of the atoms,
-        found by anchoring each body position on each atom."""
+        """(key, matched body atoms) of each of the rule's matches that
+        use one of the atoms, found by anchoring each body position on
+        each atom.  The matched atoms are a live list."""
+        aset = self.state
         for atom in atoms:
-            for init, rest in cr.anchorings(atom):
-                for binding in match_conjunction(rest, self.state, init=init):
-                    yield cr.key(binding)
+            for plan in cr.plans.get(atom.predicate, ()):
+                slots = plan.seed(atom)
+                if slots is not None:
+                    for slots in match_conjunction(plan, aset, slots):
+                        yield tuple(slots), plan.matched
 
     def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
         """Queue every new match of the rule that uses an added atom."""
-        for key in self._anchored(cr, added):
+        rank = self.state.rank
+        for key, matched in self._anchored(cr, added):
             if key not in cr.queued:
-                self._push(cr, key, self._ranks(cr, key))
+                self._push(cr, key, tuple(map(rank, matched)))
 
     def _start(self, cr: _CompiledRule) -> None:
-        """Queue every match of the rule in the current state.  The
-        matches come in rank-tuple order, so the list is a heap as built."""
+        """Compile the rule's plans for the current state and queue every
+        match of the rule in it."""
         cr.started = True
-        for binding in match_conjunction(cr.body, self.state):
-            key = cr.key(binding)
-            ranks = cr.queued[key] = self._ranks(cr, key)
+        aset = self.state
+        cr.compile(aset.bucket_size)
+        plan = cr.whole
+        rank = aset.rank
+        for slots in match_conjunction(plan, aset, plan.slots):
+            key = tuple(slots)
+            ranks = cr.queued[key] = tuple(map(rank, plan.matched))
             cr.heap.append((ranks, next(self._pushes), key))
+        heapify(cr.heap)
 
     def _pop(self, cr: _CompiledRule) -> Optional[tuple]:
         """Remove and return the key of the rule's least live queued match."""
@@ -535,7 +573,7 @@ class ChaseEngine:
                 if key is None:
                     break
                 if cr.kind == "egd":
-                    if key[cr.x] != key[cr.y]:
+                    if key[cr.x] is not key[cr.y]:
                         return cr, key
                     continue
                 if cr.closed:
@@ -553,11 +591,12 @@ class ChaseEngine:
         started = [cr for cr in self.compiled if cr.started]
         changed = self.state.rewrite_in_place({frm: to})
         self.gone.add(frm)
+        rank = self.state.rank
         for cr in started:
             cr.rename_dead(frm, to)
-            for key in self._anchored(cr, changed):
+            for key, matched in self._anchored(cr, changed):
                 if key not in cr.dead:
-                    ranks = self._ranks(cr, key)
+                    ranks = tuple(map(rank, matched))
                     if cr.queued.get(key) != ranks:
                         self._push(cr, key, ranks)
 

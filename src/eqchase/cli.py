@@ -41,15 +41,23 @@ EXIT_LIMIT = 2
 EXIT_INTERNAL = 3
 
 
-def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
-    p.add_argument("--max-depth", type=int, default=10, metavar="N")
-    p.add_argument("--max-atoms", type=int, default=1_000_000, metavar="N")
-    p.add_argument("--max-steps", type=int, default=1_000_000, metavar="N")
-    p.add_argument("--timeout-ms", type=int, default=60_000, metavar="N")
-    p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--no-timing", action="store_true",
-                   help="omit wall-clock timings from the output (for golden tests)")
+def _add_common(p: argparse.ArgumentParser, formats=("text", "json"), *,
+                limits: bool = False, runs_chase: bool = False, timing: bool = False) -> None:
+    """The flags a subcommand reads: `--format` over `formats`, if any;
+    the depth, atom and time limits; `--max-steps` and `--seed` for a
+    chase; and `--no-timing` when its output holds timings."""
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
+    if limits:
+        p.add_argument("--max-depth", type=_count, default=10, metavar="N")
+        p.add_argument("--max-atoms", type=_count, default=1_000_000, metavar="N")
+        p.add_argument("--timeout-ms", type=_count, default=60_000, metavar="N")
+    if runs_chase:
+        p.add_argument("--max-steps", type=_count, default=1_000_000, metavar="N")
+        p.add_argument("--seed", type=int, default=0, metavar="N")
+    if timing:
+        p.add_argument("--no-timing", action="store_true",
+                       help="omit wall-clock timings from the output (for golden tests)")
 
 
 def _count(text: str) -> int:
@@ -65,7 +73,7 @@ def _count(text: str) -> int:
 
 def _limits(args: argparse.Namespace) -> ChaseLimits:
     return ChaseLimits(
-        max_steps=args.max_steps,
+        max_steps=getattr(args, "max_steps", None),
         max_atoms=args.max_atoms,
         max_term_depth=args.max_depth,
         wall_clock_ms=args.timeout_ms,
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chase", help="run the chase and print the result set")
     p.add_argument("file")
     p.add_argument("--facts", action="append", metavar="FILE")
-    _add_common(p)
+    _add_common(p, limits=True, runs_chase=True, timing=True)
     p.set_defaults(fn=_cmd_chase)
 
     p = sub.add_parser("query", help="answer the program's queries")
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a file of '? ...' statements (repeatable)")
     p.add_argument("--query", action="append", metavar="TEXT",
                    help="an inline '? ...' statement (repeatable)")
-    _add_common(p)
+    _add_common(p, limits=True, runs_chase=True)
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser("axiomatise", help="emit an equality-free axiomatisation")
@@ -415,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notion", choices=("emfa", "mfa-st", "mfa-sing", "all"), default="all")
     p.add_argument("--sing-cap", type=_count, default=0, metavar="N",
                    help="additionally check up to N enumerated singularisations")
-    _add_common(p, formats=("text", "json", "csv"))
+    _add_common(p, ("text", "json", "csv"), limits=True, timing=True)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("bench", help="run the check pipeline over a corpus directory")
     p.add_argument("corpus")
     p.add_argument("--out", metavar="CSV")
-    _add_common(p, formats=("csv",))
+    _add_common(p, (), limits=True, timing=True)
     p.set_defaults(fn=_cmd_bench)
 
     return ap

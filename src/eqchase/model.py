@@ -1,11 +1,16 @@
 """Core vocabulary: terms, atoms, rules, ontologies, queries.
 
-Everything here is an immutable value with structural equality, safe to
-share across threads.  The module also provides the primitive operations
-the rest of the engine is built on: the total term order used to direct
-merges, cyclic-term detection, the two distinct substitution semantics
-(argument-level term rewriting vs. syntactic variable substitution), and
-skolemisation of existential heads.
+Symbols and terms (`Predicate`, `SkolemSymbol`, `Constant`, `Variable`,
+`Functional`) are interned: constructing one with the fields of a live
+one returns that object, so equality between them is identity and their
+hash is the object's.  Atoms, rules and the other values still compare
+structurally.  Everything is immutable; the intern tables are weak and
+unlocked, so terms are best built from one thread at a time.  The module
+also provides the primitive operations the rest of the engine is built
+on: the total term order used to direct merges, cyclic-term detection,
+the two distinct substitution semantics (argument-level term rewriting
+vs. syntactic variable substitution), and skolemisation of existential
+heads.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from weakref import WeakValueDictionary
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 # Predicate kinds.  Equality proper (written `x = y` in rule heads) never
 # appears as a data atom; the reserved binary predicate `eq` is the ordinary
@@ -27,30 +33,27 @@ RESERVED_EQ_NAME = "eq"
 class Predicate:
     """A predicate symbol with a fixed arity and kind."""
 
-    __slots__ = ("name", "arity", "kind", "_hash")
+    __slots__ = ("name", "arity", "kind", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __init__(self, name: str, arity: int, kind: str = ORDINARY):
-        if arity < 1:
-            raise ValueError(f"predicate {name!r} must have arity >= 1")
-        if kind not in (ORDINARY, AXIOM_EQ):
-            raise ValueError(f"unknown predicate kind {kind!r}")
-        if kind == AXIOM_EQ and arity != 2:
-            raise ValueError(f"{kind} predicate must be binary")
-        self.name = name
-        self.arity = arity
-        self.kind = kind
-        self._hash = hash((name, arity, kind))
+    def __new__(cls, name: str, arity: int, kind: str = ORDINARY):
+        self = cls._interned.get((name, arity, kind))
+        if self is None:
+            if arity < 1:
+                raise ValueError(f"predicate {name!r} must have arity >= 1")
+            if kind not in (ORDINARY, AXIOM_EQ):
+                raise ValueError(f"unknown predicate kind {kind!r}")
+            if kind == AXIOM_EQ and arity != 2:
+                raise ValueError(f"{kind} predicate must be binary")
+            self = object.__new__(cls)
+            self.name = name
+            self.arity = arity
+            self.kind = kind
+            cls._interned[name, arity, kind] = self
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Predicate)
-            and self.name == other.name
-            and self.arity == other.arity
-            and self.kind == other.kind
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Predicate, (self.name, self.arity, self.kind)
 
     def __repr__(self) -> str:
         return f"Predicate({self.name!r}/{self.arity})"
@@ -72,44 +75,42 @@ class SkolemSymbol:
     their heads untouched).
     """
 
-    __slots__ = ("name", "arity", "_hash")
+    __slots__ = ("name", "arity", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __init__(self, name: str, arity: int):
-        self.name = name
-        self.arity = arity
-        self._hash = hash(("sk", name, arity))
+    def __new__(cls, name: str, arity: int):
+        self = cls._interned.get((name, arity))
+        if self is None:
+            self = cls._interned[name, arity] = object.__new__(cls)
+            self.name = name
+            self.arity = arity
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, SkolemSymbol)
-            and self.name == other.name
-            and self.arity == other.arity
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return SkolemSymbol, (self.name, self.arity)
 
     def __repr__(self) -> str:
         return f"SkolemSymbol({self.name!r}/{self.arity})"
 
 
 class Constant:
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
     depth = 1
     has_var = False
     cyclic = False
     fn_symbols = _EMPTY_SYMS
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("c", name))
+    def __new__(cls, name: str):
+        self = cls._interned.get(name)
+        if self is None:
+            self = cls._interned[name] = object.__new__(cls)
+            self.name = name
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Constant and other.name == self.name)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Constant, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -123,22 +124,23 @@ class Constant:
 
 
 class Variable:
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
     depth = 1
     has_var = True
     cyclic = False
     fn_symbols = _EMPTY_SYMS
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("v", name))
+    def __new__(cls, name: str):
+        self = cls._interned.get(name)
+        if self is None:
+            self = cls._interned[name] = object.__new__(cls)
+            self.name = name
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Variable and other.name == self.name)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Variable, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -162,12 +164,17 @@ class Functional:
     arguments, at any nesting depth."""
 
     __slots__ = ("fn", "args", "depth", "has_var", "cyclic", "fn_symbols",
-                 "_hash", "_key")
+                 "_key", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __init__(self, fn: SkolemSymbol, args: Sequence["Term"]):
+    def __new__(cls, fn: SkolemSymbol, args: Sequence["Term"]):
         args = tuple(args)
+        self = cls._interned.get((fn, args))
+        if self is not None:
+            return self
         if len(args) != fn.arity:
             raise ValueError(f"{fn.name} expects {fn.arity} arguments, got {len(args)}")
+        self = object.__new__(cls)
         self.fn = fn
         self.args = args
         self.depth = 1 + max(a.depth for a in args)
@@ -178,19 +185,12 @@ class Functional:
         self.cyclic = any(a.cyclic for a in args) or any(
             fn.name in a.fn_symbols for a in args
         )
-        self._hash = hash(("f", fn, args))
         self._key = None
+        cls._interned[fn, args] = self
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Functional
-            and other._hash == self._hash
-            and other.fn == self.fn
-            and other.args == self.args
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Functional, (self.fn, self.args)
 
     def __str__(self) -> str:
         return f"{self.fn.name}({','.join(str(a) for a in self.args)})"
@@ -237,7 +237,7 @@ class Atom:
         return self is other or (
             type(other) is Atom
             and other._hash == self._hash
-            and other.predicate == self.predicate
+            and other.predicate is self.predicate
             and other.args == self.args
         )
 
@@ -280,31 +280,17 @@ Substitution = dict  # Variable -> ground Term
 GroundRewriting = dict  # ground Term -> ground Term
 
 
-def apply_term_map(s, m: Mapping[Term, Term]):
-    """Argument-level term rewriting.
-
-    Replaces a predicate argument exactly when the whole argument is a
-    key of `m`; occurrences nested inside functional terms are left
-    untouched, e.g. P(t, f(t)) under [t/u] becomes P(u, f(t)).  Accepts a
-    single atom (returns an atom) or an iterable of atoms (returns an
-    AtomSet, deduplicated).
-    """
-    if isinstance(s, Atom):
-        return _map_atom(s, m)
-    out = AtomSet()
-    for atom in s:
-        out.add(_map_atom(atom, m))
-    return out
-
-
 def _map_atom(atom: Atom, m: Mapping[Term, Term]) -> Atom:
+    """Argument-level term rewriting of one atom: an argument is replaced
+    exactly when the whole argument is a key of `m`; occurrences nested
+    inside functional terms are left untouched."""
     if not m:
         return atom
     changed = False
     new_args = []
     for a in atom.args:
         b = m.get(a, a)
-        if b is not a and b != a:
+        if b is not a:
             changed = True
         new_args.append(b)
     return Atom(atom.predicate, new_args) if changed else atom
@@ -337,20 +323,6 @@ def _subst_term(t: Term, subst: Mapping[Variable, Term]) -> Term:
             return t
         return Functional(t.fn, [_subst_term(a, subst) for a in t.args])
     return t
-
-
-def star_term(t: Term) -> Term:
-    """Replace every syntactic occurrence of a constant with `*`."""
-    kind = type(t)
-    if kind is Constant:
-        return STAR
-    if kind is Functional:
-        return Functional(t.fn, [star_term(a) for a in t.args])
-    return t
-
-
-def star_atom(atom: Atom) -> Atom:
-    return Atom(atom.predicate, [star_term(a) for a in atom.args])
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +392,8 @@ class EGD:
         return self is other or (
             type(other) is EGD
             and other.body == self.body
-            and other.x == self.x
-            and other.y == self.y
+            and other.x is self.x
+            and other.y is self.y
         )
 
     def __hash__(self) -> int:
@@ -675,9 +647,11 @@ class AtomSet:
             self._index(atom)
         return True
 
-    def rank(self, atom: Atom) -> int:
-        """The atom's position in the set's order (KeyError if absent)."""
-        return self._atoms[atom]
+    @property
+    def rank(self) -> Callable[[Atom], int]:
+        """The function from an atom to its position in the set's order
+        (KeyError if absent), valid until the set changes."""
+        return self._atoms.__getitem__
 
     def rank_bound(self) -> int:
         """A rank above every atom in the set and below every atom added
@@ -746,7 +720,7 @@ class AtomSet:
         to the preimage's rank, and any other image is dropped.  Returns,
         in rank order, the atoms whose rank is new or changed.
         """
-        m = {t: u for t, u in m.items() if t != u}
+        m = {t: u for t, u in m.items() if t is not u}
         ranks = self._atoms
         occ = self._occ
         if occ is None:
@@ -811,9 +785,6 @@ class AtomSet:
 
     def copy(self) -> "AtomSet":
         return AtomSet(self)
-
-    def to_frozenset(self) -> frozenset:
-        return frozenset(self._atoms)
 
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self, key=lambda a: a.sort_key)

@@ -26,9 +26,9 @@ from eqchase import (
     parse,
     skolemise,
     standard_axiomatisation,
-    star_atom,
 )
 from corpus import random_facts, random_ruleset
+from helpers import star_atom
 from rulesets import rules
 
 X, W = Variable("X"), Variable("W")
@@ -124,7 +124,7 @@ def test_fixpoint_monotone_and_equal_depth_adds_both_images():
     )
     out = emfa_set(rs, LIMITS)
     assert out.status == "completed"
-    assert set(critical_instance(rs)) <= out.atoms.to_frozenset()
+    assert set(critical_instance(rs)) <= frozenset(out.atoms)
     fw_star = Functional(SkolemSymbol("f_W", 1), [STAR])
     # the merge of * with f_W(*) has depth 1 <= 2, so only one direction
     # fires there; the B/star pair at equal depth fires both:
@@ -246,11 +246,11 @@ def test_theorem6_coupling_sampled():
         verdict = is_emfa(rs, lim)
         if verdict.verdict != "acyclic":
             continue
-        fixpoint = emfa_set(rs, lim).atoms.to_frozenset()
+        fixpoint = frozenset(emfa_set(rs, lim).atoms)
         for _ in range(2):
             o = Ontology(rs, random_facts(rng, rs))
             states = []
-            out = chase(o, chase_lim, on_step=lambda i, r, s, aset: states.append(aset.to_frozenset()))
+            out = chase(o, chase_lim, on_step=lambda i, r, s, aset: states.append(frozenset(aset)))
             assert isinstance(out, Terminated)
             assert not any(t.cyclic for a in out.result for t in a.args)
             for state in [frozenset(o.facts)] + states:

@@ -24,7 +24,6 @@ from eqchase import (
     canonical_singularisation,
     chase,
     entails,
-    ep_completion,
     is_ep_complete,
     pi,
     singularisation_count,
@@ -34,6 +33,7 @@ from eqchase import (
     standard_axiomatisation,
     validate_ruleset,
 )
+from helpers import ep_completion
 from rulesets import facts, query, rules
 
 a, b = Constant("a"), Constant("b")

@@ -270,9 +270,9 @@ def test_chase_determinism_same_seed():
 def test_chase_on_step_observes_each_state():
     states = []
     o = ontology("thm2", "A(a) .\nR(a,a) .")
-    chase(o, on_step=lambda i, rule, sigma, aset: states.append(aset.to_frozenset()))
+    chase(o, on_step=lambda i, rule, sigma, aset: states.append(frozenset(aset)))
     assert len(states) >= 2
-    assert states[-1] == chase(o).result.to_frozenset()
+    assert states[-1] == frozenset(chase(o).result)
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +377,41 @@ def test_blocked_tgd_matches_stay_blocked_across_merges(n):
                         renamed = {v: to if t == frm else t for v, t in binding.items()}
                         assert not is_applicable(tgd, renamed, after)
         state = after
+
+
+def test_engine_applies_matches_in_rank_order_whatever_the_join_order():
+    # The rule's first fill joins B first, its bucket being the smaller,
+    # and so finds the match on A(a2) before the one on A(a1); the queue
+    # still applies them in rank-tuple order, as the naive rescan does.
+    program = parse(
+        "A(X), B(X,Y) -> C(X) .\n"
+        "A(a1) .\nA(a2) .\nA(a3) .\nB(a2,b) .\nB(a1,b) .\n"
+    )
+    o = Ontology(program.rules, program.facts)
+    limits = ChaseLimits(max_steps=10, max_term_depth=4)
+    steps = _engine_steps(o, limits, 0)
+    assert steps == _oracle_steps(o, limits, 0)
+    assert [step.split(" | ")[1] for step in steps] == ["X=a1, Y=b", "X=a2, Y=b"]
+
+
+def test_engine_joins_in_greedy_connected_order(monkeypatch):
+    # E(X0,X1), ..., E(X4,X5), F(X5) -> G(X0) over the complete graph on
+    # 12 nodes plus F(zz).  In body order the rule's first fill walks every
+    # 5-edge path, about 2.5 million; started from F's one atom, it finds
+    # no edge into zz.  Count the atoms the index lookups hand the matcher.
+    handed = []
+    for name in ("bucket", "arg0_bucket", "arg_bucket"):
+        def counted(self, *args, method=getattr(AtomSet, name)):
+            atoms = method(self, *args)
+            handed.append(len(atoms))
+            return atoms
+        monkeypatch.setattr(AtomSet, name, counted)
+    E, F, G = Predicate("E", 2), Predicate("F", 1), Predicate("G", 1)
+    xs = [Variable(f"X{i}") for i in range(6)]
+    body = [Atom(E, xs[i : i + 2]) for i in range(5)] + [Atom(F, xs[5:])]
+    nodes = [Constant(f"n{i}") for i in range(12)]
+    edges = [Atom(E, (u, v)) for u in nodes for v in nodes if u is not v]
+    o = Ontology(RuleSet([TGD(body, (), [Atom(G, xs[:1])])]), edges + [Atom(F, (Constant("zz"),))])
+    outcome = chase(o)
+    assert isinstance(outcome, Terminated) and outcome.steps == 0
+    assert sum(handed) < 1000

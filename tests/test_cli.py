@@ -213,9 +213,43 @@ def test_non_utf8_file_is_bad_input(capsys, tmp_path):
         ("check", THM2, "--sing-cap", "-1"),
         ("axiomatise", THM2, "--kind", "sing-all", "--sing-cap", "-1"),
         ("check", THM2, "--ci-include-eq"),
+        # Each subcommand takes only the flags it reads.
+        ("check", THM2, "--max-steps", "5"),
+        ("check", THM2, "--seed", "3"),
+        ("bench", THM2, "--max-steps", "5"),
+        ("bench", THM2, "--seed", "3"),
+        ("bench", THM2, "--format", "csv"),
+        ("validate", THM2, "--max-depth", "3"),
+        ("validate", THM2, "--max-atoms", "3"),
+        ("validate", THM2, "--max-steps", "3"),
+        ("validate", THM2, "--timeout-ms", "3"),
+        ("validate", THM2, "--seed", "3"),
+        ("validate", THM2, "--no-timing"),
+        ("axiomatise", THM2, "--kind", "st", "--max-depth", "3"),
+        ("axiomatise", THM2, "--kind", "st", "--max-atoms", "3"),
+        ("axiomatise", THM2, "--kind", "st", "--max-steps", "3"),
+        ("axiomatise", THM2, "--kind", "st", "--timeout-ms", "3"),
+        ("axiomatise", THM2, "--kind", "st", "--seed", "3"),
+        ("axiomatise", THM2, "--kind", "st", "--no-timing"),
+        ("query", THM2, "--no-timing"),
+        # A limit is a count.
+        ("chase", THM2, "--max-depth", "-1"),
+        ("chase", THM2, "--max-atoms", "-1"),
+        ("chase", THM2, "--max-steps", "-1"),
+        ("chase", THM2, "--timeout-ms", "-5"),
+        ("check", THM2, "--max-atoms", "-1"),
+        ("query", THM2, "--timeout-ms", "-5"),
     ],
     ids=["unknown-notion", "non-integer", "negative-sing-cap-check",
-         "negative-sing-cap-axiomatise", "removed-option"],
+         "negative-sing-cap-axiomatise", "removed-option",
+         "check-max-steps", "check-seed", "bench-max-steps", "bench-seed", "bench-format",
+         "validate-max-depth", "validate-max-atoms", "validate-max-steps",
+         "validate-timeout-ms", "validate-seed", "validate-no-timing",
+         "axiomatise-max-depth", "axiomatise-max-atoms", "axiomatise-max-steps",
+         "axiomatise-timeout-ms", "axiomatise-seed", "axiomatise-no-timing",
+         "query-no-timing",
+         "negative-max-depth", "negative-max-atoms", "negative-max-steps",
+         "negative-timeout-ms", "negative-max-atoms-check", "negative-timeout-ms-query"],
 )
 def test_usage_error_is_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -223,6 +257,16 @@ def test_usage_error_is_bad_input(capsys, argv):
     assert out == ""
     assert "error:" in err
     assert "internal error" not in err
+
+
+def test_check_steps_never_negative(capsys):
+    # The atom limit stops each saturation while it is still adding the
+    # critical instance, before any atom is derived beyond it.
+    code, out, _ = run(capsys, "check", THM2, "--max-atoms", "1", "--format", "json", "--no-timing")
+    assert code == 2
+    reports = json.loads(out)
+    assert [r["notion"] for r in reports] == ["emfa", "mfa-st", "mfa-sing"]
+    assert all(r["verdict"] == "limit-exceeded" and r["steps"] == 0 for r in reports)
 
 
 def test_help_exits_zero(capsys):

@@ -11,8 +11,8 @@ when the set was rewritten after an earlier call built its indexes.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqchase import Atom, AtomSet, Constant, Functional, Predicate, SkolemSymbol, Variable
-from eqchase.chase import match_conjunction
+from eqchase import TGD, Atom, AtomSet, Constant, Functional, Predicate, SkolemSymbol, Variable
+from eqchase.chase import _CompiledRule, match_conjunction
 
 P1, R2, S3 = Predicate("P", 1), Predicate("R", 2), Predicate("S", 3)
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -158,3 +158,51 @@ def test_match_conjunction_agrees_with_the_reference_loop(before, after, body, i
     again = []
     _reference(body, list(s), init, lambda binding: again.append(dict(binding)))
     assert [dict(x) for x in match_conjunction(body, s, init)] == again
+
+
+def _dict_keys(body, s, universals, init):
+    """The keys of the matches `match_conjunction` finds over the atoms,
+    in its order."""
+    return [tuple(b[v] for v in universals) for b in match_conjunction(body, s, init)]
+
+
+def _plan_matches(plan, s, slots):
+    """(key, rank tuple) of each match the compiled plan finds, in order."""
+    return [(tuple(found), tuple(map(s.rank, plan.matched)))
+            for found in match_conjunction(plan, s, slots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_op, max_size=16), _body, st.booleans())
+def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
+    body = [_atom(p, vs) for p, vs in body]
+    s = AtomSet()
+    _apply(s, ops)
+    cr = _CompiledRule(0, TGD(body, (), [body[0]]))
+    # In body order a plan yields what the dict path yields, in its
+    # order; in greedy order the same matches, in another order.
+    cr.compile(s.bucket_size if greedy else None)
+    def same(keys):
+        keys = list(keys)
+        return sorted(keys, key=lambda k: [t.order_key for t in k]) if greedy else keys
+
+    u = cr.universals
+
+    def check(plan, slots, init, positions):
+        got = _plan_matches(plan, s, slots)
+        want = _dict_keys([body[i] for i in positions], s, u, init)
+        assert same(key for key, _ in got) == same(want)
+        for key, ranks in got:
+            atoms = [Atom(a.predicate, [key[u.index(v)] for v in a.args]) for a in body]
+            assert ranks == tuple(s.rank(a) for a in atoms)
+
+    check(cr.whole, cr.whole.slots, {}, range(len(body)))
+    for pred, plans in cr.plans.items():
+        for plan in plans:
+            rest = [i for i in range(len(body)) if i != plan.pos]
+            for atom in list(s.bucket(pred)):
+                init = {}
+                if all(init.setdefault(v, t) is t for v, t in zip(body[plan.pos].args, atom.args)):
+                    check(plan, plan.seed(atom), init, rest)
+                else:
+                    assert plan.seed(atom) is None

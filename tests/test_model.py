@@ -21,12 +21,12 @@ from eqchase import (
     SkolemisedTGD,
     Variable,
     apply_syntactic,
-    apply_term_map,
     skolemise,
     validate,
     validate_ruleset,
 )
 from corpus import random_term
+from helpers import apply_term_map
 from rulesets import ontology, rules
 
 a, b = Constant("a"), Constant("b")
@@ -169,7 +169,7 @@ def test_apply_syntactic_commutes_with_union():
     atoms2 = (Atom(R2, [X, X]),)
     sigma = {X: a}
     both = apply_syntactic(atoms1 + atoms2, sigma)
-    assert both == apply_syntactic(atoms1, sigma).to_frozenset() | apply_syntactic(atoms2, sigma).to_frozenset()
+    assert both == frozenset(apply_syntactic(atoms1, sigma)) | frozenset(apply_syntactic(atoms2, sigma))
 
 
 def test_skolemise_shapes():
