@@ -396,7 +396,6 @@ class _CompiledRule:
         where = {v: i for i, v in enumerate(self.universals)}
         if type(rule) is TGD:
             self.kind = "tgd"
-            self.head = rule.head
             # Without existentials a TGD head is fully instantiated by the
             # match, and it is embedded exactly when its atoms are present.
             self.closed = not rule.existentials
@@ -418,8 +417,10 @@ class _CompiledRule:
     def compile(self, size: Optional[Callable] = None) -> None:
         """Build the join plans over the key's slots: `whole` for the
         body, and `plans`, which maps each body predicate to the plans
-        anchored at each body position holding it, in body order.  `size`
-        is as for `_Plan`."""
+        anchored at each body position holding it, in body order.  A TGD
+        that is not `closed` also gets `head`, the head test: a plan over
+        the head with the key's slots bound and one more slot for each
+        existential.  `size` is as for `_Plan`."""
         body = self.rule.body
         slot = {v: i for i, v in enumerate(self.universals)}
         self.whole = _Plan(body, slot, size=size)
@@ -427,6 +428,9 @@ class _CompiledRule:
         for pos, atom in enumerate(body):
             plan = _Plan(body, slot, size=size, pos=pos)
             self.plans.setdefault(atom.predicate, []).append(plan)
+        if self.kind == "tgd" and not self.closed:
+            extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
+            self.head = _Plan(self.rule.head, extended, self.universals, size)
 
     def bury(self, key: tuple) -> None:
         """Mark the match dead, so it is never queued again."""
@@ -579,7 +583,8 @@ class ChaseEngine:
                 if cr.closed:
                     blocked = all(a in aset for a in cr.instantiate(key))
                 else:
-                    blocked = _head_embedded(cr.head, dict(zip(cr.universals, key)), aset)
+                    cr.head.slots[:len(key)] = key
+                    blocked = any(True for _ in match_conjunction(cr.head, aset, cr.head.slots))
                 if not blocked:
                     return cr, key
                 cr.bury(key)
@@ -614,7 +619,6 @@ class ChaseEngine:
             cr, key = found
             if limits.max_steps is not None and self.trace.steps >= limits.max_steps:
                 return LimitExceeded(self.state, "max_steps", self.trace.steps, self.trace)
-            sigma = dict(zip(cr.universals, key))
             if cr.kind == "tgd":
                 new_atoms = cr.instantiate(key)
                 fresh = [a for a in dict.fromkeys(new_atoms) if a not in self.state]
@@ -645,7 +649,7 @@ class ChaseEngine:
             self.trace.steps += 1
             self.trace.rule_fires[cr.idx] = self.trace.rule_fires.get(cr.idx, 0) + 1
             if self.on_step is not None:
-                self.on_step(self.trace.steps, cr.rule, sigma, self.state)
+                self.on_step(self.trace.steps, cr.rule, dict(zip(cr.universals, key)), self.state)
 
 
 def chase(

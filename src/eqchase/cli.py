@@ -435,9 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Parsing leaves the parser as it was, so one serves every `main` call.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a hit limit here;
         # `--help` exits 0.

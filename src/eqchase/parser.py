@@ -18,6 +18,7 @@ carrying positioned diagnostics, never a crash.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -75,65 +76,48 @@ class Program:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "=": "EQUALS", "?": "QMARK"}
+_PUNCT = {"->": "ARROW", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "=": "EQUALS",
+          "?": "QMARK"}
+
+# Groups, by number: whitespace, comment, punctuation, identifier, any
+# other character.  `\s` is `str.isspace` and `\w` is `str.isalnum` or
+# '_', but `[^\W\d_]` also admits numeric characters that are not
+# letters, such as '²', so `_lex` checks an identifier's start.
+_TOKEN = re.compile(r"(\s+)|(%[^\n]*)|(->|[(),.=?])|([^\W\d_]\w*)|(.)", re.S)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> tuple[list[tuple], list[Diagnostic]]:
+    """The tokens of the text, each (kind, text, line, col), ending in an
+    EOF token, and a diagnostic for each character no token admits.  Only
+    a line feed ends a line.  A comment does not advance the column, so
+    an EOF right after one has the column of its '%'."""
+    tokens: list[tuple] = []
     diags: list[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    match = _TOKEN.match
+    pos, n = 0, len(text)
+    line, line_start = 1, 0  # line_start: the index of column 1
+    while pos < n:
+        m = match(text, pos)
+        group = m.lastindex
+        word = m.group()
+        col = pos - line_start + 1
+        if group == 1:
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = pos + word.rindex("\n") + 1
+        elif group == 2:
+            line_start += len(word)
+        elif group == 3:
+            tokens.append((_PUNCT[word], word, line, col))
+        elif group == 4 and word[0].isalpha():
+            kind = "EXISTS" if word == "exists" else "UIDENT" if word[0].isupper() else "LIDENT"
+            tokens.append((kind, word, line, col))
+        else:
+            diags.append(Diagnostic(line, col, f"unexpected character {text[pos]!r}"))
+            pos += 1
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "exists":
-                tokens.append(_Token("EXISTS", word, line, col))
-            elif word[0].isupper():
-                tokens.append(_Token("UIDENT", word, line, col))
-            else:
-                tokens.append(_Token("LIDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        diags.append(Diagnostic(line, col, f"unexpected character {c!r}"))
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+        pos = m.end()
+    tokens.append(("EOF", "", line, n - line_start + 1))
     return tokens, diags
 
 
@@ -153,35 +137,37 @@ class _RawAtom:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Reads the tokens of `_lex` by index: 0 kind, 1 text, 2 line, 3 col."""
+
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.pos += 1
         return t
 
-    def error(self, tok: _Token, message: str) -> None:
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
+    def error(self, tok: tuple, message: str) -> None:
+        self.diags.append(Diagnostic(tok[2], tok[3], message))
 
     def recover(self) -> None:
         # Skip to just past the next statement terminator.
         while True:
             t = self.next()
-            if t.kind in ("DOT", "EOF"):
+            if t[0] in ("DOT", "EOF"):
                 return
 
-    def expect(self, kind: str, what: str) -> Optional[_Token]:
+    def expect(self, kind: str, what: str) -> Optional[tuple]:
         t = self.peek()
-        if t.kind == kind:
+        if t[0] == kind:
             return self.next()
-        self.error(t, f"expected {what}, found {t.text!r}" if t.text else f"expected {what}")
+        self.error(t, f"expected {what}, found {t[1]!r}" if t[1] else f"expected {what}")
         return None
 
     def parse_atom(self) -> Optional[_RawAtom]:
@@ -189,7 +175,7 @@ class _Parser:
         # disambiguates term positions (lowercase constant, uppercase
         # variable), so the usual uppercase predicate names parse fine.
         name_tok = self.peek()
-        if name_tok.kind not in ("LIDENT", "UIDENT"):
+        if name_tok[0] not in ("LIDENT", "UIDENT"):
             self.error(name_tok, "expected a predicate name")
             return None
         self.next()
@@ -198,23 +184,22 @@ class _Parser:
         args: list[tuple[str, str]] = []
         while True:
             t = self.peek()
-            if t.kind == "LIDENT":
-                args.append(("const", t.text))
+            if t[0] == "LIDENT":
+                args.append(("const", t[1]))
                 self.next()
-            elif t.kind == "UIDENT":
-                args.append(("var", t.text))
+            elif t[0] == "UIDENT":
+                args.append(("var", t[1]))
                 self.next()
             else:
                 self.error(t, "expected a constant or variable")
                 return None
-            t = self.peek()
-            if t.kind == "COMMA":
+            if self.peek()[0] == "COMMA":
                 self.next()
                 continue
             break
         if self.expect("RPAREN", "')'") is None:
             return None
-        return _RawAtom(name_tok.text, args, name_tok.line, name_tok.col)
+        return _RawAtom(name_tok[1], args, name_tok[2], name_tok[3])
 
     def parse_conjunction(self) -> Optional[list[_RawAtom]]:
         atoms = []
@@ -223,19 +208,19 @@ class _Parser:
             if atom is None:
                 return None
             atoms.append(atom)
-            if self.peek().kind == "COMMA":
+            if self.peek()[0] == "COMMA":
                 self.next()
                 continue
             return atoms
 
-    def parse_varlist(self) -> Optional[list[_Token]]:
+    def parse_varlist(self) -> Optional[list[tuple]]:
         out = []
         while True:
             t = self.expect("UIDENT", "a variable")
             if t is None:
                 return None
             out.append(t)
-            if self.peek().kind == "COMMA":
+            if self.peek()[0] == "COMMA":
                 self.next()
                 continue
             return out
@@ -243,10 +228,10 @@ class _Parser:
     def parse_statement(self):
         """Returns ("rule" | "fact" | "query", payload, line, col) or None."""
         t = self.peek()
-        if t.kind == "QMARK":
+        if t[0] == "QMARK":
             self.next()
-            exists: Optional[list[_Token]] = None
-            if self.peek().kind == "EXISTS":
+            exists: Optional[list[tuple]] = None
+            if self.peek()[0] == "EXISTS":
                 self.next()
                 exists = self.parse_varlist()
                 if exists is None or self.expect("DOT", "'.'") is None:
@@ -254,24 +239,24 @@ class _Parser:
             body = self.parse_conjunction()
             if body is None or self.expect("DOT", "'.'") is None:
                 return None
-            return ("query", (exists, body), t.line, t.col)
+            return ("query", (exists, body), t[2], t[3])
 
         body = self.parse_conjunction()
         if body is None:
             return None
         t2 = self.peek()
-        if t2.kind == "DOT":
+        if t2[0] == "DOT":
             self.next()
             if len(body) != 1:
                 self.error(t2, "a fact statement holds exactly one atom")
                 return None
             return ("fact", body[0], body[0].line, body[0].col)
-        if t2.kind != "ARROW":
+        if t2[0] != "ARROW":
             self.error(t2, "expected '->' or '.'")
             return None
         self.next()
         t3 = self.peek()
-        if t3.kind == "EXISTS":
+        if t3[0] == "EXISTS":
             self.next()
             exists = self.parse_varlist()
             if exists is None or self.expect("DOT", "'.'") is None:
@@ -280,7 +265,7 @@ class _Parser:
             if head is None or self.expect("DOT", "'.'") is None:
                 return None
             return ("rule", ("tgd", body, exists, head), body[0].line, body[0].col)
-        if t3.kind == "UIDENT" and self.tokens[self.pos + 1].kind == "EQUALS":
+        if t3[0] == "UIDENT" and self.tokens[self.pos + 1][0] == "EQUALS":
             x = self.next()
             self.next()  # '='
             y = self.expect("UIDENT", "a variable")
@@ -294,8 +279,8 @@ class _Parser:
 
     def parse_program(self) -> list:
         statements = []
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "DOT":  # stray terminator
+        while self.peek()[0] != "EOF":
+            if self.peek()[0] == "DOT":  # stray terminator
                 self.error(self.peek(), "empty statement")
                 self.next()
                 continue
@@ -313,7 +298,8 @@ class _Parser:
 
 class _Builder:
     def __init__(self):
-        self.arities: dict[str, tuple[int, int, int]] = {}  # name -> (arity, line, col)
+        # name -> (its predicate, the line and column of its first use)
+        self.predicates: dict[str, tuple[Predicate, int, int]] = {}
         self.diags: list[Diagnostic] = []
 
     def predicate(self, raw: _RawAtom) -> Optional[Predicate]:
@@ -325,19 +311,19 @@ class _Builder:
                 )
                 return None
             return EQ
-        seen = self.arities.get(raw.name)
+        seen = self.predicates.get(raw.name)
         if seen is None:
-            self.arities[raw.name] = (arity, raw.line, raw.col)
-        elif seen[0] != arity:
+            seen = self.predicates[raw.name] = (Predicate(raw.name, arity), raw.line, raw.col)
+        elif seen[0].arity != arity:
             self.diags.append(
                 Diagnostic(
                     raw.line,
                     raw.col,
-                    f"predicate {raw.name!r} used with arity {arity}, but line {seen[1]} uses arity {seen[0]}",
+                    f"predicate {raw.name!r} used with arity {arity}, but line {seen[1]} uses arity {seen[0].arity}",
                 )
             )
             return None
-        return Predicate(raw.name, arity)
+        return seen[0]
 
     def atom(self, raw: _RawAtom) -> Optional[Atom]:
         p = self.predicate(raw)
@@ -378,11 +364,11 @@ def parse(text: str) -> Program:
                 head = [builder.atom(r) for r in raw_head]
                 if any(a is None for a in head):
                     continue
-                ex_vars = tuple(Variable(t.text) for t in exists) if exists else ()
+                ex_vars = tuple(Variable(t[1]) for t in exists) if exists else ()
                 rules.append(TGD(body, ex_vars, head))
             else:
                 _, _, x, y = payload
-                rules.append(EGD(body, Variable(x.text), Variable(y.text)))
+                rules.append(EGD(body, Variable(x[1]), Variable(y[1])))
             rule_locs.append((line, col))
         else:
             exists, raw_body = payload
@@ -390,7 +376,7 @@ def parse(text: str) -> Program:
             if any(a is None for a in body):
                 continue
             if exists is not None:
-                variables = tuple(Variable(t.text) for t in exists)
+                variables = tuple(Variable(t[1]) for t in exists)
             else:
                 seen: dict[Variable, None] = {}
                 for a in body:

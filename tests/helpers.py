@@ -1,7 +1,9 @@
-"""Term and atom-set helpers that only the tests use."""
+"""Helpers that only the tests use: term and atom-set operations, and a
+reference lexer."""
 
 from eqchase import EQ, STAR, Atom, AtomSet, Constant, Functional
 from eqchase.model import _map_atom
+from eqchase.parser import Diagnostic
 
 
 def apply_term_map(s, m):
@@ -48,3 +50,60 @@ def ep_completion(aset):
         for u in sorted(cls, key=lambda u: u.order_key):
             out.add(Atom(EQ, (t, u)))
     return out
+
+
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "=": "EQUALS", "?": "QMARK"}
+
+
+def reference_lex(text):
+    """The parser's lexer as a loop over characters: the tokens, each
+    (kind, text, line, col), ending in an EOF token, and the diagnostics.
+    A comment does not advance the column, so an EOF right after one
+    keeps the column of its '%'."""
+    tokens, diags = [], []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _PUNCT:
+            tokens.append((_PUNCT[c], c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word == "exists":
+                tokens.append(("EXISTS", word, line, col))
+            elif word[0].isupper():
+                tokens.append(("UIDENT", word, line, col))
+            else:
+                tokens.append(("LIDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        diags.append(Diagnostic(line, col, f"unexpected character {c!r}"))
+        i += 1
+        col += 1
+    tokens.append(("EOF", "", line, col))
+    return tokens, diags

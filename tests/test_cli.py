@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -270,7 +271,50 @@ def test_check_steps_never_negative(capsys):
 
 
 def test_help_exits_zero(capsys):
+    # Also after a good call and a usage error in the same process.
+    assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0
+    assert run(capsys, "check", THM2, "--notion", "bogus")[0] == 1
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])
     assert exc.value.code == 0
     assert "--sing-cap" in capsys.readouterr().out
+
+
+def test_appended_flags_do_not_carry_over(capsys):
+    code, out, _ = run(capsys, "query", THM2, "--facts", AA,
+                       "--query", "? exists X . A(X) .", "--query", "? exists X . B(X) .")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["entailed", "entailed"]
+    code, out, _ = run(capsys, "query", THM2, "--query", "? exists X . A(X) .")
+    assert code == 0
+    assert out.splitlines() == ["not-entailed: ? exists X . A(X) ."]
+    code, _, err = run(capsys, "query", THM2)
+    assert code == 1
+    assert "no queries" in err
+    code, out, _ = run(capsys, "chase", THM2)
+    assert (code, out) == (0, "% terminated after 0 steps\n")
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys):
+    argv = ("chase", THM2, "--facts", AA, "--format", "json", "--no-timing")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    # Fails after `--facts` was appended.
+    code, out, _ = run(capsys, "chase", THM2, "--facts", AA, "--max-steps", "abc")
+    assert (code, out) == (1, "")
+    assert run(capsys, *argv) == first
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0
+        assert run(capsys, "check", THM2, "--notion", "bogus")[0] == 1
+    assert built == []

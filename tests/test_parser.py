@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqchase import (
@@ -19,7 +19,8 @@ from eqchase import (
     Ontology,
 )
 from corpus import random_ontology, random_query
-from eqchase.parser import serialize_query, serialize_rule
+from eqchase.parser import _lex, serialize_query, serialize_rule
+from helpers import reference_lex
 
 
 def test_parse_tgd_example():
@@ -71,6 +72,12 @@ def test_parse_diagnostics_carry_locations():
     d = exc.value.diagnostics[0]
     assert (d.line, d.col) == (2, 1)
     assert "expected" in d.message
+
+
+def test_eof_after_a_comment_keeps_its_column():
+    with pytest.raises(ParseError) as exc:
+        parse("A(X) -> B(X) % c")
+    assert str(exc.value) == "1:14: expected '.'"
 
 
 def test_parse_error_recovery_collects_multiple():
@@ -157,3 +164,21 @@ def test_parser_total_on_grammar_shaped_noise(text):
         parse(text)
     except ParseError:
         pass
+
+
+_GRAMMAR_NOISE = "ABab(),.->? =XYZW\n%exists_1\r\t²Ⅻǅ"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=60) | st.text(alphabet=_GRAMMAR_NOISE, max_size=60))
+@example("²x")  # numeric, not a letter: no identifier starts here
+@example("Ⅻ")
+@example("ǅa")  # titlecase: a letter, but not uppercase
+@example("\r")
+@example("\x1c")  # whitespace to str.isspace
+@example("\u3000")
+@example("a_1")
+@example("²exists")  # the keyword after a rejected character
+@example("A(X) -> B(X) % c")  # the EOF keeps the column of the '%'
+def test_lexer_agrees_with_the_reference(text):
+    assert _lex(text) == reference_lex(text)
