@@ -90,7 +90,7 @@ class _Saturation:
         self.readers: dict = {}
         for idx, rule in enumerate(rules):
             cr = _CompiledRule(idx, rule)
-            cr.compile()
+            cr.compile_anchored()
             for pred, plans in cr.plans.items():
                 self.readers.setdefault(pred, []).extend((cr, plan) for plan in plans)
         self.witness: Optional[tuple[Atom, Term]] = None

@@ -53,31 +53,30 @@ class AxiomatisedRuleSet:
         return iter(self.rules)
 
 
-def _equality_theory(predicates: Sequence[Predicate]) -> tuple[list[TGD], list[TGD], list[TGD]]:
-    """Reflexivity instances per predicate, the symmetry/transitivity
-    pair, and per-position replacement rules."""
+def _equivalence(predicates: Sequence[Predicate]) -> list[TGD]:
+    """Reflexivity instances per predicate, then symmetry and
+    transitivity."""
     x, y, z = Variable("X"), Variable("Y"), Variable("Z")
-    reflexivity = []
-    replacement = []
+    rules = []
     for p in predicates:
         xs = [Variable(f"X{i + 1}") for i in range(p.arity)]
-        reflexivity.append(
-            TGD([Atom(p, xs)], (), [Atom(EQ, (v, v)) for v in xs])
-        )
+        rules.append(TGD([Atom(p, xs)], (), [Atom(EQ, (v, v)) for v in xs]))
+    rules.append(TGD([Atom(EQ, (x, y))], (), [Atom(EQ, (y, x))]))
+    rules.append(TGD([Atom(EQ, (x, y)), Atom(EQ, (y, z))], (), [Atom(EQ, (x, z))]))
+    return rules
+
+
+def _replacement(predicates: Sequence[Predicate]) -> list[TGD]:
+    """One replacement rule per predicate argument position."""
+    rules = []
+    for p in predicates:
+        xs = [Variable(f"X{i + 1}") for i in range(p.arity)]
         for i in range(p.arity):
-            prime = Variable("Y")
             head_args = list(xs)
-            head_args[i] = prime
-            replacement.append(
-                TGD(
-                    [Atom(p, xs), Atom(EQ, (xs[i], prime))],
-                    (),
-                    [Atom(p, head_args)],
-                )
-            )
-    symmetry = TGD([Atom(EQ, (x, y))], (), [Atom(EQ, (y, x))])
-    transitivity = TGD([Atom(EQ, (x, y)), Atom(EQ, (y, z))], (), [Atom(EQ, (x, z))])
-    return reflexivity, [symmetry, transitivity], replacement
+            head_args[i] = Variable("Y")
+            body = [Atom(p, xs), Atom(EQ, (xs[i], head_args[i]))]
+            rules.append(TGD(body, (), [Atom(p, head_args)]))
+    return rules
 
 
 def standard_axiomatisation(rules: RuleSet) -> AxiomatisedRuleSet:
@@ -90,9 +89,9 @@ def standard_axiomatisation(rules: RuleSet) -> AxiomatisedRuleSet:
             translated.append(r)
         else:
             translated.append(TGD(r.body, (), [Atom(EQ, (r.x, r.y))]))
-    reflexivity, sym_trans, replacement = _equality_theory(rules.predicates())
+    predicates = rules.predicates()
     return AxiomatisedRuleSet(
-        RuleSet(translated + reflexivity + sym_trans + replacement), STANDARD
+        RuleSet(translated + _equivalence(predicates) + _replacement(predicates)), STANDARD
     )
 
 
@@ -191,7 +190,7 @@ def singularisations(rules: RuleSet) -> Iterator[AxiomatisedRuleSet]:
     counts; callers cap the enumeration with itertools.islice.
     """
     spaces = [_rule_choice_space(r) for r in rules]
-    reflexivity, sym_trans, _ = _equality_theory(rules.predicates())
+    equivalence = _equivalence(rules.predicates())
     per_rule_options = [
         list(itertools.product(*(range(1, occ + 1) for _, occ in space)))
         for space in spaces
@@ -204,7 +203,7 @@ def singularisations(rules: RuleSet) -> Iterator[AxiomatisedRuleSet]:
             singularised.append(_singularise_rule(rule, choice))
             provenance.append(tuple(sorted(choice.items())))
         yield AxiomatisedRuleSet(
-            RuleSet(singularised + reflexivity + sym_trans),
+            RuleSet(singularised + equivalence),
             SINGULARISATION,
             choices=tuple(provenance),
         )

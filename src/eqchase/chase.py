@@ -34,6 +34,7 @@ from .model import (
     Ontology,
     Rule,
     RuleSet,
+    SkolemSymbol,
     Substitution,
     Variable,
     apply_syntactic,
@@ -170,43 +171,45 @@ class _Plan:
 
 
 def _execute(plan: _Plan, aset: AtomSet, slots: list) -> Iterator[list]:
-    """Run the plan over the slot list, yielding it at every match."""
+    """Run the plan over the slot list, yielding it at every match.  The
+    steps recurse through `_join`, which takes its state as arguments:
+    a closure that named itself would leave a function-cell cycle."""
     steps = plan.steps
     if not steps:
         return iter((slots,))
-    matched = plan.matched
-    below = aset.rank_bound()
     snapshots = [aset.bucket(step[0]) if step[2] is None else None for step in steps]
-    last = len(steps) - 1
+    return _join(steps, 0, aset, slots, plan.matched, snapshots, aset.rank_bound())
 
-    def rec(i: int) -> Iterator[list]:
-        pred, pos, src, var, checks, repeats, binds = steps[i]
-        if src is None:
-            cands = snapshots[i]
-        elif src == 0:
-            cands = aset.arg0_bucket(pred, slots[var])
+
+def _join(steps: tuple, i: int, aset: AtomSet, slots: list, matched: list,
+          snapshots: list, below: int) -> Iterator[list]:
+    """Match step `i` and every later one; see `match_conjunction`."""
+    pred, pos, src, var, checks, repeats, binds = steps[i]
+    if src is None:
+        cands = snapshots[i]
+    elif src == 0:
+        cands = aset.arg0_bucket(pred, slots[var])
+    else:
+        cands = aset.arg_bucket(pred, src, slots[var], below)
+    want = [(j, slots[s]) for j, s in checks]
+    last = i + 1 == len(steps)
+    for cand in cands:
+        args = cand.args
+        for j, t in want:
+            if args[j] is not t:
+                break
         else:
-            cands = aset.arg_bucket(pred, src, slots[var], below)
-        want = [(j, slots[s]) for j, s in checks]
-        for cand in cands:
-            args = cand.args
-            for j, t in want:
-                if args[j] is not t:
+            for j, k in repeats:
+                if args[j] is not args[k]:
                     break
             else:
-                for j, k in repeats:
-                    if args[j] is not args[k]:
-                        break
+                for j, s in binds:
+                    slots[s] = args[j]
+                matched[pos] = cand
+                if last:
+                    yield slots
                 else:
-                    for j, s in binds:
-                        slots[s] = args[j]
-                    matched[pos] = cand
-                    if i == last:
-                        yield slots
-                    else:
-                        yield from rec(i + 1)
-
-    return rec(0)
+                    yield from _join(steps, i + 1, aset, slots, matched, snapshots, below)
 
 
 def match_conjunction(
@@ -238,7 +241,7 @@ def match_conjunction(
 
     So only a step with a bound first argument sees atoms added after
     the call, exactly as if every other step scanned the whole bucket as
-    of the call.
+    of the call.  A run leaves no reference cycle for the cyclic GC.
     """
     if type(body) is _Plan:
         return _execute(body, aset, init)
@@ -367,7 +370,9 @@ class _CompiledRule:
     acyclicity saturation uses the same form without the queue.
 
     A match is identified by its key, the tuple of the terms it binds to
-    `universals`, which are the slots of the rule's plans (`compile`).
+    `universals`, which are the slots of the rule's plans.  The engine
+    builds every plan (`compile`); the saturation reads only the anchored
+    ones and builds only those (`compile_anchored`).
     `template` gives each atom of the skolemised head of a TGD as
     (predicate, arguments), each argument an index into the key or the
     Skolem symbol of an existential, whose term is that symbol applied to
@@ -399,8 +404,8 @@ class _CompiledRule:
             # Without existentials a TGD head is fully instantiated by the
             # match, and it is embedded exactly when its atoms are present.
             self.closed = not rule.existentials
-            symbols = skolemise(rule).symbols
-            where.update(zip(rule.existentials, symbols))
+            n = len(self.universals)  # as `skolemise` names the symbols
+            where.update((w, SkolemSymbol(f"f_{w.name}", n)) for w in rule.existentials)
             self.template = tuple(
                 (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
             )
@@ -414,20 +419,24 @@ class _CompiledRule:
         self.heap: list = []
         self.queued: dict = {}
 
-    def compile(self, size: Optional[Callable] = None) -> None:
-        """Build the join plans over the key's slots: `whole` for the
-        body, and `plans`, which maps each body predicate to the plans
-        anchored at each body position holding it, in body order.  A TGD
-        that is not `closed` also gets `head`, the head test: a plan over
-        the head with the key's slots bound and one more slot for each
-        existential.  `size` is as for `_Plan`."""
-        body = self.rule.body
+    def compile_anchored(self, size: Optional[Callable] = None) -> None:
+        """Build `plans`, which maps each body predicate to the join
+        plans over the key's slots anchored at each body position holding
+        it, in body order.  `size` is as for `_Plan`."""
         slot = {v: i for i, v in enumerate(self.universals)}
-        self.whole = _Plan(body, slot, size=size)
         self.plans: dict = {}
-        for pos, atom in enumerate(body):
-            plan = _Plan(body, slot, size=size, pos=pos)
+        for pos, atom in enumerate(self.rule.body):
+            plan = _Plan(self.rule.body, slot, size=size, pos=pos)
             self.plans.setdefault(atom.predicate, []).append(plan)
+
+    def compile(self, size: Callable) -> None:
+        """Build every plan the engine reads: the anchored `plans`,
+        `whole` for the body, and, for a TGD that is not `closed`, `head`,
+        the head test: a plan over the head with the key's slots bound and
+        one more slot for each existential."""
+        self.compile_anchored(size)
+        self.whole = _Plan(self.rule.body, {v: i for i, v in enumerate(self.universals)},
+                           size=size)
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _Plan(self.rule.head, extended, self.universals, size)
@@ -570,6 +579,8 @@ class ChaseEngine:
         return None
 
     def _find_next(self):
+        """The next pair to apply, as (rule, key, the instantiated head
+        of a TGD or None), or None when no pair is applicable."""
         aset = self.state
         for cr in self.compiled:
             while True:
@@ -578,15 +589,16 @@ class ChaseEngine:
                     break
                 if cr.kind == "egd":
                     if key[cr.x] is not key[cr.y]:
-                        return cr, key
+                        return cr, key, None
                     continue
                 if cr.closed:
-                    blocked = all(a in aset for a in cr.instantiate(key))
+                    head = cr.instantiate(key)
+                    if not all(a in aset for a in head):
+                        return cr, key, head
                 else:
                     cr.head.slots[:len(key)] = key
-                    blocked = any(True for _ in match_conjunction(cr.head, aset, cr.head.slots))
-                if not blocked:
-                    return cr, key
+                    if not any(True for _ in match_conjunction(cr.head, aset, cr.head.slots)):
+                        return cr, key, cr.instantiate(key)
                 cr.bury(key)
         return None
 
@@ -616,11 +628,10 @@ class ChaseEngine:
             found = self._find_next()
             if found is None:
                 return Terminated(self.state, self.trace.steps, self.trace)
-            cr, key = found
+            cr, key, new_atoms = found
             if limits.max_steps is not None and self.trace.steps >= limits.max_steps:
                 return LimitExceeded(self.state, "max_steps", self.trace.steps, self.trace)
             if cr.kind == "tgd":
-                new_atoms = cr.instantiate(key)
                 fresh = [a for a in dict.fromkeys(new_atoms) if a not in self.state]
                 d = max(max(t.depth for t in a.args) for a in new_atoms)
                 if limits.max_term_depth is not None and d > limits.max_term_depth:

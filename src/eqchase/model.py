@@ -513,15 +513,16 @@ class RuleSet:
 
 def apply_syntactic_partial(atom: Atom, subst: Mapping[Variable, Term]) -> Atom:
     """Like apply_syntactic but leaves unbound variables in place."""
-    def sub(t: Term) -> Term:
-        kind = type(t)
-        if kind is Variable:
-            return subst.get(t, t)
-        if kind is Functional and t.has_var:
-            return Functional(t.fn, [sub(a) for a in t.args])
-        return t
+    return Atom(atom.predicate, [_sub_partial(a, subst) for a in atom.args])
 
-    return Atom(atom.predicate, [sub(a) for a in atom.args])
+
+def _sub_partial(t: Term, subst: Mapping[Variable, Term]) -> Term:
+    kind = type(t)
+    if kind is Variable:
+        return subst.get(t, t)
+    if kind is Functional and t.has_var:
+        return Functional(t.fn, [_sub_partial(a, subst) for a in t.args])
+    return t
 
 
 @dataclass(frozen=True)

@@ -265,3 +265,32 @@ def test_is_emfa_takes_notion_by_keyword_only():
     # the third would be timed as emfa.
     with pytest.raises(TypeError):
         is_emfa(rules("thm2"), LIMITS, "mfa-st")
+
+
+def test_saturation_compiles_only_anchored_plans(monkeypatch):
+    # One plan per body atom of each rule, and neither the engine's
+    # whole-body plan nor its head test.
+    from eqchase.acyclicity import _Saturation
+    from eqchase.chase import _Plan
+
+    built = []
+
+    def counted(self, body, *args, init=_Plan.__init__, **kw):
+        built.append(self)
+        init(self, body, *args, **kw)
+
+    monkeypatch.setattr(_Plan, "__init__", counted)
+    rng = random.Random(11)
+    corpus = [rules(name) for name in ("thm2", "thm4", "ex3", "ex4")]
+    corpus += [standard_axiomatisation(rs).rules for rs in corpus]
+    corpus += [random_ruleset(rng, max_rules=6) for _ in range(100)]
+    for rs in corpus:
+        built.clear()
+        sat = _Saturation(rs, LIMITS)
+        assert len(built) == sum(len(r.body) for r in rs)
+        compiled = {id(cr): cr for plans in sat.readers.values() for cr, _ in plans}
+        assert len(compiled) == len(rs)
+        for cr in compiled.values():
+            assert not hasattr(cr, "whole") and not hasattr(cr, "head")
+        anchored = [plan for plans in sat.readers.values() for _, plan in plans]
+        assert sorted(map(id, anchored)) == sorted(map(id, built))

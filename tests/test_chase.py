@@ -415,3 +415,48 @@ def test_engine_joins_in_greedy_connected_order(monkeypatch):
     outcome = chase(o)
     assert isinstance(outcome, Terminated) and outcome.steps == 0
     assert sum(handed) < 1000
+
+
+def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
+    # One chase-datalog job: both rules are closed TGDs and nothing
+    # merges, so every candidate popped is either applied or buried, and
+    # lands in its rule's dead set exactly once.  The head test's atoms
+    # are the ones a firing adds, so each candidate's head is built once.
+    from eqchase.chase import ChaseEngine, _CompiledRule
+    from perfbench_loader import load_workloads
+
+    job = min(load_workloads().make_jobs("chase-datalog", 101), key=lambda j: len(j.text))
+    program = parse(job.text)
+    calls = []
+
+    def counted(self, key, method=_CompiledRule.instantiate):
+        calls.append((self.idx, key))
+        return method(self, key)
+
+    monkeypatch.setattr(_CompiledRule, "instantiate", counted)
+    engine = ChaseEngine(Ontology(program.rules, program.facts))
+    outcome = engine.run()
+    assert isinstance(outcome, Terminated) and outcome.trace.egd_steps == 0
+    assert all(cr.closed for cr in engine.compiled)
+    assert len(calls) == len(set(calls)) == sum(len(cr.dead) for cr in engine.compiled)
+    assert outcome.trace.tgd_steps < len(calls)
+
+
+def test_compiled_skolem_symbols_are_those_of_skolemise():
+    from eqchase.chase import _CompiledRule
+    from eqchase.model import skolemise
+
+    rng = random.Random(8)
+    seen = 0
+    for _ in range(200):
+        for idx, rule in enumerate(random_ruleset(rng, max_rules=6)):
+            if type(rule) is not TGD or not rule.existentials:
+                continue
+            cr = _CompiledRule(idx, rule)
+            symbols = skolemise(rule).symbols
+            for atom, (_, args) in zip(rule.head, cr.template):
+                for v, a in zip(atom.args, args):
+                    if v in rule.existentials:
+                        assert a is symbols[rule.existentials.index(v)]
+                        seen += 1
+    assert seen > 100
