@@ -5,6 +5,10 @@ conjunctive queries, computes the standard and singularisation equality
 axiomatisations, and decides acyclicity (chase-termination) membership
 directly on rule sets with equality as well as on their equality-free
 axiomatisations.
+
+The function `chase` shadows the submodule `eqchase.chase` as an
+attribute of the package; `from eqchase.chase import ...` and
+`sys.modules["eqchase.chase"]` reach the module.
 """
 
 from .model import (

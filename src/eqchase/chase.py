@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -124,18 +125,21 @@ class _Plan:
     """A join over a body, compiled once, that binds the variables to
     slots (`slot` maps each variable to its index in the slot list).
 
-    `steps` gives, for each body atom joined, (predicate, body position)
+    Each body atom joined is one step: its predicate, its body position
     and its `_step`.  Without `size` the atoms are joined in body order;
     with it (a function from a predicate to its bucket size) in greedy
     connected order: next an atom that holds a bound variable, then the
     one with the smaller bucket.  An anchored plan leaves out the atom
     at body position `pos`: `seed` matches that atom itself, by its
-    `repeats` and `binds`.  Running the plan records the atom matched at
-    each body position in `matched`, so a plan runs one enumeration at a
+    `repeats` and `binds`.  The steps without a predicate are the plan's
+    shape, which picks its `kernel` (see `match_conjunction`); `preds`
+    are the steps' predicates and `scans` those of the steps that read a
+    whole bucket.  Running the plan records the atom matched at each
+    body position in `matched`, so a plan runs one enumeration at a
     time.
     """
 
-    __slots__ = ("steps", "pos", "repeats", "binds", "matched", "slots")
+    __slots__ = ("pos", "repeats", "binds", "matched", "slots", "preds", "scans", "kernel")
 
     def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None):
         bound = set(bound)
@@ -144,15 +148,18 @@ class _Plan:
         if pos is not None:
             todo.remove(pos)
             _, _, _, self.repeats, self.binds = _step(body[pos], bound, slot)
-        steps = []
+        order, shape = [], []
         while todo:
             i = todo[0]
             if size is not None:
                 i = min(todo, key=lambda k: (
                     bound.isdisjoint(body[k].args), size(body[k].predicate), k))
             todo.remove(i)
-            steps.append((body[i].predicate, i) + _step(body[i], bound, slot))
-        self.steps = tuple(steps)
+            order.append(body[i].predicate)
+            shape.append((i,) + _step(body[i], bound, slot))
+        self.preds = tuple(order)
+        self.scans = tuple(p for p, step in zip(order, shape) if step[1] is None)
+        self.kernel = _kernel(tuple(shape))
         self.matched: list = [None] * len(body)
         self.slots: list = [None] * len(slot)
 
@@ -170,46 +177,66 @@ class _Plan:
         return slots
 
 
-def _execute(plan: _Plan, aset: AtomSet, slots: list) -> Iterator[list]:
-    """Run the plan over the slot list, yielding it at every match.  The
-    steps recurse through `_join`, which takes its state as arguments:
-    a closure that named itself would leave a function-cell cycle."""
-    steps = plan.steps
-    if not steps:
-        return iter((slots,))
-    snapshots = [aset.bucket(step[0]) if step[2] is None else None for step in steps]
-    return _join(steps, 0, aset, slots, plan.matched, snapshots, aset.rank_bound())
+# Steps per kernel: CPython nests at most 20 blocks in one function.
+_SEGMENT = 16
 
 
-def _join(steps: tuple, i: int, aset: AtomSet, slots: list, matched: list,
-          snapshots: list, below: int) -> Iterator[list]:
-    """Match step `i` and every later one; see `match_conjunction`."""
-    pred, pos, src, var, checks, repeats, binds = steps[i]
-    if src is None:
-        cands = snapshots[i]
-    elif src == 0:
-        cands = aset.arg0_bucket(pred, slots[var])
-    else:
-        cands = aset.arg_bucket(pred, src, slots[var], below)
-    want = [(j, slots[s]) for j, s in checks]
-    last = i + 1 == len(steps)
-    for cand in cands:
-        args = cand.args
-        for j, t in want:
-            if args[j] is not t:
-                break
+def _exec(source: str, name: str, namespace: dict):
+    """The function `name` that `source` defines, with `namespace` as its
+    globals; kept out of them, so function and globals form no cycle."""
+    defined: dict = {}
+    exec(source, namespace, defined)
+    return defined[name]
+
+
+@lru_cache(maxsize=1024)
+def _kernel(shape: tuple, start: int = 0):
+    """The generator function that runs steps `start`.. of a plan of
+    this shape, at most `_SEGMENT` of them, then the next segment's
+    kernel; see `match_conjunction`."""
+    end = min(start + _SEGMENT, len(shape))
+    lines = ["def kernel(P, aset, slots, m, below, S):"]
+    snap = sum(step[1] is None for step in shape[:start])
+    for i in range(start, end):
+        pos, src, var, checks, repeats, binds = shape[i]
+        pad = " " * (i - start + 1)
+        if src is None:
+            cands, snap = f"S[{snap}]", snap + 1
+        elif src == 0:
+            cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
         else:
-            for j, k in repeats:
-                if args[j] is not args[k]:
-                    break
-            else:
-                for j, s in binds:
-                    slots[s] = args[j]
-                matched[pos] = cand
-                if last:
-                    yield slots
-                else:
-                    yield from _join(steps, i + 1, aset, slots, matched, snapshots, below)
+            cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}], below)"
+        lines += [f"{pad}t{i}_{j} = slots[{s}]" for j, s in checks]
+        lines.append(f"{pad}for a{i} in {cands}:")
+        tests = [f"x[{j}] is not t{i}_{j}" for j, _ in checks]
+        tests += [f"x[{k}] is not x[{j}]" for j, k in repeats]
+        if tests or binds:
+            lines.append(f"{pad} x = a{i}.args")
+        if tests:
+            lines.append(f"{pad} if {' or '.join(tests)}: continue")
+        lines += [f"{pad} slots[{s}] = x[{j}]" for j, s in binds]
+        lines.append(f"{pad} m[{pos}] = a{i}")
+    pad = " " * (end - start + 1)
+    if end < len(shape):
+        lines.append(f"{pad}yield from rest(P, aset, slots, m, below, S)")
+        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, end)})
+    lines.append(f"{pad}yield slots")
+    return _exec("\n".join(lines), "kernel", {})
+
+
+@lru_cache(maxsize=1024)
+def _head_kernel(shape: tuple):
+    """A function of (predicates and Skolem symbols, key) that builds the
+    head atoms of a template of this shape as one list display.  `shape`
+    gives each head atom's arguments: an index into the key, or -1 - k
+    for the k-th Skolem symbol, applied once to the whole key."""
+    n = len(shape)
+    symbols = sorted({-1 - a for args in shape for a in args if a < 0})
+    lines = ["def build(C, key):"]
+    lines += [f" f{k} = Functional(C[{n + k}], key)" for k in symbols]
+    terms = [" ".join(f"key[{a}]," if a >= 0 else f"f{-1 - a}," for a in args) for args in shape]
+    lines.append(f" return [{', '.join(f'Atom(C[{i}], ({t}))' for i, t in enumerate(terms))}]")
+    return _exec("\n".join(lines), "build", {"Atom": Atom, "Functional": Functional})
 
 
 def match_conjunction(
@@ -224,6 +251,13 @@ def match_conjunction(
     that list, live, at every match.  Given atoms, compiles a plan in body
     order with the variables of `init` bound and yields a new dict per
     binding, `init` included.
+
+    A plan runs as its kernel, generated code with one nested `for` loop
+    per step, inline `is not` tests and inline slot stores.  Kernels are
+    cached by shape, the steps without their predicates, which are an
+    argument; so the source holds integers only, never an input name.
+    A shape of over `_SEGMENT` steps is split into segments, each one
+    kernel whose innermost loop delegates to the next one's.
 
     Order invariant: candidates come in rank order at each step, so a
     plan in body order yields its bindings in lexicographic order of the
@@ -244,15 +278,20 @@ def match_conjunction(
     of the call.  A run leaves no reference cycle for the cyclic GC.
     """
     if type(body) is _Plan:
-        return _execute(body, aset, init)
-    init = init or {}
-    variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
-    slot = {v: i for i, v in enumerate(variables)}
-    plan = _Plan(body, slot, init)
-    slots = plan.slots
-    for v, t in init.items():
-        slots[slot[v]] = t
-    return (dict(zip(variables, found)) for found in _execute(plan, aset, slots))
+        plan, slots = body, init
+    else:
+        init = init or {}
+        variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
+        slot = {v: i for i, v in enumerate(variables)}
+        plan = _Plan(body, slot, init)
+        slots = plan.slots
+        for v, t in init.items():
+            slots[slot[v]] = t
+    run = plan.kernel(plan.preds, aset, slots, plan.matched, aset.rank_bound(),
+                      [aset.bucket(p) for p in plan.scans])
+    if plan is body:
+        return run
+    return (dict(zip(variables, found)) for found in run)
 
 
 def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
@@ -392,7 +431,8 @@ class _CompiledRule:
     """
 
     __slots__ = ("idx", "rule", "kind", "universals", "whole", "plans", "head", "closed",
-                 "template", "x", "y", "dead", "dead_at", "started", "heap", "queued")
+                 "template", "build", "build_args", "x", "y", "dead", "dead_at", "started",
+                 "heap", "queued")
 
     def __init__(self, idx: int, rule: Rule):
         self.idx = idx
@@ -409,6 +449,12 @@ class _CompiledRule:
             self.template = tuple(
                 (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
             )
+            symbols = [where[w] for w in rule.existentials]
+            self.build_args = (*(p for p, _ in self.template), *symbols)
+            self.build = _head_kernel(tuple(
+                tuple(a if type(a) is int else -1 - symbols.index(a) for a in args)
+                for _, args in self.template
+            ))
         else:
             self.kind = "egd"
             self.x = where[rule.x]
@@ -467,11 +513,10 @@ class _CompiledRule:
             self.dead_at.setdefault(t, set()).add(key)
 
     def instantiate(self, key: tuple) -> list[Atom]:
-        """The skolemised head atoms of the match with this key."""
-        return [
-            Atom(p, [key[a] if type(a) is int else Functional(a, key) for a in args])
-            for p, args in self.template
-        ]
+        """The skolemised head atoms of the match with this key: `build`,
+        the kernel of the template's shape, applied to `build_args`, the
+        head's predicates and then its Skolem symbols."""
+        return self.build(self.build_args, key)
 
 
 class ChaseEngine:
@@ -597,7 +642,7 @@ class ChaseEngine:
                         return cr, key, head
                 else:
                     cr.head.slots[:len(key)] = key
-                    if not any(True for _ in match_conjunction(cr.head, aset, cr.head.slots)):
+                    if next(match_conjunction(cr.head, aset, cr.head.slots), None) is None:
                         return cr, key, cr.instantiate(key)
                 cr.bury(key)
         return None

@@ -27,6 +27,7 @@ from .axiomatisation import (
 )
 from .chase import (
     ChaseLimits,
+    InvalidInputError,
     LimitExceeded,
     Terminated,
     chase,
@@ -136,6 +137,21 @@ def _require_valid(program: Program) -> Ontology:
     return ontology
 
 
+def _chase_valid(program: Program, args: argparse.Namespace):
+    """The chase of a valid program's ontology, which the engine validates;
+    here it is validated only to list its violations before a query's."""
+    ontology = Ontology(program.rules, program.facts)
+    violations = [v for q in program.queries for v in validate_query(q)]
+    if not violations:
+        try:
+            return chase(ontology, _limits(args), seed=args.seed)
+        except InvalidInputError as exc:
+            violations = exc.violations
+    else:
+        violations[:0] = validate(ontology)
+    raise _CliFailure(EXIT_INVALID, "\n".join(str(v) for v in violations))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -154,9 +170,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_chase(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    ontology = _require_valid(program)
     t0 = time.perf_counter()
-    outcome = chase(ontology, _limits(args), seed=args.seed)
+    outcome = _chase_valid(program, args)
     elapsed = (time.perf_counter() - t0) * 1000.0
     state = outcome.result if isinstance(outcome, Terminated) else outcome.partial
     atoms = [str(a) for a in state.sorted_atoms()]
@@ -188,10 +203,10 @@ def _cmd_chase(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    ontology = _require_valid(program)
     if not program.queries:
+        _require_valid(program)
         raise _CliFailure(EXIT_INVALID, "no queries given (add '? ...' statements or --query)")
-    outcome = chase(ontology, _limits(args), seed=args.seed)
+    outcome = _chase_valid(program, args)
     finished = isinstance(outcome, Terminated)
     state = outcome.result if finished else outcome.partial
     results = []

@@ -294,3 +294,22 @@ def test_saturation_compiles_only_anchored_plans(monkeypatch):
             assert not hasattr(cr, "whole") and not hasattr(cr, "head")
         anchored = [plan for plans in sat.readers.values() for _, plan in plans]
         assert sorted(map(id, anchored)) == sorted(map(id, built))
+
+
+def test_long_body_saturates_as_a_short_one():
+    # A 25-atom body is longer than one compiled join may nest loops.  On
+    # the critical instance a chain of E atoms matches as one E atom does.
+    E = Predicate("E", 2)
+    xs = [Variable(f"X{i}") for i in range(26)]
+    outcomes = []
+    for n in (25, 1):
+        body = [Atom(E, xs[i : i + 2]) for i in range(n)]
+        rs = RuleSet([
+            TGD(body, (W,), [Atom(E, (xs[n], W))]),
+            TGD([Atom(E, (X, W))], (), [Atom(P1, (W,))]),
+        ])
+        out = emfa_set(rs, LIMITS)
+        assert out.status == "cyclic" and _replay(out, rs)
+        outcomes.append((len(out.atoms), out.steps))
+    # Pinned before the joins were compiled.
+    assert outcomes == [(4, 2), (4, 2)]

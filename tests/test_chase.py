@@ -10,6 +10,7 @@ from eqchase import (
     TGD,
     Atom,
     AtomSet,
+    BCQ,
     ChaseLimits,
     Constant,
     Entailed,
@@ -460,3 +461,61 @@ def test_compiled_skolem_symbols_are_those_of_skolemise():
                         assert a is symbols[rule.existentials.index(v)]
                         seen += 1
     assert seen > 100
+
+
+E2, Q2 = Predicate("E", 2), Predicate("Q", 2)
+
+
+def _chain(n):
+    """Variables X0..Xn and the body E(X0,X1), ..., E(Xn-1,Xn)."""
+    xs = [Variable(f"X{i}") for i in range(n + 1)]
+    return xs, [Atom(E2, xs[i : i + 2]) for i in range(n)]
+
+
+def _path_and_ring():
+    """E along the path n0 -> ... -> n26 and around the ring c0 -> ... -> c4
+    -> c0: a 25-edge walk starts at n0, n1 or any ci."""
+    path = [Constant(f"n{i}") for i in range(27)]
+    ring = [Constant(f"c{i}") for i in range(5)]
+    return [Atom(E2, e) for e in zip(path, path[1:])] + [
+        Atom(E2, (u, ring[(i + 1) % 5])) for i, u in enumerate(ring)
+    ]
+
+
+def _long_ontology():
+    # The 25-atom body is longer than one compiled join may nest loops.
+    xs, body = _chain(25)
+    W = Variable("W")
+    rules_ = RuleSet([
+        TGD(body, (W,), [Atom(Q2, (xs[0], W)), Atom(Q2, (W, xs[25]))]),
+        EGD([Atom(Q2, (X, Y)), Atom(Q2, (Y, Z))], X, Z),
+    ])
+    return Ontology(rules_, _path_and_ring())
+
+
+def test_long_rule_body_chases_as_the_oracle():
+    o = _long_ontology()
+    limits = ChaseLimits(max_steps=100, max_term_depth=3)
+    steps = _engine_steps(o, limits, 0)
+    assert steps == _oracle_steps(o, limits, 0)
+    outcome = chase(o, limits)
+    assert isinstance(outcome, Terminated)
+    # Pinned before the joins were compiled.
+    assert (outcome.steps, outcome.trace.egd_steps, len(outcome.result)) == (34, 3, 90)
+
+
+def test_long_query_body_agrees_with_the_enumeration():
+    xs, body = _chain(25)
+    aset = AtomSet(_path_and_ring())
+    walks = [tuple(b[x] for x in (xs[0], xs[25])) for b in match_conjunction(body, aset)]
+    assert walks == [(Constant("n0"), Constant("n25")), (Constant("n1"), Constant("n26"))] + [
+        (Constant(f"c{i}"), Constant(f"c{i}")) for i in range(5)
+    ]
+    w = homomorphism(body, aset)
+    assert w is not None and all(Atom(E2, [w[v] for v in a.args]) in aset for a in body)
+    # No 26-edge closed walk: the ring has 5 nodes and the path none.
+    assert homomorphism(body + [Atom(E2, (xs[25], xs[0]))], aset) is None
+    o = _long_ontology()
+    assert isinstance(entails(o, BCQ(xs, body)), Entailed)
+    closed = BCQ([*xs, X], body + [Atom(Q2, (xs[0], X)), Atom(Q2, (X, xs[25]))])
+    assert isinstance(entails(o, closed), Entailed)

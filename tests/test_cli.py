@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,3 +319,48 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
         assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0
         assert run(capsys, "check", THM2, "--notion", "bogus")[0] == 1
     assert built == []
+
+
+_BAD_RULE = "rule 1: head variable 'Y' does not occur in the body"
+_BAD_FACT = "fact 1 (Unknown(a)): predicate 'Unknown' does not occur in the rule set"
+_BAD_QUERY = ["query: queries must not contain constants (found a)",
+              "query: variable 'Y' is not quantified"]
+
+
+@pytest.mark.parametrize("command", ["chase", "query"])
+@pytest.mark.parametrize("text, want", [
+    ("A(X) -> B(Y) .\nA(X) -> exists W . R(X,W) .\nA(a) .\n", [_BAD_RULE]),
+    ("A(X) -> B(X) .\nA(a) .\n? exists X . A(X), B(a) .\n? exists X . C(X,Y) .\n",
+     _BAD_QUERY),
+    ("A(X) -> B(Y) .\nA(a) .\n? exists X . A(X), B(a) .\n? exists X . C(X,Y) .\n",
+     [_BAD_RULE] + _BAD_QUERY),
+    ("A(X) -> B(Y) .\nUnknown(a) .\n", [_BAD_RULE, _BAD_FACT]),
+], ids=["rule", "query", "both", "no-queries"])
+def test_violations_reported_ontology_first(capsys, tmp_path, command, text, want):
+    # Without queries, `query` still reports the ontology's violations,
+    # not the missing queries.
+    path = tmp_path / "bad.rules"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (1, "", "\n".join(want) + "\n")
+
+
+def test_inline_query_violations_come_last(capsys, tmp_path):
+    path = tmp_path / "bad.rules"
+    path.write_text("A(X) -> B(Y) .\nUnknown(a) .\n")
+    got = run(capsys, "query", str(path), "--query", "? exists X . Q(X,a) .")
+    assert got == (1, "", "\n".join([_BAD_RULE, _BAD_FACT, _BAD_QUERY[0]]) + "\n")
+
+
+def test_chase_and_query_validate_the_ontology_once(capsys, monkeypatch):
+    calls = []
+    for name in ("eqchase.cli", "eqchase.chase"):
+        module = sys.modules[name]
+
+        def counted(ontology, validate=module.validate):
+            calls.append(ontology)
+            return validate(ontology)
+
+        monkeypatch.setattr(module, "validate", counted)
+    assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0
+    assert run(capsys, "query", THM2, "--facts", AA, "--query", "? exists X . A(X) .")[0] == 0
+    assert len(calls) == 2

@@ -206,3 +206,46 @@ def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
                     check(plan, plan.seed(atom), init, rest)
                 else:
                     assert plan.seed(atom) is None
+
+
+def _run_all(text):
+    """Chase the program, saturate its rules and answer its queries; the
+    counts of what each found."""
+    from eqchase import Ontology, chase, emfa_set, homomorphism, parse
+
+    program = parse(text)
+    outcome = chase(Ontology(program.rules, program.facts))
+    saturated = emfa_set(program.rules)
+    found = [homomorphism(q.body, outcome.result) is not None for q in program.queries]
+    return outcome.steps, len(outcome.result), saturated.status, len(saturated.atoms), found
+
+
+def test_rule_sets_differing_in_names_share_their_kernels():
+    from eqchase.chase import _head_kernel, _kernel
+
+    one = ("A(X), R(X,Y), R(Y,Z) -> exists W . S(Z,W), S(W,X) .\n"
+           "S(X,Y), S(Y,Z) -> X = Z .\nA(a) .\nR(a,b) .\nR(b,c) .\n"
+           "? exists X,Y . S(X,Y), A(Y) .\n")
+    two = ("B(U), Q(U,V), Q(V,T) -> exists K . P(T,K), P(K,U) .\n"
+           "P(U,V), P(V,T) -> U = T .\nB(d) .\nQ(d,e) .\nQ(e,f) .\n"
+           "? exists U,V . P(U,V), B(V) .\n")
+    first = _run_all(one)
+    misses = _kernel.cache_info().misses, _head_kernel.cache_info().misses
+    assert _run_all(two) == first
+    assert (_kernel.cache_info().misses, _head_kernel.cache_info().misses) == misses
+
+
+def test_code_like_predicate_names_match_like_any_other():
+    from eqchase import Ontology, RuleSet, chase, homomorphism
+
+    odd, plain = Predicate("x]; import os #", 2), Predicate("E", 2)
+    outcomes = []
+    for p in (odd, plain):
+        rules_ = RuleSet([TGD([Atom(p, (X, Y)), Atom(p, (Y, Z))], (), [Atom(p, (X, Z))])])
+        facts = [Atom(p, (a, b)), Atom(p, (b, c)), Atom(p, (c, d))]
+        result = chase(Ontology(rules_, facts)).result
+        query = [Atom(p, (X, Y)), Atom(p, (Y, X))]
+        outcomes.append(([str(t) for atom in result for t in atom.args],
+                         homomorphism(query, result)))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][0]) == 2 * 6 and outcomes[0][1] is None
