@@ -72,11 +72,12 @@ class _Saturation:
     all active maps.
 
     Rules are compiled once into the chase engine's `_CompiledRule`, with
-    plans in body order: a match fires at most once per key (the rule's
-    `dead` set), and a TGD head is instantiated from the key by the
-    rule's template.  A derivation record is built only for an atom the
-    set does not hold yet, with the body instance the plan matched; the
-    others are dropped unrecorded."""
+    anchored plans that join the processed atom first and the rest of the
+    body in body order, all in one kernel run: a match fires at most once
+    per key (the rule's `dead` set), and a TGD head is instantiated from
+    the key by the rule's template.  A derivation record is built only
+    for an atom the set does not hold yet, with the body instance the
+    plan matched; the others are dropped unrecorded."""
 
     def __init__(self, rules: RuleSet, limits: ChaseLimits):
         self.limits = limits
@@ -153,12 +154,9 @@ class _Saturation:
             self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
         for cr, plan in self.readers.get(atom.predicate, ()):
-            slots = plan.seed(atom)
-            if slots is None:
-                continue
             dead = cr.dead
             fire = self._fire_tgd if cr.kind == "tgd" else self._fire_egd
-            for slots in match_conjunction(plan, aset, slots):
+            for slots in match_conjunction(plan, aset, plan.slots, atom):
                 key = tuple(slots)
                 if key not in dead:
                     dead.add(key)

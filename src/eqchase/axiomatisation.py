@@ -31,6 +31,7 @@ from .model import (
     RuleSet,
     Term,
     Variable,
+    _first_occurrence_vars,
 )
 
 #: Provenance labels.
@@ -226,11 +227,7 @@ def singularise_query(query: BCQ) -> Iterator[BCQ]:
     for ks in itertools.product(*(range(1, occ + 1) for _, occ in space)):
         choice = {name: k for (name, _), k in zip(space, ks)}
         body = singularise_conjunction(query.body, choice)
-        variables: dict[Variable, None] = {}
-        for atom in body:
-            for v in atom.variables():
-                variables.setdefault(v, None)
-        yield BCQ(tuple(variables), body)
+        yield BCQ(_first_occurrence_vars(body), body)
 
 
 def canonical_query_singularisation(query: BCQ) -> BCQ:

@@ -20,7 +20,7 @@ because later growth preserves embeddings and merges only rename them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -69,8 +69,6 @@ class ChaseTrace:
     steps: int = 0
     tgd_steps: int = 0
     egd_steps: int = 0
-    max_term_depth: int = 0
-    rule_fires: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -129,52 +127,40 @@ class _Plan:
     and its `_step`.  Without `size` the atoms are joined in body order;
     with it (a function from a predicate to its bucket size) in greedy
     connected order: next an atom that holds a bound variable, then the
-    one with the smaller bucket.  An anchored plan leaves out the atom
-    at body position `pos`: `seed` matches that atom itself, by its
-    `repeats` and `binds`.  The steps without a predicate are the plan's
-    shape, which picks its `kernel` (see `match_conjunction`); `preds`
-    are the steps' predicates and `scans` those of the steps that read a
-    whole bucket.  Running the plan records the atom matched at each
-    body position in `matched`, so a plan runs one enumeration at a
-    time.
+    one with the smaller bucket.  An anchored plan, one with no variable
+    bound beforehand, joins the atom at body position `pos` first: that
+    step scans the anchor atom it is run with (see `match_conjunction`).
+    The steps without a predicate are the plan's shape, which picks its
+    `kernel`; `preds` are the steps' predicates and `scans` those of the
+    other steps that read a whole bucket.  Running the plan records the
+    atom matched at each body position in `matched`, so a plan runs one
+    enumeration at a time.
     """
 
-    __slots__ = ("pos", "repeats", "binds", "matched", "slots", "preds", "scans", "kernel")
+    __slots__ = ("matched", "slots", "preds", "scans", "kernel")
 
     def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None):
         bound = set(bound)
+        anchored = pos is not None
         todo = list(range(len(body)))
-        self.pos = pos
-        if pos is not None:
-            todo.remove(pos)
-            _, _, _, self.repeats, self.binds = _step(body[pos], bound, slot)
         order, shape = [], []
         while todo:
-            i = todo[0]
-            if size is not None:
+            if anchored and not order:
+                i = pos
+            elif size is None:
+                i = todo[0]
+            else:
                 i = min(todo, key=lambda k: (
                     bound.isdisjoint(body[k].args), size(body[k].predicate), k))
             todo.remove(i)
             order.append(body[i].predicate)
             shape.append((i,) + _step(body[i], bound, slot))
         self.preds = tuple(order)
-        self.scans = tuple(p for p, step in zip(order, shape) if step[1] is None)
+        self.scans = tuple(p for p, step in zip(order[anchored:], shape[anchored:])
+                           if step[1] is None)
         self.kernel = _kernel(tuple(shape))
         self.matched: list = [None] * len(body)
         self.slots: list = [None] * len(slot)
-
-    def seed(self, atom: Atom) -> Optional[list]:
-        """The slot list with the anchor atom's variables bound, or None
-        when the atom does not match the anchor position."""
-        args = atom.args
-        for j, k in self.repeats:
-            if args[j] is not args[k]:
-                return None
-        slots = self.slots
-        for j, s in self.binds:
-            slots[s] = args[j]
-        self.matched[self.pos] = atom
-        return slots
 
 
 # Steps per kernel: CPython nests at most 20 blocks in one function.
@@ -243,14 +229,16 @@ def match_conjunction(
     body: Union[_Plan, Sequence[Atom]],
     aset: AtomSet,
     init: Union[list, Mapping[Variable, object], None] = None,
+    anchor: Optional[Atom] = None,
 ) -> Iterator:
     """Enumerate every binding of the body variables that embeds the
     conjunction into the atom set, in deterministic order.
 
     Given a compiled `_Plan`, runs it over the slot list `init` and yields
-    that list, live, at every match.  Given atoms, compiles a plan in body
-    order with the variables of `init` bound and yields a new dict per
-    binding, `init` included.
+    that list, live, at every match; an anchored plan is given the atom
+    its first step matches as `anchor`.  Given atoms, compiles a plan in
+    body order with the variables of `init` bound and yields a new dict
+    per binding, `init` included.
 
     A plan runs as its kernel, generated code with one nested `for` loop
     per step, inline `is not` tests and inline slot stores.  Kernels are
@@ -266,6 +254,7 @@ def match_conjunction(
 
     Each step's candidate source is fixed when the call is made:
 
+    * the anchored step of an anchored plan: the anchor atom alone;
     * first argument bound: the `arg0_bucket` list of its value, which is
       live, so it also holds atoms added while the enumeration runs;
     * another argument bound (the first such one): the `arg_bucket` list
@@ -287,8 +276,10 @@ def match_conjunction(
         slots = plan.slots
         for v, t in init.items():
             slots[slot[v]] = t
-    run = plan.kernel(plan.preds, aset, slots, plan.matched, aset.rank_bound(),
-                      [aset.bucket(p) for p in plan.scans])
+    snaps = [] if anchor is None else [(anchor,)]
+    if plan.scans:
+        snaps += map(aset.bucket, plan.scans)
+    run = plan.kernel(plan.preds, aset, slots, plan.matched, aset.rank_bound(), snaps)
     if plan is body:
         return run
     return (dict(zip(variables, found)) for found in run)
@@ -411,7 +402,9 @@ class _CompiledRule:
     A match is identified by its key, the tuple of the terms it binds to
     `universals`, which are the slots of the rule's plans.  The engine
     builds every plan (`compile`); the saturation reads only the anchored
-    ones and builds only those (`compile_anchored`).
+    ones and builds only those (`compile_anchored`).  An anchored plan
+    matches its anchor atom in its kernel's first step, so a run on an
+    atom that does not fit the anchor position yields nothing.
     `template` gives each atom of the skolemised head of a TGD as
     (predicate, arguments), each argument an index into the key or the
     Skolem symbol of an existential, whose term is that symbol applied to
@@ -563,7 +556,7 @@ class ChaseEngine:
         self.limits = limits
         self.on_step = on_step
         self.state = AtomSet(ontology.facts)
-        self.trace = ChaseTrace(max_term_depth=self.state.max_term_depth())
+        self.trace = ChaseTrace()
         self.compiled = [_CompiledRule(i, r) for i, r in enumerate(ontology.rules)]
         if seed:
             import random
@@ -583,10 +576,8 @@ class ChaseEngine:
         aset = self.state
         for atom in atoms:
             for plan in cr.plans.get(atom.predicate, ()):
-                slots = plan.seed(atom)
-                if slots is not None:
-                    for slots in match_conjunction(plan, aset, slots):
-                        yield tuple(slots), plan.matched
+                for slots in match_conjunction(plan, aset, plan.slots, atom):
+                    yield tuple(slots), plan.matched
 
     def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
         """Queue every new match of the rule that uses an added atom."""
@@ -693,8 +684,6 @@ class ChaseEngine:
                     if other.started:
                         self._queue_delta(other, fresh)
                 self.trace.tgd_steps += 1
-                if d > self.trace.max_term_depth:
-                    self.trace.max_term_depth = d
             else:
                 tx, ty = key[cr.x], key[cr.y]
                 if tx.order_key < ty.order_key:
@@ -703,7 +692,6 @@ class ChaseEngine:
                     self._merge(tx, ty)
                 self.trace.egd_steps += 1
             self.trace.steps += 1
-            self.trace.rule_fires[cr.idx] = self.trace.rule_fires.get(cr.idx, 0) + 1
             if self.on_step is not None:
                 self.on_step(self.trace.steps, cr.rule, dict(zip(cr.universals, key)), self.state)
 

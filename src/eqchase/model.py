@@ -562,11 +562,10 @@ class BCQ:
 
 @dataclass(frozen=True)
 class SkolemisedTGD:
-    """A TGD whose existentials have been replaced by functional terms
-    over the rule's universal variables."""
+    """The head of a TGD whose existentials have been replaced by
+    functional terms over the rule's universal variables, and the Skolem
+    symbols of those terms."""
 
-    source: TGD
-    body: tuple[Atom, ...]
     head: tuple[Atom, ...]
     symbols: tuple[SkolemSymbol, ...]
 
@@ -588,7 +587,7 @@ def skolemise(rule: TGD) -> SkolemisedTGD:
         symbols.append(sym)
         mapping[w] = Functional(sym, univ)
     head = tuple(apply_syntactic_partial(a, mapping) for a in rule.head)
-    return SkolemisedTGD(rule, rule.body, head, tuple(symbols))
+    return SkolemisedTGD(head, tuple(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -865,16 +864,8 @@ def validate_ruleset(rules: RuleSet) -> list[Violation]:
     if not rules.rules:
         out.append(Violation("rules", "rule set must be non-empty"))
     arities: dict[str, int] = {}
-    seen_ex: dict[str, int] = {}
     for i, r in enumerate(rules):
-        where = f"rule {i + 1}"
-        out.extend(_check_rule(r, where, arities))
-        if type(r) is TGD:
-            for v in r.existentials:
-                if v.name in seen_ex:
-                    out.append(Violation(where, f"existential variable {v.name!r} reoccurs (also in rule {seen_ex[v.name] + 1})"))
-                else:
-                    seen_ex[v.name] = i
+        out.extend(_check_rule(r, f"rule {i + 1}", arities))
     return out
 
 
@@ -882,7 +873,9 @@ def validate(ontology: Ontology) -> list[Violation]:
     """Check every well-formedness assumption; returns violations with
     their locations rather than raising."""
     out = validate_ruleset(ontology.rules)
-    known = {p.name: p.arity for r in ontology.rules for p in _rule_preds(r)}
+    known: dict[str, int] = {}
+    for p in ontology.rules.predicates():
+        known.setdefault(p.name, p.arity)
     for j, fact in enumerate(ontology.facts):
         where = f"fact {j + 1} ({fact})"
         p = fact.predicate
@@ -899,14 +892,6 @@ def validate(ontology: Ontology) -> list[Violation]:
             if type(t) is Functional:
                 out.append(Violation(where, "facts must be function-free"))
     return out
-
-
-def _rule_preds(r: Rule) -> Iterator[Predicate]:
-    for atom in r.body:
-        yield atom.predicate
-    if type(r) is TGD:
-        for atom in r.head:
-            yield atom.predicate
 
 
 def validate_query(q: BCQ) -> list[Violation]:

@@ -34,6 +34,7 @@ from .model import (
     Rule,
     RuleSet,
     Variable,
+    _first_occurrence_vars,
 )
 
 
@@ -58,18 +59,12 @@ class Program:
     rules: RuleSet
     facts: tuple[Atom, ...]
     queries: tuple[BCQ, ...]
-    rule_locations: tuple[tuple[int, int], ...] = ()
-    fact_locations: tuple[tuple[int, int], ...] = ()
-    query_locations: tuple[tuple[int, int], ...] = ()
 
     def merge(self, other: "Program") -> "Program":
         return Program(
             RuleSet(list(self.rules) + list(other.rules)),
             self.facts + other.facts,
             self.queries + other.queries,
-            self.rule_locations + other.rule_locations,
-            self.fact_locations + other.fact_locations,
-            self.query_locations + other.query_locations,
         )
 
 
@@ -226,7 +221,7 @@ class _Parser:
             return out
 
     def parse_statement(self):
-        """Returns ("rule" | "fact" | "query", payload, line, col) or None."""
+        """Returns ("rule" | "fact" | "query", payload) or None."""
         t = self.peek()
         if t[0] == "QMARK":
             self.next()
@@ -239,7 +234,7 @@ class _Parser:
             body = self.parse_conjunction()
             if body is None or self.expect("DOT", "'.'") is None:
                 return None
-            return ("query", (exists, body), t[2], t[3])
+            return ("query", (exists, body))
 
         body = self.parse_conjunction()
         if body is None:
@@ -250,7 +245,7 @@ class _Parser:
             if len(body) != 1:
                 self.error(t2, "a fact statement holds exactly one atom")
                 return None
-            return ("fact", body[0], body[0].line, body[0].col)
+            return ("fact", body[0])
         if t2[0] != "ARROW":
             self.error(t2, "expected '->' or '.'")
             return None
@@ -264,18 +259,18 @@ class _Parser:
             head = self.parse_conjunction()
             if head is None or self.expect("DOT", "'.'") is None:
                 return None
-            return ("rule", ("tgd", body, exists, head), body[0].line, body[0].col)
+            return ("rule", ("tgd", body, exists, head))
         if t3[0] == "UIDENT" and self.tokens[self.pos + 1][0] == "EQUALS":
             x = self.next()
             self.next()  # '='
             y = self.expect("UIDENT", "a variable")
             if y is None or self.expect("DOT", "'.'") is None:
                 return None
-            return ("rule", ("egd", body, x, y), body[0].line, body[0].col)
+            return ("rule", ("egd", body, x, y))
         head = self.parse_conjunction()
         if head is None or self.expect("DOT", "'.'") is None:
             return None
-        return ("rule", ("tgd", body, None, head), body[0].line, body[0].col)
+        return ("rule", ("tgd", body, None, head))
 
     def parse_program(self) -> list:
         statements = []
@@ -344,16 +339,12 @@ def parse(text: str) -> Program:
     rules: list[Rule] = []
     facts: list[Atom] = []
     queries: list[BCQ] = []
-    rule_locs: list[tuple[int, int]] = []
-    fact_locs: list[tuple[int, int]] = []
-    query_locs: list[tuple[int, int]] = []
 
-    for kind, payload, line, col in statements:
+    for kind, payload in statements:
         if kind == "fact":
             atom = builder.atom(payload)
             if atom is not None:
                 facts.append(atom)
-                fact_locs.append((line, col))
         elif kind == "rule":
             shape = payload[0]
             body = [builder.atom(r) for r in payload[1]]
@@ -369,7 +360,6 @@ def parse(text: str) -> Program:
             else:
                 _, _, x, y = payload
                 rules.append(EGD(body, Variable(x[1]), Variable(y[1])))
-            rule_locs.append((line, col))
         else:
             exists, raw_body = payload
             body = [builder.atom(r) for r in raw_body]
@@ -378,25 +368,13 @@ def parse(text: str) -> Program:
             if exists is not None:
                 variables = tuple(Variable(t[1]) for t in exists)
             else:
-                seen: dict[Variable, None] = {}
-                for a in body:
-                    for v in a.variables():
-                        seen.setdefault(v, None)
-                variables = tuple(seen)
+                variables = _first_occurrence_vars(body)
             queries.append(BCQ(variables, body))
-            query_locs.append((line, col))
 
     diags.extend(builder.diags)
     if diags:
         raise ParseError(diags)
-    return Program(
-        RuleSet(rules),
-        tuple(facts),
-        tuple(queries),
-        tuple(rule_locs),
-        tuple(fact_locs),
-        tuple(query_locs),
-    )
+    return Program(RuleSet(rules), tuple(facts), tuple(queries))
 
 
 # ---------------------------------------------------------------------------

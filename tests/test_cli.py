@@ -34,6 +34,14 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert "does not occur" in out
 
 
+def test_validate_reports_a_duplicate_existential_once(capsys, tmp_path):
+    bad = tmp_path / "dup.rules"
+    bad.write_text("A(X) -> exists W, W . R(X,W) .\n")
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert out.splitlines() == ["rule 1: duplicate existential variable"]
+
+
 def test_validate_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "broken.rules"
     bad.write_text("A( .\n")

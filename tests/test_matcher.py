@@ -166,10 +166,10 @@ def _dict_keys(body, s, universals, init):
     return [tuple(b[v] for v in universals) for b in match_conjunction(body, s, init)]
 
 
-def _plan_matches(plan, s, slots):
+def _plan_matches(plan, s, anchor=None):
     """(key, rank tuple) of each match the compiled plan finds, in order."""
     return [(tuple(found), tuple(map(s.rank, plan.matched)))
-            for found in match_conjunction(plan, s, slots)]
+            for found in match_conjunction(plan, s, plan.slots, anchor)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,24 +188,48 @@ def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
 
     u = cr.universals
 
-    def check(plan, slots, init, positions):
-        got = _plan_matches(plan, s, slots)
+    def check(plan, anchor, init, positions):
+        got = _plan_matches(plan, s, anchor)
         want = _dict_keys([body[i] for i in positions], s, u, init)
         assert same(key for key, _ in got) == same(want)
         for key, ranks in got:
             atoms = [Atom(a.predicate, [key[u.index(v)] for v in a.args]) for a in body]
             assert ranks == tuple(s.rank(a) for a in atoms)
 
-    check(cr.whole, cr.whole.slots, {}, range(len(body)))
+    check(cr.whole, None, {}, range(len(body)))
     for pred, plans in cr.plans.items():
-        for plan in plans:
-            rest = [i for i in range(len(body)) if i != plan.pos]
+        positions = [i for i, atom in enumerate(body) if atom.predicate is pred]
+        for pos, plan in zip(positions, plans):
+            rest = [i for i in range(len(body)) if i != pos]
             for atom in list(s.bucket(pred)):
                 init = {}
-                if all(init.setdefault(v, t) is t for v, t in zip(body[plan.pos].args, atom.args)):
-                    check(plan, plan.seed(atom), init, rest)
+                if all(init.setdefault(v, t) is t for v, t in zip(body[pos].args, atom.args)):
+                    check(plan, atom, init, rest)
                 else:
-                    assert plan.seed(atom) is None
+                    assert _plan_matches(plan, s, atom) == []
+
+
+def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
+    from eqchase import Ontology, RuleSet
+    from eqchase.acyclicity import _Saturation
+    from eqchase.chase import ChaseEngine, ChaseLimits
+
+    rule = TGD([Atom(R2, (X, X))], (), [Atom(P1, (X,))])
+    same, differ = Atom(R2, (a, a)), Atom(R2, (a, b))
+    engine = ChaseEngine(Ontology(RuleSet([rule]), [same, differ]))
+    cr = engine.compiled[0]
+    engine._start(cr)
+    assert list(cr.queued) == [(a,)]
+    assert [(key, list(m)) for key, m in engine._anchored(cr, [same])] == [((a,), [same])]
+    assert list(engine._anchored(cr, [differ])) == []
+
+    saturation = _Saturation(RuleSet([rule]), ChaseLimits())
+    cr = saturation.readers[R2][0][0]
+    for atom in (differ, same):
+        saturation.atoms.add(atom)
+        saturation._process(atom)
+    assert cr.dead == {(a,)}
+    assert list(saturation.atoms) == [differ, same, Atom(P1, (a,))]
 
 
 def _run_all(text):

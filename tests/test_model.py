@@ -243,6 +243,25 @@ def test_validate_flags_unknown_fact_predicate_and_arity():
     assert any("arities" in v.message for v in validate(o))
 
 
+def test_validate_ruleset_accepts_existentials_renamed_apart():
+    r1 = TGD([Atom(P1, [X])], (W,), [Atom(R2, [X, W])])
+    r2 = TGD([Atom(P1, [X])], (W,), [Atom(R2, [W, X])])
+    rs = RuleSet([r1, r2])
+    assert [v.name for r in rs for v in r.existentials] == ["W", "W__2"]
+    assert validate_ruleset(rs) == []
+
+
+def test_facts_are_checked_against_the_first_arity_the_rules_use():
+    p1, p2 = Predicate("P", 1), Predicate("P", 2)
+    rs = RuleSet([TGD([Atom(p1, [X])], (), [Atom(R2, [X, X])]),
+                  TGD([Atom(p2, [X, Y])], (), [Atom(R2, [X, Y])])])
+    clash = [str(v) for v in validate_ruleset(rs)]
+    assert clash == ["rule 2: predicate 'P' used with arities 1 and 2"]
+    assert [str(v) for v in validate(Ontology(rs, (Atom(p1, [a]),)))] == clash
+    assert [str(v) for v in validate(Ontology(rs, (Atom(p2, [a, b]),)))] == clash + [
+        "fact 1 (P(a,b)): predicate 'P' used with arities 1 and 2"]
+
+
 def test_validate_flags_empty_ruleset():
     assert any("non-empty" in v.message for v in validate_ruleset(RuleSet([])))
 
