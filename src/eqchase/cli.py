@@ -301,6 +301,8 @@ def _report_lines(reports: list[CheckReport], fmt: str, timing: bool) -> tuple[s
     lines = []
     for r in reports:
         line = f"{r.notion}: {r.verdict}"
+        if r.limit is not None:
+            line += f" ({r.limit})"
         if r.witness_term is not None:
             line += f" (witness {r.witness_atom}, cyclic term {r.witness_term})"
         line += f" [set_size={r.set_size}, steps={r.steps}"

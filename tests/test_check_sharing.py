@@ -1,0 +1,171 @@
+"""`check_pipeline` shares one compiled form of each rule among its
+saturations, and that sharing changes no result.
+
+The differential test runs `check_pipeline` and, for every saturation it
+made, a fresh `_Saturation(rules, limits).run()` over the same rules, and
+requires the same atoms in rank order, derivation records, status,
+witness and counts.  The counting tests pin how much compiling one
+`check --notion all` job does, and that a compiled form lives no longer
+than the call that made it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import weakref
+
+import pytest
+
+from corpus import random_ruleset
+from eqchase import (
+    TGD,
+    Atom,
+    ChaseLimits,
+    EGD,
+    Predicate,
+    RuleSet,
+    Variable,
+    canonical_singularisation,
+    check_pipeline,
+    parse,
+    singularisations,
+    standard_axiomatisation,
+)
+from eqchase import acyclicity
+from eqchase.acyclicity import _Saturation
+from eqchase.chase import _CompiledRule, _Plan
+from eqchase.cli import main
+from perfbench_loader import load_workloads
+from rulesets import ALL_TEXTS
+
+w = load_workloads()
+LIMITS = ChaseLimits(max_atoms=20_000, max_term_depth=10)
+SING_CAP = 4
+
+X, Y, W = Variable("X"), Variable("Y"), Variable("W")
+A, B, R = Predicate("A", 1), Predicate("B", 1), Predicate("R", 2)
+CLOSED = TGD([Atom(R, (X, Y))], (), [Atom(B, (Y,))])
+# A closed TGD twice, next to a rule whose nulls it reads, and an EGD.
+TWICE = RuleSet([
+    CLOSED,
+    TGD([Atom(A, (X,))], (W,), [Atom(R, (X, W)), Atom(A, (W,))]),
+    CLOSED,
+    EGD([Atom(R, (X, Y)), Atom(B, (Y,))], X, Y),
+])
+
+
+def _cases() -> dict[str, RuleSet]:
+    cases = {name: parse(text).rules for name, text in ALL_TEXTS.items()}
+    for seed in (101, 102):
+        for job in w.make_jobs("check-corpus", seed):
+            cases.setdefault(f"s{seed}-{job.name}", parse(job.text).rules)
+    rng = random.Random(21)
+    for i in range(150):
+        cases[f"corpus-{i:03d}"] = random_ruleset(rng, max_rules=6)
+    cases["closed-twice"] = TWICE
+    return cases
+
+
+CASES = _cases()
+
+
+def _fresh(rules: RuleSet):
+    return _Saturation(rules, LIMITS).run()
+
+
+def _same_outcome(got, want) -> None:
+    assert got.status == want.status
+    assert list(got.atoms) == list(want.atoms)
+    assert list(got.derivations.items()) == list(want.derivations.items())
+    assert (got.witness_atom, got.witness_term) == (want.witness_atom, want.witness_term)
+    assert (got.limit, got.steps, len(got.atoms)) == (want.limit, want.steps, len(want.atoms))
+
+
+def _row(report) -> tuple:
+    return (report.notion, report.verdict, report.set_size, report.steps,
+            report.witness_atom, report.witness_term, report.limit)
+
+
+def test_closed_twice_keeps_both_rules():
+    assert len(TWICE) == 4 and TWICE[0] == TWICE[2]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shared_compile_matches_fresh_saturations(name, monkeypatch):
+    rules = CASES[name]
+    runs = []
+    emfa_set = acyclicity.emfa_set
+
+    def recorded(rs, *args, **kwargs):
+        outcome = emfa_set(rs, *args, **kwargs)
+        runs.append((rs, outcome))
+        return outcome
+
+    monkeypatch.setattr(acyclicity, "emfa_set", recorded)
+    reports = check_pipeline(rules, LIMITS, sing_cap=SING_CAP)
+    monkeypatch.undo()
+
+    for rs, outcome in runs:
+        _same_outcome(outcome, _fresh(rs))
+
+    notions = [("emfa", rules), ("mfa-st", standard_axiomatisation(rules).rules),
+               ("mfa-sing", canonical_singularisation(rules).rules)]
+    notions += [("mfa-sing-all", axr.rules)
+                for axr in itertools.islice(singularisations(rules), SING_CAP)]
+    want = [_row(acyclicity._report(notion, _fresh(rs), 0.0)) for notion, rs in notions]
+    assert [_row(r) for r in reports] == want
+
+
+# -- how much one call compiles ------------------------------------------
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Counts of compiled rules and built plans; each compiled rule is
+    also kept as a weak reference."""
+    seen = {"rules": 0, "plans": 0, "refs": []}
+
+    class Counted(_CompiledRule):
+        # A subclass without __slots__ can be weakly referenced.
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen["rules"] += 1
+            seen["refs"].append(weakref.ref(self))
+
+    init = _Plan.__init__
+
+    def plan(self, *args, **kwargs):
+        seen["plans"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(acyclicity, "_CompiledRule", Counted)
+    monkeypatch.setattr(_Plan, "__init__", plan)
+    return seen
+
+
+def test_check_cycle_compiles_each_distinct_rule_once(counting, tmp_path):
+    jobs = w.make_jobs("check-corpus", 101)
+    w.write_inputs(jobs, tmp_path)
+    for job in jobs:
+        code, out, err = w.run_cli(main, job.cli_args(tmp_path))
+        assert w.check_output("check-corpus", job, code, out) is None, err
+    # 32.0 rules and 50.3 plans per job; 2352 and 3240 (51.1 and 70.4)
+    # when each saturation compiled every rule itself.
+    assert len(jobs) == 46
+    assert (counting["rules"], counting["plans"]) == (1473, 2312)
+
+
+def test_each_call_compiles_anew(counting):
+    rules = parse(ALL_TEXTS["thm2"]).rules
+    check_pipeline(rules, LIMITS)
+    once = (counting["rules"], counting["plans"])
+    assert once[0] > 0
+    check_pipeline(rules, LIMITS)
+    assert (counting["rules"], counting["plans"]) == (2 * once[0], 2 * once[1])
+
+
+def test_compiled_forms_die_with_the_call(counting):
+    check_pipeline(parse(ALL_TEXTS["ex4"]).rules, LIMITS, sing_cap=SING_CAP)
+    refs = counting["refs"]
+    assert refs and all(ref() is None for ref in refs)

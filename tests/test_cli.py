@@ -279,6 +279,39 @@ def test_check_steps_never_negative(capsys):
     assert all(r["verdict"] == "limit-exceeded" and r["steps"] == 0 for r in reports)
 
 
+# Ai(X) -> exists Y . Ri(X,Y), Ai+1(Y) for i = 0..13: the EMFA set's
+# deepest term has depth 15, past the CLI's default --max-depth 10.
+CHAIN14 = "".join(f"A{i}(X) -> exists Y . R{i}(X,Y), A{i + 1}(Y) .\n" for i in range(14))
+
+
+@pytest.mark.parametrize("flags,limit,counts", [
+    ((), "max_term_depth", [(210, 181), (296, 266), (296, 266)]),
+    (("--max-atoms", "5"), "max_atoms", [(6, 0)] * 3),
+])
+def test_check_text_names_the_limit(capsys, tmp_path, flags, limit, counts):
+    path = tmp_path / "chain14.rules"
+    path.write_text(CHAIN14)
+    code, out, _ = run(capsys, "check", str(path), "--no-timing", *flags)
+    assert code == 2
+    assert out.splitlines() == [
+        f"{notion}: limit-exceeded ({limit}) [set_size={size}, steps={steps}]"
+        for notion, (size, steps) in zip(("emfa", "mfa-st", "mfa-sing"), counts)
+    ]
+    code, out, _ = run(capsys, "check", str(path), "--format", "json", "--no-timing", *flags)
+    assert code == 2
+    assert [r["limit"] for r in json.loads(out)] == [limit] * 3
+
+
+def test_check_chain_is_acyclic_past_the_default_depth(capsys, tmp_path):
+    path = tmp_path / "chain14.rules"
+    path.write_text(CHAIN14)
+    code, out, _ = run(capsys, "check", str(path), "--max-depth", "1000", "--no-timing")
+    assert code == 0
+    assert out.splitlines() == ["emfa: acyclic [set_size=239, steps=210]",
+                                "mfa-st: acyclic [set_size=345, steps=315]",
+                                "mfa-sing: acyclic [set_size=345, steps=315]"]
+
+
 def test_help_exits_zero(capsys):
     # Also after a good call and a usage error in the same process.
     assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0

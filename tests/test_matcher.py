@@ -228,7 +228,7 @@ def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
     for atom in (differ, same):
         saturation.atoms.add(atom)
         saturation._process(atom)
-    assert cr.dead == {(a,)}
+    assert saturation.runs[cr] == (0, {(a,)})
     assert list(saturation.atoms) == [differ, same, Atom(P1, (a,))]
 
 
