@@ -541,6 +541,12 @@ class ChaseEngine:
     renamed rather than cleared and a dead match is never pushed again; a
     re-ranked EGD match that was consumed equates equal terms and stays
     rejected.
+
+    `run` is one loop: it pops each rule's heap, tests a closed TGD's
+    head by membership in the set's dict and queues new matches inline.
+    A closed head holds only terms of the state, no deeper than
+    max(1, cap): facts are function-free, and every other term passed the
+    depth test.  So a closed TGD is depth-tested only for a cap below 1.
     """
 
     def __init__(
@@ -579,13 +585,6 @@ class ChaseEngine:
                 for slots in match_conjunction(plan, aset, plan.slots, atom):
                     yield tuple(slots), plan.matched
 
-    def _queue_delta(self, cr: _CompiledRule, added: Sequence[Atom]) -> None:
-        """Queue every new match of the rule that uses an added atom."""
-        rank = self.state.rank
-        for key, matched in self._anchored(cr, added):
-            if key not in cr.queued:
-                self._push(cr, key, tuple(map(rank, matched)))
-
     def _start(self, cr: _CompiledRule) -> None:
         """Compile the rule's plans for the current state and queue every
         match of the rule in it."""
@@ -599,44 +598,6 @@ class ChaseEngine:
             ranks = cr.queued[key] = tuple(map(rank, plan.matched))
             cr.heap.append((ranks, next(self._pushes), key))
         heapify(cr.heap)
-
-    def _pop(self, cr: _CompiledRule) -> Optional[tuple]:
-        """Remove and return the key of the rule's least live queued match."""
-        if not cr.started:
-            self._start(cr)
-        heap = cr.heap
-        gone = self.gone
-        while heap:
-            ranks, _, key = heappop(heap)
-            # Entries go stale only at merges, so before the first one
-            # every entry is live.
-            if not gone or (cr.queued[key] is ranks and gone.isdisjoint(key)):
-                return key
-        return None
-
-    def _find_next(self):
-        """The next pair to apply, as (rule, key, the instantiated head
-        of a TGD or None), or None when no pair is applicable."""
-        aset = self.state
-        for cr in self.compiled:
-            while True:
-                key = self._pop(cr)
-                if key is None:
-                    break
-                if cr.kind == "egd":
-                    if key[cr.x] is not key[cr.y]:
-                        return cr, key, None
-                    continue
-                if cr.closed:
-                    head = cr.instantiate(key)
-                    if not all(a in aset for a in head):
-                        return cr, key, head
-                else:
-                    cr.head.slots[:len(key)] = key
-                    if next(match_conjunction(cr.head, aset, cr.head.slots), None) is None:
-                        return cr, key, cr.instantiate(key)
-                cr.bury(key)
-        return None
 
     def _merge(self, frm, to) -> None:
         """Rename `frm` to `to` in the state and in every dead key, and
@@ -655,45 +616,84 @@ class ChaseEngine:
 
     def run(self) -> ChaseOutcome:
         limits = self.limits
+        max_steps, max_atoms, cap = limits.max_steps, limits.max_atoms, limits.max_term_depth
         deadline = None
         if limits.wall_clock_ms is not None:
             deadline = time.monotonic() + limits.wall_clock_ms / 1000.0
+        aset, trace, compiled, gone = self.state, self.trace, self.compiled, self.gone
         while True:
             if deadline is not None and time.monotonic() > deadline:
-                return LimitExceeded(self.state, "wall_clock_ms", self.trace.steps, self.trace)
-            found = self._find_next()
-            if found is None:
-                return Terminated(self.state, self.trace.steps, self.trace)
-            cr, key, new_atoms = found
-            if limits.max_steps is not None and self.trace.steps >= limits.max_steps:
-                return LimitExceeded(self.state, "max_steps", self.trace.steps, self.trace)
+                return LimitExceeded(aset, "wall_clock_ms", trace.steps, trace)
+            # Read each step: an `on_step` that iterates the set after a
+            # merge replaces its dict.
+            held = aset._atoms
+            # Pop rule by rule until a candidate passes the test.
+            for cr in compiled:
+                if not cr.started:
+                    self._start(cr)
+                heap, queued = cr.heap, cr.queued
+                while heap:
+                    ranks, _, key = heappop(heap)
+                    # Entries go stale only at merges, so before the first
+                    # one every entry is live.
+                    if gone and (queued[key] is not ranks or not gone.isdisjoint(key)):
+                        continue
+                    if cr.kind == "egd":
+                        if key[cr.x] is not key[cr.y]:
+                            break
+                        continue
+                    if cr.closed:
+                        head = cr.instantiate(key)
+                        if not all(map(held.__contains__, head)):
+                            break
+                    else:
+                        plan = cr.head
+                        plan.slots[:len(key)] = key
+                        if next(match_conjunction(plan, aset, plan.slots), None) is None:
+                            head = cr.instantiate(key)
+                            break
+                    cr.bury(key)
+                else:
+                    continue  # no applicable match: the next rule
+                break  # applicable: `cr` and `key`, and `head` for a TGD
+            else:
+                return Terminated(aset, trace.steps, trace)
+            if max_steps is not None and trace.steps >= max_steps:
+                return LimitExceeded(aset, "max_steps", trace.steps, trace)
             if cr.kind == "tgd":
-                fresh = [a for a in dict.fromkeys(new_atoms) if a not in self.state]
-                d = max(max(t.depth for t in a.args) for a in new_atoms)
-                if limits.max_term_depth is not None and d > limits.max_term_depth:
-                    return LimitExceeded(self.state, "max_term_depth", self.trace.steps, self.trace)
-                if (
-                    limits.max_atoms is not None
-                    and len(self.state) + len(fresh) > limits.max_atoms
-                ):
-                    return LimitExceeded(self.state, "max_atoms", self.trace.steps, self.trace)
+                fresh = [a for a in dict.fromkeys(head) if a not in held]
+                if (cap is not None and (cap < 1 or not cr.closed)
+                        and max(t.depth for a in head for t in a.args) > cap):
+                    return LimitExceeded(aset, "max_term_depth", trace.steps, trace)
+                if max_atoms is not None and len(held) + len(fresh) > max_atoms:
+                    return LimitExceeded(aset, "max_atoms", trace.steps, trace)
                 for a in fresh:
-                    self.state.add(a)
+                    aset.add(a)
                 cr.bury(key)
-                for other in self.compiled:
-                    if other.started:
-                        self._queue_delta(other, fresh)
-                self.trace.tgd_steps += 1
+                # Queue each started rule's matches that use an added atom.
+                rank = held.__getitem__
+                for other in compiled:
+                    if not other.started:
+                        continue
+                    plans, heap, queued = other.plans, other.heap, other.queued
+                    for atom in fresh:
+                        for plan in plans.get(atom.predicate, ()):
+                            for slots in match_conjunction(plan, aset, plan.slots, atom):
+                                found = tuple(slots)
+                                if found not in queued:
+                                    ranks = queued[found] = tuple(map(rank, plan.matched))
+                                    heappush(heap, (ranks, next(self._pushes), found))
+                trace.tgd_steps += 1
             else:
                 tx, ty = key[cr.x], key[cr.y]
                 if tx.order_key < ty.order_key:
                     self._merge(ty, tx)
                 else:
                     self._merge(tx, ty)
-                self.trace.egd_steps += 1
-            self.trace.steps += 1
+                trace.egd_steps += 1
+            trace.steps += 1
             if self.on_step is not None:
-                self.on_step(self.trace.steps, cr.rule, dict(zip(cr.universals, key)), self.state)
+                self.on_step(trace.steps, cr.rule, dict(zip(cr.universals, key)), aset)
 
 
 def chase(

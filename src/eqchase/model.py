@@ -193,7 +193,28 @@ class Functional:
         return Functional, (self.fn, self.args)
 
     def __str__(self) -> str:
-        return f"{self.fn.name}({','.join(str(a) for a in self.args)})"
+        # A stack of (arguments, next index), not recursion: a chase can
+        # build terms deeper than the interpreter's recursion limit.
+        parts = [self.fn.name, "("]
+        stack = []
+        args, i = self.args, 0
+        while True:
+            if i < len(args):
+                a = args[i]
+                if i:
+                    parts.append(",")
+                i += 1
+                if type(a) is Functional:
+                    stack.append((args, i))
+                    parts += (a.fn.name, "(")
+                    args, i = a.args, 0
+                else:
+                    parts.append(a.name)
+            else:
+                parts.append(")")
+                if not stack:
+                    return "".join(parts)
+                args, i = stack.pop()
 
     def __repr__(self) -> str:
         return f"Functional({self.fn.name!r}, {self.args!r})"
@@ -423,6 +444,15 @@ def _first_occurrence_vars(atoms: Sequence[Atom]) -> tuple[Variable, ...]:
     return tuple(seen)
 
 
+def _variable_names(rules: Sequence[Rule]) -> set[str]:
+    """The names of the rules' variables, existentials included."""
+    names = {v.name for r in rules if type(r) is TGD for v in r.existentials}
+    for r in rules:
+        for atom in (*r.body, *r.head) if type(r) is TGD else r.body:
+            names.update(v.name for v in atom.variables())
+    return names
+
+
 class RuleSet:
     """An ordered collection of rules.
 
@@ -437,25 +467,14 @@ class RuleSet:
 
     def __init__(self, rules: Iterable[Rule]):
         rules = list(rules)
-        taken: set[str] = set()
-        for r in rules:
-            if type(r) is TGD:
-                for v in r.existentials:
-                    taken.add(v.name)
-        all_names = set(taken)
-        for r in rules:
-            for atom in r.body:
-                for v in atom.variables():
-                    all_names.add(v.name)
-            if type(r) is TGD:
-                for atom in r.head:
-                    for v in atom.variables():
-                        all_names.add(v.name)
-
+        # Built at the first clash, which most sets never have.
+        all_names: Optional[set[str]] = None
         seen: set[str] = set()
         out: list[Rule] = []
         for r in rules:
             if type(r) is TGD and any(v.name in seen for v in r.existentials):
+                if all_names is None:
+                    all_names = _variable_names(rules)
                 ren: dict[Variable, Term] = {}
                 for v in r.existentials:
                     if v.name in seen:

@@ -1,0 +1,72 @@
+"""The chase-egd, query and check pins, run without pytest.
+
+For an interpreter that has no pytest installed, e.g. to try the
+generated join kernels (built with `exec`, nested as deep as CPython
+allows) on another Python version:
+
+    PYTHONPATH=src python3.13 tests/run_pins.py
+
+Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py` and
+`test_check_pins.py` once per case, each through `eqchase.cli.main`;
+prints one line per file and exits 1 if any case misses its pin.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+import traceback
+import types
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+try:
+    import pytest  # noqa: F401
+except ImportError:
+    # The pin files only decorate their tests with `pytest.mark.parametrize`.
+    stub = types.ModuleType("pytest")
+    stub.mark = types.SimpleNamespace(parametrize=lambda *args, **kwargs: lambda fn: fn)
+    sys.modules["pytest"] = stub
+
+import test_bench_pins  # noqa: E402
+import test_check_pins  # noqa: E402
+import test_query_pins  # noqa: E402
+
+# (name, checks of the case list, the pin test, its arguments per case)
+SUITES = [
+    ("chase-egd", [test_bench_pins.test_the_pool_is_the_pinned_one],
+     test_bench_pins.test_chase_egd_output_matches_the_pin, test_bench_pins.POOL),
+    ("query", [test_query_pins.test_the_cases_are_the_pinned_ones],
+     test_query_pins.test_query_output_matches_the_pin,
+     [(case,) for case in sorted(test_query_pins.CASES)]),
+    ("check", [test_check_pins.test_the_cases_are_the_pinned_ones],
+     test_check_pins.test_check_output_matches_the_pin,
+     [(case,) for case in sorted(test_check_pins.CASES)]),
+]
+
+
+def main() -> int:
+    failed = 0
+    for name, checks, test, cases in SUITES:
+        bad = []
+        for check in checks:
+            try:
+                check()
+            except AssertionError:
+                bad.append(check.__name__)
+        with tempfile.TemporaryDirectory() as tmp:
+            for case in cases:
+                try:
+                    test(*case, Path(tmp))
+                except AssertionError:
+                    bad.append(str(case))
+                    traceback.print_exc()
+        print(f"{name}: {len(cases) - len(bad)} of {len(cases)} pins match"
+              + (f"; failed: {', '.join(bad)}" if bad else ""))
+        failed += len(bad)
+    print(f"Python {sys.version.split()[0]}: {'FAILED' if failed else 'ok'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

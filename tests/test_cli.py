@@ -73,6 +73,37 @@ def test_chase_limit_exit_code(capsys, tmp_path):
     assert doc["max_term_depth"] == 6
 
 
+@pytest.mark.parametrize("depth,code,last", [
+    ("0", 2, "% stopped after 0 steps: max_term_depth exceeded"),
+    ("1", 0, "% terminated after 1 steps"),
+])
+def test_chase_depth_cap_applies_to_a_closed_tgd(capsys, tmp_path, depth, code, last):
+    # A closed head copies terms of depth 1 from the state, so only a cap
+    # below 1 stops it.
+    path = tmp_path / "copy.rules"
+    path.write_text("E(X,Y) -> T(X,Y) .\nE(a,b) .\n")
+    got, out, _ = run(capsys, "chase", str(path), "--max-depth", depth, "--no-timing")
+    assert got == code
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_chase_renders_terms_past_the_recursion_limit(capsys, tmp_path, fmt):
+    path = tmp_path / "loop.rules"
+    path.write_text("A(X) -> exists Y . R(X,Y), A(Y) .\nA(a) .\n")
+    code, out, err = run(capsys, "chase", str(path), "--max-depth", "300", "--format", fmt,
+                         "--no-timing")
+    assert code == 2
+    assert "internal error" not in out + err
+    deepest = "f_Y(" * 299 + "a" + ")" * 299
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["limit"] == "max_term_depth"
+        assert f"A({deepest})" in doc["atoms"]
+    else:
+        assert f"A({deepest})" in out.splitlines()
+
+
 def test_chase_json_deterministic_with_no_timing(capsys):
     outs = []
     for _ in range(2):

@@ -25,7 +25,8 @@ from eqchase import (
     validate,
     validate_ruleset,
 )
-from corpus import random_term
+from eqchase.model import apply_syntactic_partial
+from corpus import random_ruleset, random_term
 from helpers import apply_term_map
 from rulesets import ontology, rules
 
@@ -353,3 +354,59 @@ def test_rewrite_reports_new_and_reranked_atoms():
     assert s.rewrite_in_place({b: a}) == [Atom(P1, [a]), Atom(R2, [a, a])]
     assert [s.rank(x) for x in s] == [0, 2, 3, 4]
 
+
+
+def test_ruleset_renames_past_a_user_name_of_the_fresh_form():
+    w2, s2 = Variable("W__2"), Predicate("S", 2)
+    r1 = TGD([Atom(P1, [X])], (W,), [Atom(R2, [X, W])])
+    r2 = TGD([Atom(Predicate("B", 1), [w2])], (W,), [Atom(s2, [w2, W])])
+    rs = RuleSet([r1, r2])
+    assert [v.name for r in rs for v in r.existentials] == ["W", "W__3"]
+    assert rs[1].head == (Atom(s2, [w2, Variable("W__3")]),)
+
+
+def _renamed_apart_eagerly(rules):
+    """The renaming of `RuleSet`, with the set of names built up front."""
+    names = {v.name for r in rules if type(r) is TGD for v in r.existentials}
+    for r in rules:
+        for atom in (*r.body, *(r.head if type(r) is TGD else ())):
+            names.update(v.name for v in atom.variables())
+    seen, out = set(), []
+    for r in rules:
+        if type(r) is TGD:
+            ren = {}
+            for v in r.existentials:
+                if v.name in seen:
+                    k = 2
+                    while f"{v.name}__{k}" in names:
+                        k += 1
+                    names.add(f"{v.name}__{k}")
+                    ren[v] = Variable(f"{v.name}__{k}")
+            if ren:
+                r = TGD(r.body, [ren.get(v, v) for v in r.existentials],
+                        [apply_syntactic_partial(a, ren) for a in r.head])
+            seen.update(v.name for v in r.existentials)
+        out.append(r)
+    return tuple(out)
+
+
+def test_ruleset_renaming_matches_an_eager_name_walk():
+    # Each random set names its existentials W1, W2, ..., so joining two
+    # of them repeats names.
+    rng = random.Random(12)
+    clashes = 0
+    for _ in range(300):
+        rules = [*random_ruleset(rng), *random_ruleset(rng)]
+        rs = RuleSet(rules)
+        assert rs.rules == _renamed_apart_eagerly(rules)
+        clashes += rs.rules != tuple(rules)
+    assert clashes > 50
+
+
+def test_str_renders_a_term_deeper_than_the_recursion_limit():
+    t = a
+    for _ in range(5000):
+        t = Functional(g2, (t, b))
+    assert t.depth == 5001
+    assert str(t) == "g(" * 5000 + "a" + ",b)" * 5000
+    assert str(Atom(R2, [t, Functional(f, [X])])) == f"R({t},f(X))"
