@@ -66,9 +66,9 @@ class _Stop(Exception):
 
 def _compile(rule: Rule) -> _CompiledRule:
     """The saturation's compiled form of a rule: its anchored plans, head
-    template and EGD positions.  Its `idx` and `dead` are left unread;
-    each saturation keeps its own (see `_Saturation`)."""
-    cr = _CompiledRule(-1, rule)
+    template and EGD positions, and no queue; each saturation keeps its
+    own state (see `_Saturation`)."""
+    cr = _CompiledRule(rule)
     cr.compile_anchored()
     return cr
 

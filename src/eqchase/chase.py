@@ -8,7 +8,10 @@ order and match order, which is the order `match_conjunction`
 enumerates over the rule body: lexicographic in the ranks of the matched
 atoms.  The engine finds that pair incrementally, from per-rule queues
 of matches ordered by rank tuple, and selects the same sequence as a
-naive full rescan with `find_applicable`.  Every pair that stays
+naive full rescan with `find_applicable`.  A match is queued again
+whenever a merge gives it a new rank tuple, even one already applied or
+found blocked: the applicability test rejects it when it is popped, so
+the engine keeps no record of consumed matches.  Every pair that stays
 applicable is eventually applied, and the final set of a finished run
 satisfies every rule.
 
@@ -410,25 +413,20 @@ class _CompiledRule:
     Skolem symbol of an existential, whose term is that symbol applied to
     the whole key.
 
-    The queue is `heap`, entries (rank tuple, push number, key) for every
-    match of the body not yet consumed.  The rule's first use sets
-    `started` and fills it with one `match_conjunction` over the state as
-    of then; until that use the rule takes no matches.  From then on
-    every match found by anchoring on an added atom, or on an atom a
-    merge re-ranked, is pushed.  `queued` maps every key ever pushed to
-    the rank tuple of its last push, and a heap entry is live only while
-    its rank tuple is that one.  `dead` holds the keys of TGD matches
-    that were applied or found head-blocked; it survives merges, renamed.
-    `dead_at` maps each term to the dead keys holding it; the first merge
-    builds it, so a run without merges does not pay for it.
+    The queue is `heap`, entries (rank tuple, push number, key), and
+    `queued` maps every key ever pushed to the rank tuple of its last
+    push; a heap entry is live only while its rank tuple is that one.
+    Both are None until the engine starts the rule at its first use
+    (`ChaseEngine._start`); the saturation never starts one.  A popped
+    match that was applied or found blocked keeps its `queued` entry and
+    nothing else: if a merge re-ranks it, it is pushed again and rejected
+    again when popped.
     """
 
-    __slots__ = ("idx", "rule", "kind", "universals", "whole", "plans", "head", "closed",
-                 "template", "build", "build_args", "x", "y", "dead", "dead_at", "started",
-                 "heap", "queued")
+    __slots__ = ("rule", "kind", "universals", "whole", "plans", "head", "closed",
+                 "template", "build", "build_args", "x", "y", "heap", "queued")
 
-    def __init__(self, idx: int, rule: Rule):
-        self.idx = idx
+    def __init__(self, rule: Rule):
         self.rule = rule
         self.universals = rule.universals
         where = {v: i for i, v in enumerate(self.universals)}
@@ -452,11 +450,8 @@ class _CompiledRule:
             self.kind = "egd"
             self.x = where[rule.x]
             self.y = where[rule.y]
-        self.dead: set = set()
-        self.dead_at: Optional[dict] = None
-        self.started = False
-        self.heap: list = []
-        self.queued: dict = {}
+        self.heap: Optional[list] = None
+        self.queued: Optional[dict] = None
 
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
         """Build `plans`, which maps each body predicate to the join
@@ -480,31 +475,6 @@ class _CompiledRule:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _Plan(self.rule.head, extended, self.universals, size)
 
-    def bury(self, key: tuple) -> None:
-        """Mark the match dead, so it is never queued again."""
-        self.dead.add(key)
-        if self.dead_at is not None:
-            self._index_dead(key)
-
-    def rename_dead(self, frm, to) -> None:
-        """Rename `frm` to `to` in every dead key."""
-        if self.dead_at is None:
-            self.dead_at = {}
-            for key in self.dead:
-                self._index_dead(key)
-        stale = self.dead_at.pop(frm, ())
-        for key in stale:
-            self.dead.discard(key)
-            for t in key:
-                if t is not frm:
-                    self.dead_at[t].discard(key)
-        for key in stale:
-            self.bury(tuple(to if t is frm else t for t in key))
-
-    def _index_dead(self, key: tuple) -> None:
-        for t in key:
-            self.dead_at.setdefault(t, set()).add(key)
-
     def instantiate(self, key: tuple) -> list[Atom]:
         """The skolemised head atoms of the match with this key: `build`,
         the kernel of the template's shape, applied to `build_args`, the
@@ -520,30 +490,28 @@ class ChaseEngine:
     Match order is lexicographic in the ranks of the matched atoms, so
     each rule keeps its unconsumed matches in a queue ordered by rank
     tuple (see `_CompiledRule`), and a step pops candidates rule by rule
-    until one passes the applicability test.  A popped candidate that
-    fails it stays inapplicable while the set grows, so it is never
-    queued again before the next merge.  Since the queues, not the
+    until one passes the applicability test.  Since the queues, not the
     matcher, order the matches, a rule's plans join in greedy connected
     order, compiled at its first use with the bucket sizes of then.
 
-    A TGD step adds atoms at the end of the rank order; the matches that
-    use them are found by anchoring each body position on each new atom,
-    semi-naively.  An EGD step renames one term and so removes the atoms
-    that hold it and gives their images, or atoms they collide with, new
-    ranks.  The queues are repaired, not rebuilt: each started rule
-    anchors on every atom the rewrite re-ranked and pushes each match
-    whose rank tuple is not its queued one.  Rules are constant-free, so
-    a queued match over atoms the merge left alone keeps its key and rank
-    tuple, and one over a removed atom holds the merged-away term: such
-    keys are dropped when popped, by a check against `gone`, the
-    merged-away terms.  Blocked TGD matches stay blocked under the
-    renaming (it maps a head embedding to a head embedding), so `dead` is
-    renamed rather than cleared and a dead match is never pushed again; a
-    re-ranked EGD match that was consumed equates equal terms and stays
-    rejected.
+    Both kinds of step queue matches the same way (`_queue`): each
+    started rule anchors each body position on each atom the step added
+    or re-ranked and pushes each match whose rank tuple is not its
+    queued one.  A TGD step adds atoms at the end of the rank order, so
+    every match that uses one is new, found semi-naively.  An EGD step
+    renames one term and so removes the atoms that hold it and gives
+    their images, or atoms they collide with, new ranks.  Rules are
+    constant-free, so a queued match over atoms the merge left alone
+    keeps its key and rank tuple, and one over a removed atom holds the
+    merged-away term: such keys are dropped when popped, by a check
+    against `gone`, the merged-away terms.  A re-ranked match that was
+    consumed is popped again and rejected again: an applied TGD match's
+    head is present, a blocked one stays blocked under the renaming (it
+    maps a head embedding to a head embedding), and a consumed EGD match
+    equates equal terms.
 
-    `run` is one loop: it pops each rule's heap, tests a closed TGD's
-    head by membership in the set's dict and queues new matches inline.
+    `run` is one loop: it pops each rule's heap and tests a closed TGD's
+    head by membership in the set's dict.
     A closed head holds only terms of the state, no deeper than
     max(1, cap): facts are function-free, and every other term passed the
     depth test.  So a closed TGD is depth-tested only for a cap below 1.
@@ -563,7 +531,7 @@ class ChaseEngine:
         self.on_step = on_step
         self.state = AtomSet(ontology.facts)
         self.trace = ChaseTrace()
-        self.compiled = [_CompiledRule(i, r) for i, r in enumerate(ontology.rules)]
+        self.compiled = [_CompiledRule(r) for r in ontology.rules]
         if seed:
             import random
 
@@ -571,48 +539,46 @@ class ChaseEngine:
         self.gone: set = set()
         self._pushes = count()
 
-    def _push(self, cr: _CompiledRule, key: tuple, ranks: tuple) -> None:
-        cr.queued[key] = ranks
-        heappush(cr.heap, (ranks, next(self._pushes), key))
-
-    def _anchored(self, cr: _CompiledRule, atoms: Sequence[Atom]) -> Iterator[tuple]:
-        """(key, matched body atoms) of each of the rule's matches that
-        use one of the atoms, found by anchoring each body position on
-        each atom.  The matched atoms are a live list."""
-        aset = self.state
-        for atom in atoms:
-            for plan in cr.plans.get(atom.predicate, ()):
-                for slots in match_conjunction(plan, aset, plan.slots, atom):
-                    yield tuple(slots), plan.matched
-
     def _start(self, cr: _CompiledRule) -> None:
-        """Compile the rule's plans for the current state and queue every
-        match of the rule in it."""
-        cr.started = True
+        """Compile the rule's plans for the current state, make its queue
+        and queue every match of the rule in it."""
         aset = self.state
         cr.compile(aset.bucket_size)
         plan = cr.whole
         rank = aset.rank
+        queued, heap = cr.queued, cr.heap = {}, []
         for slots in match_conjunction(plan, aset, plan.slots):
             key = tuple(slots)
-            ranks = cr.queued[key] = tuple(map(rank, plan.matched))
-            cr.heap.append((ranks, next(self._pushes), key))
-        heapify(cr.heap)
+            ranks = queued[key] = tuple(map(rank, plan.matched))
+            heap.append((ranks, next(self._pushes), key))
+        heapify(heap)
+
+    def _queue(self, atoms: Sequence[Atom]) -> None:
+        """Push each started rule's matches that use one of the atoms,
+        found by anchoring each body position on each atom, unless the
+        match is queued with the rank tuple it has now.  An added atom's
+        rank is new, so every match over it is pushed once."""
+        aset, pushes = self.state, self._pushes
+        rank = aset.rank
+        for cr in self.compiled:
+            if cr.heap is None:
+                continue
+            plans, heap, queued = cr.plans, cr.heap, cr.queued
+            for atom in atoms:
+                for plan in plans.get(atom.predicate, ()):
+                    for slots in match_conjunction(plan, aset, plan.slots, atom):
+                        key = tuple(slots)
+                        ranks = tuple(map(rank, plan.matched))
+                        if queued.get(key) != ranks:
+                            queued[key] = ranks
+                            heappush(heap, (ranks, next(pushes), key))
 
     def _merge(self, frm, to) -> None:
-        """Rename `frm` to `to` in the state and in every dead key, and
-        repair the queue of every started rule."""
-        started = [cr for cr in self.compiled if cr.started]
+        """Rename `frm` to `to` in the state and queue the matches over
+        the atoms the rewrite re-ranked."""
         changed = self.state.rewrite_in_place({frm: to})
         self.gone.add(frm)
-        rank = self.state.rank
-        for cr in started:
-            cr.rename_dead(frm, to)
-            for key, matched in self._anchored(cr, changed):
-                if key not in cr.dead:
-                    ranks = tuple(map(rank, matched))
-                    if cr.queued.get(key) != ranks:
-                        self._push(cr, key, ranks)
+        self._queue(changed)
 
     def run(self) -> ChaseOutcome:
         limits = self.limits
@@ -629,7 +595,7 @@ class ChaseEngine:
             held = aset._atoms
             # Pop rule by rule until a candidate passes the test.
             for cr in compiled:
-                if not cr.started:
+                if cr.heap is None:
                     self._start(cr)
                 heap, queued = cr.heap, cr.queued
                 while heap:
@@ -652,7 +618,6 @@ class ChaseEngine:
                         if next(match_conjunction(plan, aset, plan.slots), None) is None:
                             head = cr.instantiate(key)
                             break
-                    cr.bury(key)
                 else:
                     continue  # no applicable match: the next rule
                 break  # applicable: `cr` and `key`, and `head` for a TGD
@@ -669,20 +634,7 @@ class ChaseEngine:
                     return LimitExceeded(aset, "max_atoms", trace.steps, trace)
                 for a in fresh:
                     aset.add(a)
-                cr.bury(key)
-                # Queue each started rule's matches that use an added atom.
-                rank = held.__getitem__
-                for other in compiled:
-                    if not other.started:
-                        continue
-                    plans, heap, queued = other.plans, other.heap, other.queued
-                    for atom in fresh:
-                        for plan in plans.get(atom.predicate, ()):
-                            for slots in match_conjunction(plan, aset, plan.slots, atom):
-                                found = tuple(slots)
-                                if found not in queued:
-                                    ranks = queued[found] = tuple(map(rank, plan.matched))
-                                    heappush(heap, (ranks, next(self._pushes), found))
+                self._queue(fresh)
                 trace.tgd_steps += 1
             else:
                 tx, ty = key[cr.x], key[cr.y]

@@ -193,31 +193,34 @@ class Functional:
         return Functional, (self.fn, self.args)
 
     def __str__(self) -> str:
-        # A stack of (arguments, next index), not recursion: a chase can
-        # build terms deeper than the interpreter's recursion limit.
-        parts = [self.fn.name, "("]
-        stack = []
-        args, i = self.args, 0
+        return self._render(False)
+
+    def __repr__(self) -> str:
+        return self._render(True)
+
+    def _render(self, full: bool) -> str:
+        """`str`, or with `full` the constructor form of `repr`, written
+        over a stack of (arguments, next index), not by recursion: a chase
+        can build terms deeper than the interpreter's recursion limit."""
+        parts, stack = [], []
+        args, i = (self,), 0
         while True:
             if i < len(args):
                 a = args[i]
                 if i:
-                    parts.append(",")
+                    parts.append(", " if full else ",")
                 i += 1
                 if type(a) is Functional:
                     stack.append((args, i))
-                    parts += (a.fn.name, "(")
+                    parts.append(f"Functional({a.fn.name!r}, (" if full else a.fn.name + "(")
                     args, i = a.args, 0
                 else:
-                    parts.append(a.name)
-            else:
-                parts.append(")")
-                if not stack:
-                    return "".join(parts)
+                    parts.append(repr(a) if full else a.name)
+            elif stack:
+                parts.append((",))" if len(args) == 1 else "))") if full else ")")
                 args, i = stack.pop()
-
-    def __repr__(self) -> str:
-        return f"Functional({self.fn.name!r}, {self.args!r})"
+            else:
+                return "".join(parts)
 
     @property
     def order_key(self):
@@ -229,9 +232,16 @@ class Functional:
         kind, root symbol and then recursively on arguments.
         """
         if self._key is None:
-            self._key = (self.depth, 2, self.fn.name) + tuple(
-                a.order_key for a in self.args
-            )
+            # Bottom-up over a stack, not recursion: a key is built once
+            # the keys of its arguments are cached.
+            stack = [self]
+            while stack:
+                t = stack.pop()
+                todo = [a for a in t.args if type(a) is Functional and a._key is None]
+                if todo:
+                    stack += (t, *todo)
+                elif t._key is None:
+                    t._key = (t.depth, 2, t.fn.name) + tuple(a.order_key for a in t.args)
         return self._key
 
 
@@ -282,19 +292,18 @@ class Atom:
         )
 
     def variables(self) -> Iterator[Variable]:
-        for a in self.args:
-            if type(a) is Variable:
-                yield a
-            elif type(a) is Functional:
-                yield from _functional_vars(a)
-
-
-def _functional_vars(t: Functional) -> Iterator[Variable]:
-    for a in t.args:
-        if type(a) is Variable:
-            yield a
-        elif type(a) is Functional:
-            yield from _functional_vars(a)
+        # A stack of argument iterators, not recursion; a ground argument
+        # (`has_var` false) is skipped whole.
+        stack = [iter(self.args)]
+        while stack:
+            for a in stack[-1]:
+                if type(a) is Variable:
+                    yield a
+                elif a.has_var:
+                    stack.append(iter(a.args))
+                    break
+            else:
+                stack.pop()
 
 
 Substitution = dict  # Variable -> ground Term

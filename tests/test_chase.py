@@ -36,6 +36,7 @@ from eqchase import (
     standard_axiomatisation,
 )
 from corpus import random_facts, random_ontology, random_ruleset
+from perfbench_loader import load_workloads
 from rulesets import facts, ontology, query, rules
 
 a, b = Constant("a"), Constant("b")
@@ -293,7 +294,7 @@ def _oracle_steps(o, limits, seed):
         random.Random(seed).shuffle(order)
     state = AtomSet(o.facts)
     steps = []
-    while len(steps) < limits.max_steps:
+    while limits.max_steps is None or len(steps) < limits.max_steps:
         pair = next(find_applicable(order, state), None)
         if pair is None:
             break
@@ -323,32 +324,39 @@ TC_RULES = "E(X,Y) -> T(X,Y) .\nT(X,Y), E(Y,Z) -> T(X,Z) .\n"
 
 
 def _differential_cases():
+    """(ontology, seed, limits) of each case the engine is checked on
+    against the naive run."""
+    limits = ChaseLimits(max_steps=60, max_term_depth=4)
     for seed in range(3):
         rng = random.Random(seed)
         for _ in range(120):
-            yield random_ontology(rng), seed
+            yield random_ontology(rng), seed, limits
     for n in (3, 5, 8, 12, 16):
         rng = random.Random(f"egd:{n}")
         text = EGD_FAMILY + "".join(f"A(c{i}) .\n" for i in range(n))
         text += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
         program = parse(text)
         for seed in range(3):
-            yield Ontology(program.rules, program.facts), seed
+            yield Ontology(program.rules, program.facts), seed, limits
     for n in (3, 6):
         rng = random.Random(f"tc:{n}")
         edges = [(i, i + 1) for i in range(n)] + [(i, rng.randrange(i + 1, n + 1)) for i in range(n)]
         program = parse(TC_RULES + "".join(f"E(v{i},v{j}) .\n" for i, j in edges))
         for seed in range(2):
-            yield Ontology(program.rules, program.facts), seed
+            yield Ontology(program.rules, program.facts), seed, limits
+    # The benchmark's chase-egd instances, run to the end: their merges
+    # re-rank TGD matches that were already applied.
+    for n in (8, 16, 24):
+        program = parse(load_workloads().egd_instance(n, 0))
+        yield Ontology(program.rules, program.facts), 0, ChaseLimits(max_term_depth=10)
 
 
 def test_engine_selects_the_naive_step_sequence():
-    limits = ChaseLimits(max_steps=60, max_term_depth=4)
     cases = 0
-    for o, seed in _differential_cases():
+    for o, seed, limits in _differential_cases():
         assert _engine_steps(o, limits, seed) == _oracle_steps(o, limits, seed)
         cases += 1
-    assert cases == 3 * 120 + 15 + 4
+    assert cases == 3 * 120 + 15 + 4 + 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,18 +428,17 @@ def test_engine_joins_in_greedy_connected_order(monkeypatch):
 
 def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
     # One chase-datalog job: both rules are closed TGDs and nothing
-    # merges, so every candidate popped is either applied or buried, and
-    # lands in its rule's dead set exactly once.  The head test's atoms
-    # are the ones a firing adds, so each candidate's head is built once.
+    # merges, so every key is queued once and popped once.  The head
+    # test's atoms are the ones a firing adds, so each candidate's head
+    # is built once.
     from eqchase.chase import ChaseEngine, _CompiledRule
-    from perfbench_loader import load_workloads
 
     job = min(load_workloads().make_jobs("chase-datalog", 101), key=lambda j: len(j.text))
     program = parse(job.text)
     calls = []
 
     def counted(self, key, method=_CompiledRule.instantiate):
-        calls.append((self.idx, key))
+        calls.append((self.rule, key))
         return method(self, key)
 
     monkeypatch.setattr(_CompiledRule, "instantiate", counted)
@@ -439,7 +446,7 @@ def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
     outcome = engine.run()
     assert isinstance(outcome, Terminated) and outcome.trace.egd_steps == 0
     assert all(cr.closed for cr in engine.compiled)
-    assert len(calls) == len(set(calls)) == sum(len(cr.dead) for cr in engine.compiled)
+    assert len(calls) == len(set(calls)) == sum(len(cr.queued) for cr in engine.compiled)
     assert outcome.trace.tgd_steps < len(calls)
 
 
@@ -450,10 +457,10 @@ def test_compiled_skolem_symbols_are_those_of_skolemise():
     rng = random.Random(8)
     seen = 0
     for _ in range(200):
-        for idx, rule in enumerate(random_ruleset(rng, max_rules=6)):
+        for rule in random_ruleset(rng, max_rules=6):
             if type(rule) is not TGD or not rule.existentials:
                 continue
-            cr = _CompiledRule(idx, rule)
+            cr = _CompiledRule(rule)
             symbols = skolemise(rule).symbols
             for atom, (_, args) in zip(rule.head, cr.template):
                 for v, a in zip(atom.args, args):

@@ -104,6 +104,20 @@ def test_chase_renders_terms_past_the_recursion_limit(capsys, tmp_path, fmt):
         assert f"A({deepest})" in out.splitlines()
 
 
+def test_chase_merges_terms_past_the_recursion_limit(capsys, tmp_path):
+    # A 500-rule chain builds a term of depth 501, and the EGD merges it
+    # into c: the merge direction compares the two terms' order keys.
+    path = tmp_path / "chain.rules"
+    path.write_text(
+        "".join(f"A{i}(X) -> exists Y{i} . R(X,Y{i}), A{i + 1}(Y{i}) .\n" for i in range(500))
+        + "A500(X), C(Y) -> X = Y .\nA0(a) .\nC(c) .\n"
+    )
+    code, out, err = run(capsys, "chase", str(path), "--max-depth", "2000", "--no-timing")
+    assert code == 0
+    assert "internal error" not in out + err
+    assert "A500(c)" in out.splitlines()
+
+
 def test_chase_json_deterministic_with_no_timing(capsys):
     outs = []
     for _ in range(2):

@@ -178,7 +178,7 @@ def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
     body = [_atom(p, vs) for p, vs in body]
     s = AtomSet()
     _apply(s, ops)
-    cr = _CompiledRule(0, TGD(body, (), [body[0]]))
+    cr = _CompiledRule(TGD(body, (), [body[0]]))
     # In body order a plan yields what the dict path yields, in its
     # order; in greedy order the same matches, in another order.
     cr.compile(s.bucket_size if greedy else None)
@@ -220,8 +220,11 @@ def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
     cr = engine.compiled[0]
     engine._start(cr)
     assert list(cr.queued) == [(a,)]
-    assert [(key, list(m)) for key, m in engine._anchored(cr, [same])] == [((a,), [same])]
-    assert list(engine._anchored(cr, [differ])) == []
+    plan, = cr.plans[R2]
+    found = [(tuple(slots), list(plan.matched))
+             for slots in match_conjunction(plan, engine.state, plan.slots, same)]
+    assert found == [((a,), [same])]
+    assert list(match_conjunction(plan, engine.state, plan.slots, differ)) == []
 
     saturation = _Saturation(RuleSet([rule]), ChaseLimits())
     cr = saturation.readers[R2][0][0]

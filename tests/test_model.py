@@ -410,3 +410,43 @@ def test_str_renders_a_term_deeper_than_the_recursion_limit():
     assert t.depth == 5001
     assert str(t) == "g(" * 5000 + "a" + ",b)" * 5000
     assert str(Atom(R2, [t, Functional(f, [X])])) == f"R({t},f(X))"
+
+
+def _deep(symbol, leaf, depth):
+    t = leaf
+    for _ in range(depth - 1):
+        t = Functional(symbol, (t, b))
+    return t
+
+
+def test_order_key_of_a_term_deeper_than_the_recursion_limit():
+    # A symbol of its own, so no subterm's key is cached beforehand.
+    t = _deep(SkolemSymbol("deep_key", 2), a, 5001)
+    key = t.order_key
+    assert key[:3] == (5001, 2, "deep_key") and key[4] == b.order_key
+    for _ in range(5000):
+        key = key[3]
+    assert key == a.order_key
+
+
+def test_repr_and_variables_of_a_term_deeper_than_the_recursion_limit():
+    t = _deep(SkolemSymbol("deep_walk", 2), X, 5001)
+    want = "Variable('X')"
+    for _ in range(5000):
+        want = f"Functional('deep_walk', ({want}, Constant('b')))"
+    assert repr(t) == want
+    assert list(Atom(R2, [t, Functional(f, [Y])]).variables()) == [X, Y]
+
+
+def _reference_key(t):
+    if type(t) is Functional:
+        return (t.depth, 2, t.fn.name) + tuple(_reference_key(a) for a in t.args)
+    return t.order_key
+
+
+def test_order_key_matches_a_recursive_reference():
+    rng = random.Random(13)
+    symbols = [SkolemSymbol("ref_f", 1), SkolemSymbol("ref_g", 2), SkolemSymbol("ref_h", 3)]
+    for _ in range(300):
+        t = random_term(rng, symbols, 7)
+        assert t.order_key == _reference_key(t)
