@@ -66,8 +66,7 @@ class _Stop(Exception):
 
 def _compile(rule: Rule) -> _CompiledRule:
     """The saturation's compiled form of a rule: its anchored plans, head
-    template and EGD positions, and no queue; each saturation keeps its
-    own state (see `_Saturation`)."""
+    template and EGD positions, and no queue or other run state."""
     cr = _CompiledRule(rule)
     cr.compile_anchored()
     return cr
@@ -76,22 +75,22 @@ def _compile(rule: Rule) -> _CompiledRule:
 class _Saturation:
     """Worklist saturation: every atom is processed once, matching each
     rule anchored at that atom with the rest of the body drawn from the
-    current set, so every body match is found exactly when its last atom
-    is processed.  Replacement maps from EGD matches stay active: a new
-    map sweeps the whole current set, and every later atom passes through
-    all active maps.
+    current set.  So a body match is found once for each of its atoms
+    processed after the others were added, and a repeat adds nothing:
+    what a match adds depends on the match alone.  Replacement maps from
+    EGD matches stay active: a new map sweeps the whole current set, and
+    every later atom passes through all active maps.
 
     Rules run in the chase engine's `_CompiledRule` form (see `_compile`),
     with anchored plans that join the processed atom first and the rest
     of the body in body order, all in one kernel run.  `compiled` maps
     rules to forms made beforehand (see `check_pipeline`); without it
-    each rule is compiled here.  The run state is the saturation's own:
-    `runs` maps each form to the index of its rule's first occurrence,
-    which derivation records carry, and to the keys of the matches fired,
-    each once.  (A repeated rule's later occurrences find every head atom
-    present and every map seen.)  A TGD match builds its head from the
-    key by the rule's template, and a derivation record only for an atom
-    the set does not hold yet, with the body instance the plan matched."""
+    each rule is compiled here.  `index` maps each form to the index of
+    its rule's first occurrence, which derivation records carry, and
+    `maps` each replacement (frm, to) to the index and key of the EGD
+    match that made it first.  A TGD match builds its head from the key
+    by the rule's template, and a derivation record only for an atom the
+    set does not hold yet, with the body instance the plan matched."""
 
     def __init__(self, rules: RuleSet, limits: ChaseLimits,
                  compiled: Optional[Mapping[Rule, _CompiledRule]] = None):
@@ -101,15 +100,14 @@ class _Saturation:
         self.atoms = AtomSet()
         self.queue: deque[Atom] = deque()
         self.derivations: dict[Atom, tuple] = {}
-        self.maps: list[tuple[Term, Term, int, tuple]] = []
-        self.map_seen: set[tuple[Term, Term]] = set()
-        self.runs: dict[_CompiledRule, tuple[int, set]] = {}
+        self.maps: dict[tuple[Term, Term], tuple[int, tuple]] = {}
+        self.index: dict[_CompiledRule, int] = {}
         # predicate -> (rule, plan anchored at a body position holding
         # it), in rule order, then body order.
         self.readers: dict = {}
         for idx, rule in enumerate(rules):
             cr = _compile(rule) if compiled is None else compiled[rule]
-            self.runs.setdefault(cr, (idx, set()))
+            self.index.setdefault(cr, idx)
             for pred, plans in cr.plans.items():
                 self.readers.setdefault(pred, []).extend((cr, plan) for plan in plans)
         self.witness: Optional[tuple[Atom, Term]] = None
@@ -144,10 +142,9 @@ class _Saturation:
         if ty.depth <= tx.depth:
             pairs.append((tx, ty))
         for frm, to in pairs:
-            if (frm, to) in self.map_seen:
+            if (frm, to) in self.maps:
                 continue
-            self.map_seen.add((frm, to))
-            self.maps.append((frm, to, idx, key))
+            self.maps[frm, to] = idx, key
             for existing in list(self.atoms):
                 self._rewrite(existing, frm, to, idx, key)
 
@@ -158,27 +155,21 @@ class _Saturation:
             self._add(img, ("egd", idx, key, atom, frm, to))
 
     def _process(self, atom: Atom) -> None:
-        for frm, to, idx, key in self.maps:
+        for (frm, to), (idx, key) in self.maps.items():
             self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
         for cr, plan in self.readers.get(atom.predicate, ()):
-            idx, dead = self.runs[cr]
+            idx = self.index[cr]
             matches = match_conjunction(plan, aset, plan.slots, atom)
             if cr.kind == "egd":
                 for slots in matches:
-                    key = tuple(slots)
-                    if key not in dead:
-                        dead.add(key)
-                        self._fire_egd(cr, idx, key)
+                    self._fire_egd(cr, idx, tuple(slots))
                 continue
             # A TGD match fires inline, its head atoms tested against the
             # set's own dict, which `AtomSet.add` keeps and never replaces.
             held, build, args = aset._atoms, cr.build, cr.build_args
             for slots in matches:
                 key = tuple(slots)
-                if key in dead:
-                    continue
-                dead.add(key)
                 body = None
                 for head in build(args, key):
                     if head not in held:
@@ -277,15 +268,13 @@ def is_mfa(
     rules: Union[RuleSet, AxiomatisedRuleSet],
     limits: ChaseLimits = ChaseLimits(),
     notion: str = "mfa",
-    *,
-    compiled: Optional[Mapping[Rule, _CompiledRule]] = None,
 ) -> CheckReport:
     """The equality-free special case; rejects rule sets with equality."""
     if isinstance(rules, AxiomatisedRuleSet):
         rules = rules.rules
     if rules.egds():
         raise ValueError("this check is defined for equality-free rule sets only")
-    return is_emfa(rules, limits, notion=notion, compiled=compiled)
+    return is_emfa(rules, limits, notion=notion)
 
 
 def check_pipeline(
@@ -300,8 +289,10 @@ def check_pipeline(
     The axiomatisations keep many rules verbatim, so every distinct rule
     is compiled once, before any check is timed, and all the checks of
     this call share that form; each report's `elapsed_ms` times its own
-    saturation alone.  The first enumerated singularisation is the
-    canonical one, whose report is given again under `mfa-sing-all`."""
+    saturation alone.  The axiomatised sets hold no EGDs by construction,
+    so they go to `is_emfa` without `is_mfa`'s guard.  The first
+    enumerated singularisation is the canonical one, whose report is
+    given again under `mfa-sing-all`."""
     st = standard_axiomatisation(rules)
     sing = canonical_singularisation(rules)
     more = list(itertools.islice(singularisations(rules), 1, sing_cap)) if sing_cap > 1 else []
@@ -311,10 +302,10 @@ def check_pipeline(
             if rule not in compiled:
                 compiled[rule] = _compile(rule)
     reports = [is_emfa(rules, limits, compiled=compiled)]
-    reports.append(is_mfa(st, limits, notion="mfa-st", compiled=compiled))
-    reports.append(is_mfa(sing, limits, notion="mfa-sing", compiled=compiled))
+    reports.append(is_emfa(st.rules, limits, notion="mfa-st", compiled=compiled))
+    reports.append(is_emfa(sing.rules, limits, notion="mfa-sing", compiled=compiled))
     if sing_cap:
         reports.append(replace(reports[2], notion="mfa-sing-all"))
-        reports += [is_mfa(axr, limits, notion="mfa-sing-all", compiled=compiled)
+        reports += [is_emfa(axr.rules, limits, notion="mfa-sing-all", compiled=compiled)
                     for axr in more]
     return reports

@@ -16,6 +16,7 @@ atoms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -159,14 +160,14 @@ def singularise_conjunction(
     return tuple(new_body) + tuple(links)
 
 
-def _rule_choice_space(rule: Rule) -> list[tuple[str, int]]:
-    """(variable name, occurrence count) for each repeated body variable,
-    in first-occurrence order."""
-    return [
-        (name, len(positions))
-        for name, positions in _occurrences(rule.body).items()
-        if len(positions) > 1
-    ]
+def _choices(body: Sequence[Atom]) -> Iterator[dict[str, int]]:
+    """Every choice of kept occurrences for the body's repeated variables,
+    lazily, one dict per combination in first-occurrence order of the
+    variables; the first choice keeps every first occurrence."""
+    repeated = [(name, len(positions)) for name, positions in _occurrences(body).items()
+                if len(positions) > 1]
+    for ks in itertools.product(*(range(1, n + 1) for _, n in repeated)):
+        yield {name: k for (name, _), k in zip(repeated, ks)}
 
 
 def _singularise_rule(rule: Rule, choice: Mapping[str, int]) -> TGD:
@@ -177,11 +178,8 @@ def _singularise_rule(rule: Rule, choice: Mapping[str, int]) -> TGD:
 
 
 def singularisation_count(rules: RuleSet) -> int:
-    n = 1
-    for r in rules:
-        for _, occ in _rule_choice_space(r):
-            n *= occ
-    return n
+    return math.prod(len(positions) for r in rules
+                     for positions in _occurrences(r.body).values())
 
 
 def singularisations(rules: RuleSet) -> Iterator[AxiomatisedRuleSet]:
@@ -190,23 +188,13 @@ def singularisations(rules: RuleSet) -> Iterator[AxiomatisedRuleSet]:
     The number of sets is the product over rules of the per-rule choice
     counts; callers cap the enumeration with itertools.islice.
     """
-    spaces = [_rule_choice_space(r) for r in rules]
     equivalence = _equivalence(rules.predicates())
-    per_rule_options = [
-        list(itertools.product(*(range(1, occ + 1) for _, occ in space)))
-        for space in spaces
-    ]
-    for combo in itertools.product(*per_rule_options):
-        singularised = []
-        provenance = []
-        for rule, space, ks in zip(rules, spaces, combo):
-            choice = {name: k for (name, _), k in zip(space, ks)}
-            singularised.append(_singularise_rule(rule, choice))
-            provenance.append(tuple(sorted(choice.items())))
+    for combo in itertools.product(*(_choices(r.body) for r in rules)):
         yield AxiomatisedRuleSet(
-            RuleSet(singularised + equivalence),
+            RuleSet([_singularise_rule(r, choice) for r, choice in zip(rules, combo)]
+                    + equivalence),
             SINGULARISATION,
-            choices=tuple(provenance),
+            choices=tuple(tuple(sorted(choice.items())) for choice in combo),
         )
 
 
@@ -219,19 +207,13 @@ def canonical_singularisation(rules: RuleSet) -> AxiomatisedRuleSet:
 def singularise_query(query: BCQ) -> Iterator[BCQ]:
     """Every singularisation of the query body, with the fresh variables
     added to the existential list."""
-    space = [
-        (name, len(positions))
-        for name, positions in _occurrences(query.body).items()
-        if len(positions) > 1
-    ]
-    for ks in itertools.product(*(range(1, occ + 1) for _, occ in space)):
-        choice = {name: k for (name, _), k in zip(space, ks)}
+    for choice in _choices(query.body):
         body = singularise_conjunction(query.body, choice)
         yield BCQ(_first_occurrence_vars(body), body)
 
 
 def canonical_query_singularisation(query: BCQ) -> BCQ:
-    return next(iter(singularise_query(query)))
+    return next(singularise_query(query))
 
 
 # ---------------------------------------------------------------------------

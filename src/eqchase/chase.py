@@ -337,16 +337,20 @@ def _head_embedded(head: Sequence[Atom], sigma: Mapping, aset: AtomSet) -> bool:
     return False
 
 
+def _violated(rule: Rule, sigma: Mapping, aset: AtomSet) -> bool:
+    """Whether a body match is not satisfied: no extension of it embeds a
+    TGD head, or an EGD equates two distinct terms."""
+    if type(rule) is TGD:
+        return not _head_embedded(rule.head, sigma, aset)
+    return sigma[rule.x] is not sigma[rule.y]
+
+
 def is_applicable(rule: Rule, sigma: Substitution, aset: AtomSet) -> bool:
     """The four applicability conditions: exact substitution domain, body
     embedded, no extension of the match embeds a TGD head, and an EGD
     equates two distinct terms."""
     _check_domain(rule, sigma)
-    if not _body_holds(rule, sigma, aset):
-        return False
-    if type(rule) is TGD:
-        return not _head_embedded(rule.head, sigma, aset)
-    return sigma[rule.x] is not sigma[rule.y]
+    return _body_holds(rule, sigma, aset) and _violated(rule, sigma, aset)
 
 
 def apply(rule: Rule, sigma: Substitution, aset: AtomSet) -> AtomSet:
@@ -375,23 +379,13 @@ def find_applicable(rules: RuleSet, aset: AtomSet) -> Iterator[tuple[Rule, Subst
     in rule order then match order."""
     for rule in rules:
         for binding in match_conjunction(rule.body, aset):
-            sigma = dict(binding)
-            if type(rule) is TGD:
-                if not _head_embedded(rule.head, sigma, aset):
-                    yield rule, sigma
-            elif sigma[rule.x] is not sigma[rule.y]:
-                yield rule, sigma
+            if _violated(rule, binding, aset):
+                yield rule, binding
 
 
 def satisfies(aset: AtomSet, rule: Rule) -> bool:
     """True iff no substitution makes the rule applicable."""
-    for binding in match_conjunction(rule.body, aset):
-        if type(rule) is TGD:
-            if not _head_embedded(rule.head, binding, aset):
-                return False
-        elif binding[rule.x] is not binding[rule.y]:
-            return False
-    return True
+    return next(find_applicable((rule,), aset), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,9 @@ def _load_program(args: argparse.Namespace) -> Program:
         try:
             inline = parse(text)
         except ParseError as exc:
-            raise _CliFailure(EXIT_INVALID, f"--query: {exc}") from exc
+            raise _CliFailure(
+                EXIT_INVALID, "\n".join(f"--query: {d}" for d in exc.diagnostics)
+            ) from exc
         program = program.merge(inline)
     return program
 

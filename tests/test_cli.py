@@ -148,6 +148,15 @@ def test_query_subcommand(capsys):
     assert lines[1].startswith("not-entailed:")
 
 
+def test_query_prefixes_every_diagnostic_of_an_inline_query(capsys):
+    code, _, err = run(capsys, "query", THM2, "--query", "? A(X Y) . ? B(")
+    assert code == 1
+    assert err.splitlines() == [
+        "--query: 1:7: expected ')', found 'Y'",
+        "--query: 1:16: expected a constant or variable",
+    ]
+
+
 def test_query_requires_queries(capsys):
     code, _, err = run(capsys, "query", THM2, "--facts", AA)
     assert code == 1
