@@ -83,7 +83,9 @@ def _limits(args: argparse.Namespace) -> ChaseLimits:
 
 def _parse_file(path: str) -> Program:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # The whole file is decoded before a byte-order mark is dropped,
+        # so an error's byte stays an offset in the file.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise _CliFailure(
             EXIT_INVALID, f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"

@@ -190,7 +190,19 @@ class Functional:
         return self
 
     def __reduce__(self):
-        return Functional, (self.fn, self.args)
+        # Each distinct functional subterm once, after its arguments, a
+        # functional argument by its position: a flat list, so that
+        # pickling a deep term does not recurse.
+        index: dict[Functional, int] = {}
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            todo = [a for a in t.args if type(a) is Functional and a not in index]
+            if todo:
+                stack += (t, *todo)
+            elif t not in index:
+                index[t] = len(index)
+        return _functional, ([(t.fn, tuple(index.get(a, a) for a in t.args)) for t in index],)
 
     def __str__(self) -> str:
         return self._render(False)
@@ -243,6 +255,14 @@ class Functional:
                 elif t._key is None:
                     t._key = (t.depth, 2, t.fn.name) + tuple(a.order_key for a in t.args)
         return self._key
+
+
+def _functional(nodes: list[tuple]) -> Functional:
+    """The last term of a list `Functional.__reduce__` wrote."""
+    built: list[Functional] = []
+    for fn, args in nodes:
+        built.append(Functional(fn, [built[a] if type(a) is int else a for a in args]))
+    return built[-1]
 
 
 Term = Union[Constant, Variable, Functional]
@@ -334,25 +354,35 @@ def apply_syntactic(s, subst: Mapping[Variable, Term]):
     Raises ValueError on a variable the substitution does not bind.
     """
     if isinstance(s, Atom):
-        return Atom(s.predicate, [_subst_term(a, subst) for a in s.args])
+        return Atom(s.predicate, [_substitute(a, subst, True) for a in s.args])
     out = AtomSet()
     for atom in s:
-        out.add(Atom(atom.predicate, [_subst_term(a, subst) for a in atom.args]))
+        out.add(Atom(atom.predicate, [_substitute(a, subst, True) for a in atom.args]))
     return out
 
 
-def _subst_term(t: Term, subst: Mapping[Variable, Term]) -> Term:
-    kind = type(t)
-    if kind is Variable:
-        try:
-            return subst[t]
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r} during substitution") from None
-    if kind is Functional:
-        if not t.has_var:
-            return t
-        return Functional(t.fn, [_subst_term(a, subst) for a in t.args])
-    return t
+def _substitute(t: Term, subst: Mapping[Variable, Term], strict: bool) -> Term:
+    """`t` with each variable replaced by its image under `subst`, also
+    inside functional terms.  A variable `subst` does not bind stays, or
+    with `strict` raises ValueError.  Bottom-up over a stack, not by
+    recursion: a chase can build terms deeper than the recursion limit."""
+    image: dict[Term, Term] = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Variable:
+            if strict and u not in subst:
+                raise ValueError(f"unbound variable {u.name!r} during substitution")
+            image[u] = subst.get(u, u)
+        elif type(u) is Functional and u.has_var:
+            todo = [a for a in u.args if a not in image]
+            if todo:
+                stack += (u, *todo)
+            else:
+                image[u] = Functional(u.fn, [image[a] for a in u.args])
+        else:
+            image[u] = u
+    return image[t]
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +571,7 @@ class RuleSet:
 
 def apply_syntactic_partial(atom: Atom, subst: Mapping[Variable, Term]) -> Atom:
     """Like apply_syntactic but leaves unbound variables in place."""
-    return Atom(atom.predicate, [_sub_partial(a, subst) for a in atom.args])
-
-
-def _sub_partial(t: Term, subst: Mapping[Variable, Term]) -> Term:
-    kind = type(t)
-    if kind is Variable:
-        return subst.get(t, t)
-    if kind is Functional and t.has_var:
-        return Functional(t.fn, [_sub_partial(a, subst) for a in t.args])
-    return t
+    return Atom(atom.predicate, [_substitute(a, subst, False) for a in atom.args])
 
 
 @dataclass(frozen=True)

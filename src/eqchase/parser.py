@@ -12,6 +12,13 @@ predicate the equality axiomatisations introduce; a file may use it in
 rule bodies, heads and queries, which lets axiomatised output round-trip
 through the parser.
 
+Lexing is one `re.findall` that cuts the text into lexemes, so that
+every character lies in exactly one of them: a run of whitespace, a
+comment, '->', a run of word characters or any other single character.
+A token keeps only its text and its offset, the sum of the lengths of
+the lexemes before it.  Line and column are worked out from an offset
+only when a diagnostic is built; only a line feed ends a line.
+
 Parsing is total: any input yields either a Program or a ParseError
 carrying positioned diagnostics, never a crash.
 """
@@ -19,6 +26,7 @@ carrying positioned diagnostics, never a crash.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -71,310 +79,259 @@ class Program:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {"->": "ARROW", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "=": "EQUALS",
-          "?": "QMARK"}
+_PUNCT = frozenset(("->", "(", ")", ",", ".", "=", "?"))
+# Tokens that are no name: punctuation, the keyword and EOF.
+_NOT_NAMES = _PUNCT | {"exists", ""}
 
-# Groups, by number: whitespace, comment, punctuation, identifier, any
-# other character.  `\s` is `str.isspace` and `\w` is `str.isalnum` or
-# '_', but `[^\W\d_]` also admits numeric characters that are not
-# letters, such as '²', so `_lex` checks an identifier's start.
-_TOKEN = re.compile(r"(\s+)|(%[^\n]*)|(->|[(),.=?])|([^\W\d_]\w*)|(.)", re.S)
+# Lexemes: whitespace, a comment, '->', a run of word characters, any
+# other character.  `\s` is `str.isspace` and `\w` is `str.isalnum` or '_'.
+_LEXEME = re.compile(r"\s+|%[^\n]*|->|\w+|.", re.S)
 
 
-def _lex(text: str) -> tuple[list[tuple], list[Diagnostic]]:
-    """The tokens of the text, each (kind, text, line, col), ending in an
-    EOF token, and a diagnostic for each character no token admits.  Only
-    a line feed ends a line.  A comment does not advance the column, so
-    an EOF right after one has the column of its '%'."""
-    tokens: list[tuple] = []
-    diags: list[Diagnostic] = []
-    match = _TOKEN.match
-    pos, n = 0, len(text)
-    line, line_start = 1, 0  # line_start: the index of column 1
-    while pos < n:
-        m = match(text, pos)
-        group = m.lastindex
-        word = m.group()
-        col = pos - line_start + 1
-        if group == 1:
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = pos + word.rindex("\n") + 1
-        elif group == 2:
-            line_start += len(word)
-        elif group == 3:
-            tokens.append((_PUNCT[word], word, line, col))
-        elif group == 4 and word[0].isalpha():
-            kind = "EXISTS" if word == "exists" else "UIDENT" if word[0].isupper() else "LIDENT"
-            tokens.append((kind, word, line, col))
-        else:
-            diags.append(Diagnostic(line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            continue
-        pos = m.end()
-    tokens.append(("EOF", "", line, n - line_start + 1))
-    return tokens, diags
+def _lex(text: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
+    """The tokens of the text, ending in the EOF token "", the offset of
+    each, and an (offset, message) pair for each character no token
+    admits.  A token's text is its kind: punctuation, or a name, which
+    starts with a letter.  A word run whose first character is not a
+    letter ('1a', '²x', 'Ⅻ') yields a diagnostic for each character up
+    to its first letter and a name from there.  The EOF of a text that
+    ends in a comment has the offset of its '%'."""
+    tokens: list[str] = []
+    offsets: list[int] = []
+    bad: list[tuple[int, str]] = []
+    off = 0
+    lexemes = _LEXEME.findall(text)
+    for lexeme in lexemes:
+        c = lexeme[0]
+        if c.isalpha() or lexeme in _PUNCT:
+            tokens.append(lexeme)
+            offsets.append(off)
+        elif not (c.isspace() or c == "%"):
+            for k, c in enumerate(lexeme):
+                if c.isalpha():
+                    tokens.append(lexeme[k:])
+                    offsets.append(off + k)
+                    break
+                bad.append((off + k, f"unexpected character {c!r}"))
+        off += len(lexeme)
+    if lexemes and lexemes[-1][0] == "%":
+        off -= len(lexemes[-1])
+    tokens.append("")
+    offsets.append(off)
+    return tokens, offsets, bad
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-# Raw syntax nodes carry names only; predicates are resolved afterwards so
-# arity mismatches can be reported with their locations.
-
-
-@dataclass
-class _RawAtom:
-    name: str
-    args: list[tuple[str, str]]  # (kind, name), kind in {"const", "var"}
-    line: int
-    col: int
-
 
 class _Parser:
-    """Reads the tokens of `_lex` by index: 0 kind, 1 text, 2 line, 3 col."""
+    """Reads the tokens of `_lex` by index and builds each statement once
+    it has parsed.  Each name in an atom is resolved to its term or
+    predicate once per parse.  A diagnostic is kept as (offset, message)
+    until the parse ends; syntax and predicate diagnostics are kept
+    apart, so that every syntax diagnostic is reported first."""
 
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
-        self.pos = 0
-        self.diags: list[Diagnostic] = []
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens, self.offsets, self.bad = _lex(text)
+        self.syntax: list[tuple[int, str]] = []
+        self.semantic: list[tuple[int, str]] = []
+        self.starts: Optional[list[int]] = None
+        self.terms: dict[str, object] = {}  # name -> its Constant or Variable
+        # name -> (its predicate, the offset of its first use)
+        self.predicates: dict[str, tuple[Predicate, int]] = {}
+        self.rules: list[Rule] = []
+        self.facts: list[Atom] = []
+        self.queries: list[BCQ] = []
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
+    def position(self, offset: int) -> tuple[int, int]:
+        """The line and column of an offset; the offsets at which lines
+        start are found for the first diagnostic."""
+        if self.starts is None:
+            self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
 
-    def next(self) -> tuple:
-        t = self.tokens[self.pos]
-        if t[0] != "EOF":
-            self.pos += 1
-        return t
+    def expected(self, i: int, what: str) -> None:
+        t = self.tokens[i]
+        self.syntax.append((self.offsets[i], f"expected {what}, found {t!r}" if t else f"expected {what}"))
 
-    def error(self, tok: tuple, message: str) -> None:
-        self.diags.append(Diagnostic(tok[2], tok[3], message))
-
-    def recover(self) -> None:
-        # Skip to just past the next statement terminator.
+    def conjunction(self, i: int) -> tuple[int, Optional[list[tuple]]]:
+        """The atoms from token i on, separated by ',', each as (index of
+        its name, its terms), and the index after them; or None and the
+        index of the offending token.  A predicate is any name directly
+        followed by '('; case only tells a term's kind (lowercase
+        constant, uppercase variable)."""
+        tokens, terms, atoms = self.tokens, self.terms, []
         while True:
-            t = self.next()
-            if t[0] in ("DOT", "EOF"):
-                return
+            if tokens[i] in _NOT_NAMES:
+                self.syntax.append((self.offsets[i], "expected a predicate name"))
+                return i, None
+            if tokens[i + 1] != "(":
+                self.expected(i + 1, "'('")
+                return i + 1, None
+            args = []
+            j = i + 2
+            while True:
+                t = tokens[j]
+                term = terms.get(t)
+                if term is None:
+                    if t in _NOT_NAMES:
+                        self.syntax.append((self.offsets[j], "expected a constant or variable"))
+                        return j, None
+                    term = terms[t] = Variable(t) if t[0].isupper() else Constant(t)
+                args.append(term)
+                t = tokens[j + 1]
+                j += 2
+                if t != ",":
+                    break
+            if t != ")":
+                self.expected(j - 1, "')'")
+                return j - 1, None
+            atoms.append((i, args))
+            if tokens[j] != ",":
+                return j, atoms
+            i = j + 1
 
-    def expect(self, kind: str, what: str) -> Optional[tuple]:
-        t = self.peek()
-        if t[0] == kind:
-            return self.next()
-        self.error(t, f"expected {what}, found {t[1]!r}" if t[1] else f"expected {what}")
-        return None
-
-    def parse_atom(self) -> Optional[_RawAtom]:
-        # A predicate is any identifier directly followed by '('; case only
-        # disambiguates term positions (lowercase constant, uppercase
-        # variable), so the usual uppercase predicate names parse fine.
-        name_tok = self.peek()
-        if name_tok[0] not in ("LIDENT", "UIDENT"):
-            self.error(name_tok, "expected a predicate name")
-            return None
-        self.next()
-        if self.expect("LPAREN", "'('") is None:
-            return None
-        args: list[tuple[str, str]] = []
+    def variables(self, i: int) -> tuple[int, Optional[list[Variable]]]:
+        """A comma-separated list of variables, then a '.'."""
+        tokens, out = self.tokens, []
         while True:
-            t = self.peek()
-            if t[0] == "LIDENT":
-                args.append(("const", t[1]))
-                self.next()
-            elif t[0] == "UIDENT":
-                args.append(("var", t[1]))
-                self.next()
-            else:
-                self.error(t, "expected a constant or variable")
-                return None
-            if self.peek()[0] == "COMMA":
-                self.next()
-                continue
-            break
-        if self.expect("RPAREN", "')'") is None:
-            return None
-        return _RawAtom(name_tok[1], args, name_tok[2], name_tok[3])
+            t = tokens[i]
+            if not t[:1].isupper():
+                self.expected(i, "a variable")
+                return i, None
+            out.append(Variable(t))
+            i += 1
+            if tokens[i] != ",":
+                break
+            i += 1
+        if tokens[i] != ".":
+            self.expected(i, "'.'")
+            return i, None
+        return i + 1, out
 
-    def parse_conjunction(self) -> Optional[list[_RawAtom]]:
+    def build(self, raw: list[tuple]) -> Optional[list[Atom]]:
+        """The atoms of a parsed statement, or None if a predicate is
+        misused; every atom is checked."""
+        tokens, offsets, predicates = self.tokens, self.offsets, self.predicates
         atoms = []
-        while True:
-            atom = self.parse_atom()
-            if atom is None:
-                return None
-            atoms.append(atom)
-            if self.peek()[0] == "COMMA":
-                self.next()
-                continue
-            return atoms
+        for i, args in raw:
+            name, arity = tokens[i], len(args)
+            if name == RESERVED_EQ_NAME:
+                if arity != 2:
+                    self.semantic.append(
+                        (offsets[i], f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
+                    )
+                    atoms = None
+                    continue
+                p = EQ
+            else:
+                seen = predicates.get(name)
+                if seen is None:
+                    seen = predicates[name] = (Predicate(name, arity), offsets[i])
+                elif seen[0].arity != arity:
+                    line = self.position(seen[1])[0]
+                    self.semantic.append(
+                        (offsets[i], f"predicate {name!r} used with arity {arity}, but line {line} uses arity {seen[0].arity}")
+                    )
+                    atoms = None
+                    continue
+                p = seen[0]
+            if atoms is not None:
+                atoms.append(Atom(p, args))
+        return atoms
 
-    def parse_varlist(self) -> Optional[list[tuple]]:
-        out = []
-        while True:
-            t = self.expect("UIDENT", "a variable")
-            if t is None:
-                return None
-            out.append(t)
-            if self.peek()[0] == "COMMA":
-                self.next()
-                continue
-            return out
-
-    def parse_statement(self):
-        """Returns ("rule" | "fact" | "query", payload) or None."""
-        t = self.peek()
-        if t[0] == "QMARK":
-            self.next()
-            exists: Optional[list[tuple]] = None
-            if self.peek()[0] == "EXISTS":
-                self.next()
-                exists = self.parse_varlist()
-                if exists is None or self.expect("DOT", "'.'") is None:
-                    return None
-            body = self.parse_conjunction()
-            if body is None or self.expect("DOT", "'.'") is None:
-                return None
-            return ("query", (exists, body))
-
-        body = self.parse_conjunction()
-        if body is None:
-            return None
-        t2 = self.peek()
-        if t2[0] == "DOT":
-            self.next()
-            if len(body) != 1:
-                self.error(t2, "a fact statement holds exactly one atom")
-                return None
-            return ("fact", body[0])
-        if t2[0] != "ARROW":
-            self.error(t2, "expected '->' or '.'")
-            return None
-        self.next()
-        t3 = self.peek()
-        if t3[0] == "EXISTS":
-            self.next()
-            exists = self.parse_varlist()
-            if exists is None or self.expect("DOT", "'.'") is None:
-                return None
-            head = self.parse_conjunction()
-            if head is None or self.expect("DOT", "'.'") is None:
-                return None
-            return ("rule", ("tgd", body, exists, head))
-        if t3[0] == "UIDENT" and self.tokens[self.pos + 1][0] == "EQUALS":
-            x = self.next()
-            self.next()  # '='
-            y = self.expect("UIDENT", "a variable")
-            if y is None or self.expect("DOT", "'.'") is None:
-                return None
-            return ("rule", ("egd", body, x, y))
-        head = self.parse_conjunction()
-        if head is None or self.expect("DOT", "'.'") is None:
-            return None
-        return ("rule", ("tgd", body, None, head))
-
-    def parse_program(self) -> list:
-        statements = []
-        while self.peek()[0] != "EOF":
-            if self.peek()[0] == "DOT":  # stray terminator
-                self.error(self.peek(), "empty statement")
-                self.next()
-                continue
-            st = self.parse_statement()
-            if st is None:
-                self.recover()
-                continue
-            statements.append(st)
-        return statements
-
-
-# ---------------------------------------------------------------------------
-# Semantic construction
-
-
-class _Builder:
-    def __init__(self):
-        # name -> (its predicate, the line and column of its first use)
-        self.predicates: dict[str, tuple[Predicate, int, int]] = {}
-        self.diags: list[Diagnostic] = []
-
-    def predicate(self, raw: _RawAtom) -> Optional[Predicate]:
-        arity = len(raw.args)
-        if raw.name == RESERVED_EQ_NAME:
-            if arity != 2:
-                self.diags.append(
-                    Diagnostic(raw.line, raw.col, f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
-                )
-                return None
-            return EQ
-        seen = self.predicates.get(raw.name)
-        if seen is None:
-            seen = self.predicates[raw.name] = (Predicate(raw.name, arity), raw.line, raw.col)
-        elif seen[0].arity != arity:
-            self.diags.append(
-                Diagnostic(
-                    raw.line,
-                    raw.col,
-                    f"predicate {raw.name!r} used with arity {arity}, but line {seen[1]} uses arity {seen[0].arity}",
-                )
-            )
-            return None
-        return seen[0]
-
-    def atom(self, raw: _RawAtom) -> Optional[Atom]:
-        p = self.predicate(raw)
-        if p is None:
-            return None
-        args = [Constant(n) if k == "const" else Variable(n) for k, n in raw.args]
-        return Atom(p, args)
+    def statement(self, i: int) -> int:
+        """Parses and builds the statement at token i; returns the index
+        after it, or ~k for the index k at which a syntax error was found."""
+        tokens = self.tokens
+        if tokens[i] == "?":
+            exists = None
+            i += 1
+            if tokens[i] == "exists":
+                i, exists = self.variables(i + 1)
+                if exists is None:
+                    return ~i
+            i, raw = self.conjunction(i)
+            if raw is None:
+                return ~i
+            if tokens[i] != ".":
+                self.expected(i, "'.'")
+                return ~i
+            body = self.build(raw)
+            if body is not None:
+                self.queries.append(BCQ(exists or _first_occurrence_vars(body), body))
+            return i + 1
+        i, raw = self.conjunction(i)
+        if raw is None:
+            return ~i
+        t = tokens[i]
+        if t == ".":
+            if len(raw) != 1:
+                self.syntax.append((self.offsets[i], "a fact statement holds exactly one atom"))
+                return ~(i + 1)
+            fact = self.build(raw)
+            if fact is not None:
+                self.facts.append(fact[0])
+            return i + 1
+        if t != "->":
+            self.syntax.append((self.offsets[i], "expected '->' or '.'"))
+            return ~i
+        i += 1
+        t = tokens[i]
+        if t == "exists":
+            i, exists = self.variables(i + 1)
+            if exists is None:
+                return ~i
+        elif t[:1].isupper() and tokens[i + 1] == "=":
+            y = tokens[i + 2]
+            if not y[:1].isupper():
+                self.expected(i + 2, "a variable")
+                return ~(i + 2)
+            if tokens[i + 3] != ".":
+                self.expected(i + 3, "'.'")
+                return ~(i + 3)
+            body = self.build(raw)
+            if body is not None:
+                self.rules.append(EGD(body, Variable(t), Variable(y)))
+            return i + 4
+        else:
+            exists = ()
+        i, head_raw = self.conjunction(i)
+        if head_raw is None:
+            return ~i
+        if tokens[i] != ".":
+            self.expected(i, "'.'")
+            return ~i
+        body = self.build(raw)
+        if body is not None:
+            head = self.build(head_raw)
+            if head is not None:
+                self.rules.append(TGD(body, exists, head))
+        return i + 1
 
 
 def parse(text: str) -> Program:
     """Parse a program; raises ParseError with every diagnostic found."""
-    tokens, diags = _lex(text)
-    parser = _Parser(tokens)
-    statements = parser.parse_program()
-    diags.extend(parser.diags)
-
-    builder = _Builder()
-    rules: list[Rule] = []
-    facts: list[Atom] = []
-    queries: list[BCQ] = []
-
-    for kind, payload in statements:
-        if kind == "fact":
-            atom = builder.atom(payload)
-            if atom is not None:
-                facts.append(atom)
-        elif kind == "rule":
-            shape = payload[0]
-            body = [builder.atom(r) for r in payload[1]]
-            if any(a is None for a in body):
-                continue
-            if shape == "tgd":
-                _, _, exists, raw_head = payload
-                head = [builder.atom(r) for r in raw_head]
-                if any(a is None for a in head):
-                    continue
-                ex_vars = tuple(Variable(t[1]) for t in exists) if exists else ()
-                rules.append(TGD(body, ex_vars, head))
-            else:
-                _, _, x, y = payload
-                rules.append(EGD(body, Variable(x[1]), Variable(y[1])))
-        else:
-            exists, raw_body = payload
-            body = [builder.atom(r) for r in raw_body]
-            if any(a is None for a in body):
-                continue
-            if exists is not None:
-                variables = tuple(Variable(t[1]) for t in exists)
-            else:
-                variables = _first_occurrence_vars(body)
-            queries.append(BCQ(variables, body))
-
-    diags.extend(builder.diags)
-    if diags:
-        raise ParseError(diags)
-    return Program(RuleSet(rules), tuple(facts), tuple(queries))
+    p = _Parser(text)
+    tokens, i = p.tokens, 0
+    while tokens[i]:
+        if tokens[i] == ".":  # stray terminator
+            p.syntax.append((p.offsets[i], "empty statement"))
+            i += 1
+            continue
+        i = p.statement(i)
+        if i < 0:  # skip to just past the next statement terminator
+            try:
+                i = tokens.index(".", ~i) + 1
+            except ValueError:
+                i = len(tokens) - 1
+    found = p.bad + p.syntax + p.semantic
+    if found:
+        raise ParseError(Diagnostic(*p.position(off), message) for off, message in found)
+    return Program(RuleSet(p.rules), tuple(p.facts), tuple(p.queries))
 
 
 # ---------------------------------------------------------------------------

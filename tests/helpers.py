@@ -1,9 +1,9 @@
-"""Helpers that only the tests use: term and atom-set operations, and a
-reference lexer."""
+"""Helpers that only the tests use: term and atom-set operations, a
+reference lexer, and the parser's lexer output put in its form."""
 
 from eqchase import EQ, STAR, Atom, AtomSet, Constant, Functional
 from eqchase.model import _map_atom
-from eqchase.parser import Diagnostic
+from eqchase.parser import Diagnostic, _lex
 
 
 def apply_term_map(s, m):
@@ -107,3 +107,24 @@ def reference_lex(text):
         col += 1
     tokens.append(("EOF", "", line, col))
     return tokens, diags
+
+
+_KINDS = {**_PUNCT, "->": "ARROW", "exists": "EXISTS", "": "EOF"}
+
+
+def lexed(text):
+    """The output of the parser's `_lex` in the form `reference_lex`
+    gives: each token as (kind, text, line, col), the diagnostics as
+    Diagnostics.  Line and column are counted from the offset here, not
+    by the parser's own conversion."""
+    def position(offset):
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    def kind(token):
+        return _KINDS.get(token) or ("UIDENT" if token[0].isupper() else "LIDENT")
+
+    tokens, offsets, bad = _lex(text)
+    return (
+        [(kind(t), t, *position(o)) for t, o in zip(tokens, offsets)],
+        [Diagnostic(*position(o), message) for o, message in bad],
+    )

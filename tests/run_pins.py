@@ -1,14 +1,16 @@
-"""The chase-egd, query and check pins, run without pytest.
+"""The chase-egd, query, check and parse pins, run without pytest.
 
 For an interpreter that has no pytest installed, e.g. to try the
 generated join kernels (built with `exec`, nested as deep as CPython
-allows) on another Python version:
+allows) or the lexer (whose `\w`, `\s` and `str.isalpha` follow the
+interpreter's Unicode tables) on another Python version:
 
     PYTHONPATH=src python3.13 tests/run_pins.py
 
-Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py` and
-`test_check_pins.py` once per case, each through `eqchase.cli.main`;
-prints one line per file and exits 1 if any case misses its pin.
+Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py`,
+`test_check_pins.py` and `test_parse_pins.py` once per case, the first
+three through `eqchase.cli.main`; prints one line per file and exits 1
+if any case misses its pin.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ except ImportError:
 
 import test_bench_pins  # noqa: E402
 import test_check_pins  # noqa: E402
+import test_parse_pins  # noqa: E402
 import test_query_pins  # noqa: E402
 
-# (name, checks of the case list, the pin test, its arguments per case)
+# (name, checks of the case list, the pin test, its arguments per case;
+# each test also takes a scratch directory)
 SUITES = [
     ("chase-egd", [test_bench_pins.test_the_pool_is_the_pinned_one],
      test_bench_pins.test_chase_egd_output_matches_the_pin, test_bench_pins.POOL),
@@ -42,6 +46,10 @@ SUITES = [
     ("check", [test_check_pins.test_the_cases_are_the_pinned_ones],
      test_check_pins.test_check_output_matches_the_pin,
      [(case,) for case in sorted(test_check_pins.CASES)]),
+    ("parse", [test_parse_pins.test_the_cases_are_the_pinned_ones,
+               test_parse_pins.test_the_pins_cover_both_outcomes],
+     lambda case, tmp: test_parse_pins.test_parse_matches_the_pin(case),
+     [(case,) for case in sorted(test_parse_pins.CASES)]),
 ]
 
 

@@ -269,6 +269,25 @@ def test_non_utf8_file_is_bad_input(capsys, tmp_path):
     assert "internal error" not in err
 
 
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    bom = tmp_path / "bom.rules"
+    bom.write_bytes(b"\xef\xbb\xbfA(X) -> B(X) .\nA(a) .\n")
+    code, out, err = run(capsys, "chase", str(bom), "--format", "json", "--no-timing")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["atom_count"] == 2
+    # Positions count from the first character after the mark.
+    bom.write_bytes(b"\xef\xbb\xbf(a) .\n")
+    code, _, err = run(capsys, "chase", str(bom))
+    assert (code, err) == (1, f"{bom}:1:1: expected a predicate name\n")
+
+
+def test_a_decoding_error_after_a_byte_order_mark_names_its_file_offset(capsys, tmp_path):
+    bad = tmp_path / "bad.rules"
+    bad.write_bytes(b"\xef\xbb\xbfA(a) .\n\xff")
+    code, _, err = run(capsys, "chase", str(bad))
+    assert (code, err) == (1, f"{bad}: not valid UTF-8 (byte 10: invalid start byte)\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,7 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -436,6 +439,63 @@ def test_repr_and_variables_of_a_term_deeper_than_the_recursion_limit():
         want = f"Functional('deep_walk', ({want}, Constant('b')))"
     assert repr(t) == want
     assert list(Atom(R2, [t, Functional(f, [Y])]).variables()) == [X, Y]
+
+
+def test_substitution_into_a_term_deeper_than_the_recursion_limit():
+    t = _deep(SkolemSymbol("f_Y", 2), X, 5001)
+    ground = apply_syntactic(Atom(R2, [t, Y]), {X: a, Y: b})
+    assert ground.args[1] is b and ground.args[0].depth == 5001
+    assert not ground.args[0].has_var and str(ground.args[0]).count("a") == 1
+    partial = apply_syntactic_partial(Atom(R2, [t, Y]), {Y: a})
+    assert partial.args == (t, a)
+    assert apply_syntactic_partial(Atom(R2, [t, Y]), {X: a, Y: b}) == ground
+    with pytest.raises(ValueError, match="unbound variable 'X'"):
+        apply_syntactic(Atom(R2, [t, Y]), {Y: a})
+
+
+def _reference_substitute(t, subst):
+    if type(t) is Variable:
+        return subst.get(t, t)
+    if type(t) is Functional:
+        return Functional(t.fn, [_reference_substitute(u, subst) for u in t.args])
+    return t
+
+
+def test_substitution_matches_a_recursive_reference():
+    rng = random.Random(14)
+    symbols = [SkolemSymbol("sub_f", 1), SkolemSymbol("sub_g", 2)]
+
+    def term(depth):
+        if depth <= 1 or rng.random() < 0.3:
+            return rng.choice([a, b, X, Y, Z])
+        fn = rng.choice(symbols)
+        return Functional(fn, [term(depth - 1) for _ in range(fn.arity)])
+
+    for _ in range(300):
+        t = term(6)
+        subst = dict(rng.sample([(X, a), (Y, Functional(f, [b])), (Z, W)], rng.randint(0, 3)))
+        want = _reference_substitute(t, subst)
+        assert apply_syntactic_partial(Atom(P1, [t]), subst).args == (want,)
+        if not (set(Atom(P1, [t]).variables()) - set(subst)):
+            assert apply_syntactic(Atom(P1, [t]), subst).args == (want,)
+
+
+def test_pickle_and_copies_of_a_term_deeper_than_the_recursion_limit():
+    t = _deep(SkolemSymbol("f_Y", 2), a, 5001)
+    for back in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert back is t
+    # Loaded after the term is gone, it is built again, equal in shape.
+    text, data = str(t), pickle.dumps(t)
+    del t, back
+    gc.collect()
+    t = pickle.loads(data)
+    assert t.depth == 5001 and str(t) == text
+    # A subterm that occurs many times is written once.
+    shared = a
+    for _ in range(40):
+        shared = Functional(g2, (shared, shared))
+    assert len(pickle.dumps(shared)) < 2000
+    assert pickle.loads(pickle.dumps(shared)) is shared
 
 
 def _reference_key(t):

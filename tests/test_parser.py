@@ -19,8 +19,8 @@ from eqchase import (
     Ontology,
 )
 from corpus import random_ontology, random_query
-from eqchase.parser import _lex, serialize_query, serialize_rule
-from helpers import reference_lex
+from eqchase.parser import serialize_query, serialize_rule
+from helpers import lexed, reference_lex
 
 
 def test_parse_tgd_example():
@@ -180,5 +180,7 @@ _GRAMMAR_NOISE = "ABab(),.->? =XYZW\n%exists_1\r\t²Ⅻǅ"
 @example("a_1")
 @example("²exists")  # the keyword after a rejected character
 @example("A(X) -> B(X) % c")  # the EOF keeps the column of the '%'
+@example("\ufeffA(a) .")
+@example("1a_²x²² Ⅻb\n_")  # each character up to a word run's first letter
 def test_lexer_agrees_with_the_reference(text):
-    assert _lex(text) == reference_lex(text)
+    assert lexed(text) == reference_lex(text)
