@@ -90,7 +90,13 @@ class _Saturation:
     `maps` each replacement (frm, to) to the index and key of the EGD
     match that made it first.  A TGD match builds its head from the key
     by the rule's template, and a derivation record only for an atom the
-    set does not hold yet, with the body instance the plan matched."""
+    set does not hold yet, with the body instance the plan matched.
+
+    The plans skip idle matches (see `_CompiledRule`): an EGD match
+    equating a term with itself adds no replacement map, and a closed TGD
+    match whose head is one of its own body atoms adds a held atom.  So
+    the atoms, their order, the derivation records and the witness are
+    the same as when every match is fired."""
 
     def __init__(self, rules: RuleSet, limits: ChaseLimits,
                  compiled: Optional[Mapping[Rule, _CompiledRule]] = None):
@@ -134,8 +140,6 @@ class _Saturation:
 
     def _fire_egd(self, cr: _CompiledRule, idx: int, key: tuple) -> None:
         tx, ty = key[cr.x], key[cr.y]
-        if tx is ty:
-            return
         pairs = []
         if tx.depth <= ty.depth:
             pairs.append((ty, tx))

@@ -15,6 +15,14 @@ the engine keeps no record of consumed matches.  Every pair that stays
 applicable is eventually applied, and the final set of a finished run
 satisfies every rule.
 
+The compiled joins of the engine and of the acyclicity checks skip idle
+matches, those whose firing can change nothing: an EGD match that
+equates a term with itself, and a match of a closed TGD with one head
+atom whose head is the match's instance of one of its body atoms, so
+already held (see `_CompiledRule`).  An idle match is never applicable,
+and a merge renames both sides of what made it idle, so it stays idle;
+skipping it leaves every selected pair, atom and rank as it was.
+
 Boolean conjunctive queries are answered by homomorphism search into the
 finished chase; a witness found in a limit-truncated state is still sound
 because later growth preserves embeddings and merges only rename them.
@@ -134,15 +142,27 @@ class _Plan:
     bound beforehand, joins the atom at body position `pos` first: that
     step scans the anchor atom it is run with (see `match_conjunction`).
     The steps without a predicate are the plan's shape, which picks its
-    `kernel`; `preds` are the steps' predicates and `scans` those of the
-    other steps that read a whole bucket.  Running the plan records the
-    atom matched at each body position in `matched`, so a plan runs one
-    enumeration at a time.
+    `kernel` together with `idle`; `preds` are the steps' predicates and
+    `scans` those of the other steps that read a whole bucket.  Running
+    the plan records the atom matched at each body position in
+    `matched`, so a plan runs one enumeration at a time.
+
+    `idle`, given only to a plan with no variable bound beforehand,
+    holds its rule's idle conjunctions (see `_CompiledRule`), each a
+    tuple of slot pairs: a match that binds both slots of every pair of
+    one of them to the same term is dropped before it is yielded.  The
+    kernel tests each conjunction at the first step that binds all its
+    slots, inline after that step's checks: a slot the step binds is
+    read from the candidate's arguments, any other from a local hoisted
+    at loop entry; a conjunction without pairs drops every match.  The
+    tests are placed once per kernel shape, when the kernel is
+    generated, so building a plan does no work for them.
     """
 
     __slots__ = ("matched", "slots", "preds", "scans", "kernel")
 
-    def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None):
+    def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
+                 idle=()):
         bound = set(bound)
         anchored = pos is not None
         todo = list(range(len(body)))
@@ -161,7 +181,7 @@ class _Plan:
         self.preds = tuple(order)
         self.scans = tuple(p for p, step in zip(order[anchored:], shape[anchored:])
                            if step[1] is None)
-        self.kernel = _kernel(tuple(shape))
+        self.kernel = _kernel(tuple(shape), idle)
         self.matched: list = [None] * len(body)
         self.slots: list = [None] * len(slot)
 
@@ -179,13 +199,21 @@ def _exec(source: str, name: str, namespace: dict):
 
 
 @lru_cache(maxsize=1024)
-def _kernel(shape: tuple, start: int = 0):
+def _kernel(shape: tuple, idle: tuple = (), start: int = 0):
     """The generator function that runs steps `start`.. of a plan of
-    this shape, at most `_SEGMENT` of them, then the next segment's
-    kernel; see `match_conjunction`."""
+    this shape with these idle conjunctions (see `_Plan`), at most
+    `_SEGMENT` steps, then the next segment's kernel; see
+    `match_conjunction`."""
     end = min(start + _SEGMENT, len(shape))
     lines = ["def kernel(P, aset, slots, m, below, S):"]
     snap = sum(step[1] is None for step in shape[:start])
+    at: dict = {}  # conjunction -> the first step that binds all its slots
+    bound: set = set()
+    for i, step in enumerate(shape):
+        bound.update(s for _, s in step[5])
+        for c in idle:
+            if c not in at and bound.issuperset(s for p in c for s in p):
+                at[c] = i
     for i in range(start, end):
         pos, src, var, checks, repeats, binds = shape[i]
         pad = " " * (i - start + 1)
@@ -195,10 +223,15 @@ def _kernel(shape: tuple, start: int = 0):
             cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
         else:
             cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}], below)"
-        lines += [f"{pad}t{i}_{j} = slots[{s}]" for j, s in checks]
+        here = [c for c in at if at[c] == i]
+        value = {s: f"x[{j}]" for j, s in binds}
+        hoisted = [s for _, s in checks] + [s for c in here for p in c for s in p if s not in value]
+        value.update((s, f"t{i}_{s}") for s in hoisted)
+        lines += [f"{pad}t{i}_{s} = slots[{s}]" for s in dict.fromkeys(hoisted)]
         lines.append(f"{pad}for a{i} in {cands}:")
-        tests = [f"x[{j}] is not t{i}_{j}" for j, _ in checks]
+        tests = [f"x[{j}] is not t{i}_{s}" for j, s in checks]
         tests += [f"x[{k}] is not x[{j}]" for j, k in repeats]
+        tests += [" and ".join(f"{value[a]} is {value[b]}" for a, b in c) or "True" for c in here]
         if tests or binds:
             lines.append(f"{pad} x = a{i}.args")
         if tests:
@@ -208,7 +241,7 @@ def _kernel(shape: tuple, start: int = 0):
     pad = " " * (end - start + 1)
     if end < len(shape):
         lines.append(f"{pad}yield from rest(P, aset, slots, m, below, S)")
-        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, end)})
+        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, idle, end)})
     lines.append(f"{pad}yield slots")
     return _exec("\n".join(lines), "kernel", {})
 
@@ -235,13 +268,15 @@ def match_conjunction(
     anchor: Optional[Atom] = None,
 ) -> Iterator:
     """Enumerate every binding of the body variables that embeds the
-    conjunction into the atom set, in deterministic order.
+    conjunction into the atom set, in deterministic order; a compiled
+    plan skips the idle bindings of its rule.
 
     Given a compiled `_Plan`, runs it over the slot list `init` and yields
-    that list, live, at every match; an anchored plan is given the atom
-    its first step matches as `anchor`.  Given atoms, compiles a plan in
-    body order with the variables of `init` bound and yields a new dict
-    per binding, `init` included.
+    that list, live, at every match that is not idle (see `_Plan`); an
+    anchored plan is given the atom its first step matches as `anchor`.
+    Given atoms, compiles a plan in body order with the variables of
+    `init` bound, and no idle test, and yields a new dict per binding,
+    `init` included.
 
     A plan runs as its kernel, generated code with one nested `for` loop
     per step, inline `is not` tests and inline slot stores.  Kernels are
@@ -407,6 +442,15 @@ class _CompiledRule:
     Skolem symbol of an existential, whose term is that symbol applied to
     the whole key.
 
+    `idle` holds the conjunctions the anchored and `whole` plans skip
+    (see `_Plan`).  An EGD has one, {(x, y)}: a match that equates a term
+    with itself.  A closed TGD with one head atom has one per body atom
+    with the head's predicate, the (head argument, body argument) pairs
+    that differ: a match satisfying it instantiates the head as that
+    body atom, so the head is held.  So `plans` and `whole` yield only
+    matches that can change the set; the head plan yields every head
+    embedding.
+
     The queue is `heap`, entries (rank tuple, push number, key), and
     `queued` maps every key ever pushed to the rank tuple of its last
     push; a heap entry is live only while its rank tuple is that one.
@@ -417,7 +461,7 @@ class _CompiledRule:
     again when popped.
     """
 
-    __slots__ = ("rule", "kind", "universals", "whole", "plans", "head", "closed",
+    __slots__ = ("rule", "kind", "universals", "idle", "whole", "plans", "head", "closed",
                  "template", "build", "build_args", "x", "y", "heap", "queued")
 
     def __init__(self, rule: Rule):
@@ -440,10 +484,16 @@ class _CompiledRule:
                 tuple(a if type(a) is int else -1 - symbols.index(a) for a in args)
                 for _, args in self.template
             ))
+            head = rule.head[0]
+            self.idle = tuple([
+                tuple([(where[u], where[v]) for u, v in zip(head.args, b.args) if u is not v])
+                for b in rule.body if b.predicate is head.predicate
+            ]) if self.closed and len(rule.head) == 1 else ()
         else:
             self.kind = "egd"
             self.x = where[rule.x]
             self.y = where[rule.y]
+            self.idle = (((self.x, self.y),),)
         self.heap: Optional[list] = None
         self.queued: Optional[dict] = None
 
@@ -454,7 +504,7 @@ class _CompiledRule:
         slot = {v: i for i, v in enumerate(self.universals)}
         self.plans: dict = {}
         for pos, atom in enumerate(self.rule.body):
-            plan = _Plan(self.rule.body, slot, size=size, pos=pos)
+            plan = _Plan(self.rule.body, slot, size=size, pos=pos, idle=self.idle)
             self.plans.setdefault(atom.predicate, []).append(plan)
 
     def compile(self, size: Callable) -> None:
@@ -464,7 +514,7 @@ class _CompiledRule:
         one more slot for each existential."""
         self.compile_anchored(size)
         self.whole = _Plan(self.rule.body, {v: i for i, v in enumerate(self.universals)},
-                           size=size)
+                           size=size, idle=self.idle)
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _Plan(self.rule.head, extended, self.universals, size)
@@ -498,11 +548,16 @@ class ChaseEngine:
     constant-free, so a queued match over atoms the merge left alone
     keeps its key and rank tuple, and one over a removed atom holds the
     merged-away term: such keys are dropped when popped, by a check
-    against `gone`, the merged-away terms.  A re-ranked match that was
-    consumed is popped again and rejected again: an applied TGD match's
-    head is present, a blocked one stays blocked under the renaming (it
-    maps a head embedding to a head embedding), and a consumed EGD match
-    equates equal terms.
+    against `gone`, the merged-away terms.  A re-ranked TGD match that
+    was consumed is popped again and rejected again: an applied match's
+    head is present, and a blocked one stays blocked under the renaming
+    (it maps a head embedding to a head embedding).
+
+    The plans queue no idle match (see the module docstring), so a live
+    EGD entry, whose key holds no merged-away term, equates two distinct
+    terms and is applied as popped.  A limit stops the run after a
+    candidate was selected; `_stop` pushes it back, so a run resumed
+    with other limits selects it first, as one uncapped run would.
 
     `run` is one loop: it pops each rule's heap and tests a closed TGD's
     head by membership in the set's dict.
@@ -574,6 +629,12 @@ class ChaseEngine:
         self.gone.add(frm)
         self._queue(changed)
 
+    def _stop(self, heap: list, entry: tuple, limit: str) -> LimitExceeded:
+        """Stop on `limit` with the selected candidate `entry` pushed back
+        on its rule's heap, live under its rank tuple."""
+        heappush(heap, entry)
+        return LimitExceeded(self.state, limit, self.trace.steps, self.trace)
+
     def run(self) -> ChaseOutcome:
         limits = self.limits
         max_steps, max_atoms, cap = limits.max_steps, limits.max_atoms, limits.max_term_depth
@@ -593,15 +654,14 @@ class ChaseEngine:
                     self._start(cr)
                 heap, queued = cr.heap, cr.queued
                 while heap:
-                    ranks, _, key = heappop(heap)
+                    entry = heappop(heap)
+                    ranks, _, key = entry
                     # Entries go stale only at merges, so before the first
                     # one every entry is live.
                     if gone and (queued[key] is not ranks or not gone.isdisjoint(key)):
                         continue
                     if cr.kind == "egd":
-                        if key[cr.x] is not key[cr.y]:
-                            break
-                        continue
+                        break
                     if cr.closed:
                         head = cr.instantiate(key)
                         if not all(map(held.__contains__, head)):
@@ -618,14 +678,14 @@ class ChaseEngine:
             else:
                 return Terminated(aset, trace.steps, trace)
             if max_steps is not None and trace.steps >= max_steps:
-                return LimitExceeded(aset, "max_steps", trace.steps, trace)
+                return self._stop(heap, entry, "max_steps")
             if cr.kind == "tgd":
                 fresh = [a for a in dict.fromkeys(head) if a not in held]
                 if (cap is not None and (cap < 1 or not cr.closed)
                         and max(t.depth for a in head for t in a.args) > cap):
-                    return LimitExceeded(aset, "max_term_depth", trace.steps, trace)
+                    return self._stop(heap, entry, "max_term_depth")
                 if max_atoms is not None and len(held) + len(fresh) > max_atoms:
-                    return LimitExceeded(aset, "max_atoms", trace.steps, trace)
+                    return self._stop(heap, entry, "max_atoms")
                 for a in fresh:
                     aset.add(a)
                 self._queue(fresh)

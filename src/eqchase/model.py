@@ -190,9 +190,12 @@ class Functional:
         return self
 
     def __reduce__(self):
-        # Each distinct functional subterm once, after its arguments, a
-        # functional argument by its position: a flat list, so that
-        # pickling a deep term does not recurse.
+        """Each distinct functional subterm once, after its arguments, a
+        functional argument by its position: a flat list, so that
+        pickling a deep term does not recurse.  Terms pickled in one
+        stream share no nodes, so pickling many nested terms takes
+        quadratic space: 400 atoms over one chain of nested terms take
+        about 670 KB, where sharing each subterm would take about 21 KB."""
         index: dict[Functional, int] = {}
         stack = [self]
         while stack:

@@ -1,4 +1,4 @@
-"""The chase-egd, query, check and parse pins, run without pytest.
+r"""The chase-egd, query, check, derivation and parse pins, run without pytest.
 
 For an interpreter that has no pytest installed, e.g. to try the
 generated join kernels (built with `exec`, nested as deep as CPython
@@ -8,9 +8,9 @@ interpreter's Unicode tables) on another Python version:
     PYTHONPATH=src python3.13 tests/run_pins.py
 
 Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py`,
-`test_check_pins.py` and `test_parse_pins.py` once per case, the first
-three through `eqchase.cli.main`; prints one line per file and exits 1
-if any case misses its pin.
+`test_check_pins.py`, `test_derivation_pins.py` and `test_parse_pins.py`
+once per case, the first three through `eqchase.cli.main`; prints one
+line per file and exits 1 if any case misses its pin.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ except ImportError:
 
 import test_bench_pins  # noqa: E402
 import test_check_pins  # noqa: E402
+import test_derivation_pins  # noqa: E402
 import test_parse_pins  # noqa: E402
 import test_query_pins  # noqa: E402
 
@@ -46,6 +47,9 @@ SUITES = [
     ("check", [test_check_pins.test_the_cases_are_the_pinned_ones],
      test_check_pins.test_check_output_matches_the_pin,
      [(case,) for case in sorted(test_check_pins.CASES)]),
+    ("derivation", [test_derivation_pins.test_the_cases_are_the_pinned_ones],
+     lambda case, tmp: test_derivation_pins.test_derivations_match_the_pin(case),
+     [(case,) for case in sorted(test_derivation_pins.CASES)]),
     ("parse", [test_parse_pins.test_the_cases_are_the_pinned_ones,
                test_parse_pins.test_the_pins_cover_both_outcomes],
      lambda case, tmp: test_parse_pins.test_parse_matches_the_pin(case),

@@ -359,6 +359,38 @@ def test_engine_selects_the_naive_step_sequence():
     assert cases == 3 * 120 + 15 + 4 + 3
 
 
+@pytest.mark.parametrize("stop", [
+    {"max_steps": 1}, {"max_steps": 5}, {"max_steps": 17},
+    {"max_term_depth": 1}, {"max_atoms": 40},
+], ids=lambda stop: "-".join(map(str, *stop.items())))
+def test_a_run_resumed_after_a_limit_selects_the_uncapped_sequence(stop):
+    # A limit stops the run after it has selected a candidate; the
+    # candidate stays queued, so raising the limit and running the same
+    # engine again applies what one uncapped run applies, in its order.
+    from eqchase.chase import ChaseEngine
+
+    def recorder(steps):
+        return lambda i, rule, sigma, aset: steps.append((i, _render(rule, sigma)))
+
+    wl = load_workloads()
+    full = ChaseLimits(max_term_depth=10)
+    for n, v in itertools.product(wl.EGD_SIZES[::2], range(wl.EGD_VARIANTS)):
+        program = parse(wl.egd_instance(n, v))
+        o = Ontology(program.rules, program.facts)
+        seen, uncapped = [], []
+        engine = ChaseEngine(o, ChaseLimits(**{"max_term_depth": 10, **stop}),
+                             on_step=recorder(seen))
+        first = engine.run()
+        assert isinstance(first, LimitExceeded) and first.limit == next(iter(stop))
+        engine.limits = full
+        resumed = engine.run()
+        whole = chase(o, full, on_step=recorder(uncapped))
+        assert isinstance(resumed, Terminated) and isinstance(whole, Terminated)
+        assert seen == uncapped
+        assert list(resumed.result) == list(whole.result)
+        assert all(satisfies(resumed.result, rule) for rule in o.rules)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_blocked_tgd_matches_stay_blocked_across_merges(n):

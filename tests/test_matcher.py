@@ -11,7 +11,7 @@ when the set was rewritten after an earlier call built its indexes.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqchase import TGD, Atom, AtomSet, Constant, Functional, Predicate, SkolemSymbol, Variable
+from eqchase import EGD, TGD, Atom, AtomSet, Constant, Functional, Predicate, SkolemSymbol, Variable
 from eqchase.chase import _CompiledRule, match_conjunction
 
 P1, R2, S3 = Predicate("P", 1), Predicate("R", 2), Predicate("S", 3)
@@ -172,16 +172,10 @@ def _plan_matches(plan, s, anchor=None):
             for found in match_conjunction(plan, s, plan.slots, anchor)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_op, max_size=16), _body, st.booleans())
-def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
-    body = [_atom(p, vs) for p, vs in body]
-    s = AtomSet()
-    _apply(s, ops)
-    cr = _CompiledRule(TGD(body, (), [body[0]]))
-    # In body order a plan yields what the dict path yields, in its
-    # order; in greedy order the same matches, in another order.
-    cr.compile(s.bucket_size if greedy else None)
+def _check_plans(cr, s, body, greedy, keep=lambda key: True):
+    """Each plan of the compiled rule yields the dict path's matches of
+    the positions it joins that `keep` accepts, in its order, with their
+    rank tuples; in greedy order the same matches, in another order."""
     def same(keys):
         keys = list(keys)
         return sorted(keys, key=lambda k: [t.order_key for t in k]) if greedy else keys
@@ -190,7 +184,7 @@ def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
 
     def check(plan, anchor, init, positions):
         got = _plan_matches(plan, s, anchor)
-        want = _dict_keys([body[i] for i in positions], s, u, init)
+        want = [k for k in _dict_keys([body[i] for i in positions], s, u, init) if keep(k)]
         assert same(key for key, _ in got) == same(want)
         for key, ranks in got:
             atoms = [Atom(a.predicate, [key[u.index(v)] for v in a.args]) for a in body]
@@ -207,6 +201,68 @@ def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
                     check(plan, atom, init, rest)
                 else:
                     assert _plan_matches(plan, s, atom) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_op, max_size=16), _body, st.booleans())
+def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
+    body = [_atom(p, vs) for p, vs in body]
+    s = AtomSet()
+    _apply(s, ops)
+    # The head's predicate is in no body, so no match is idle.
+    cr = _CompiledRule(TGD(body, (), [Atom(Predicate("Fresh", 1), body[0].args[:1])]))
+    cr.compile(s.bucket_size if greedy else None)
+    _check_plans(cr, s, body, greedy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_op, max_size=16), _body, st.booleans(), st.booleans(),
+       st.integers(0, 2), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_compiled_plans_skip_exactly_the_idle_matches(ops, body, greedy, egd, at, picks):
+    # An EGD match that equates a term with itself, and a match of a
+    # closed single-head TGD whose head is the instance of a body atom,
+    # can change nothing; the plans drop those and keep every other
+    # dict-path match, in its order.
+    body = [_atom(p, vs) for p, vs in body]
+    s = AtomSet()
+    _apply(s, ops)
+    variables = list(dict.fromkeys(v for atom in body for v in atom.args))
+    pick = [variables[k % len(variables)] for k in picks]
+    if egd:
+        rule = EGD(body, pick[0], pick[1])
+    else:
+        shared = body[at % len(body)].predicate
+        rule = TGD(body, (), [Atom(shared, pick[:shared.arity])])
+    cr = _CompiledRule(rule)
+    cr.compile(s.bucket_size if greedy else None)
+    u = cr.universals
+
+    def instance(atom, key):
+        return Atom(atom.predicate, [key[u.index(v)] for v in atom.args])
+
+    def busy(key):
+        if egd:
+            return key[u.index(rule.x)] is not key[u.index(rule.y)]
+        return instance(rule.head[0], key) not in {instance(a, key) for a in body}
+
+    _check_plans(cr, s, body, greedy, busy)
+
+
+def test_idle_matches_are_skipped_past_a_kernel_segment():
+    # A 20-atom chain runs as two kernel segments.  Over a path with a
+    # loop at each end, the 4 walks that stay on a loop throughout, or
+    # for all but their first or last step, have their head E(X0,X20)
+    # among their own edges: only they drop.
+    E = Predicate("E", 2)
+    xs = [Variable(f"X{i}") for i in range(21)]
+    body = [Atom(E, xs[i : i + 2]) for i in range(20)]
+    cs = [Constant(f"c{i}") for i in range(8)]
+    s = AtomSet([Atom(E, pair) for pair in zip(cs, cs[1:])] + [Atom(E, (c, c)) for c in cs[::7]])
+    cr = _CompiledRule(TGD(body, (), [Atom(E, (xs[0], xs[20]))]))
+    cr.compile(None)
+    _check_plans(cr, s, body, False,
+                 lambda key: (key[0], key[20]) not in set(zip(key, key[1:])))
+    assert len(_plan_matches(cr.whole, s)) == len(_dict_keys(body, s, cr.universals, {})) - 4
 
 
 def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
