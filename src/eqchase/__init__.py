@@ -58,12 +58,8 @@ from .chase import (
 )
 from .axiomatisation import (
     AxiomatisedRuleSet,
-    EqIncompleteError,
-    bracket,
     canonical_query_singularisation,
     canonical_singularisation,
-    is_ep_complete,
-    pi,
     singularisation_count,
     singularisations,
     singularise_conjunction,

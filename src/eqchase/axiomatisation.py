@@ -6,11 +6,6 @@ reflexivity, symmetry, transitivity and per-position replacement rules)
 and singularisation (repeated body occurrences of a variable split into
 fresh variables linked by `eq` atoms, one rule set per choice of kept
 occurrence).
-
-The second half of the module is the machinery for reading an eq-closed
-atom set back: the rewriting that sends every term to the least member of
-its eq-class, and the bracket operation that applies it and drops the eq
-atoms.
 """
 
 from __future__ import annotations
@@ -24,13 +19,10 @@ from .model import (
     EQ,
     TGD,
     Atom,
-    AtomSet,
     BCQ,
-    GroundRewriting,
     Predicate,
     Rule,
     RuleSet,
-    Term,
     Variable,
     _first_occurrence_vars,
 )
@@ -50,9 +42,6 @@ class AxiomatisedRuleSet:
     rules: RuleSet
     kind: str
     choices: Optional[tuple[tuple[tuple[str, int], ...], ...]] = None
-
-    def __iter__(self):
-        return iter(self.rules)
 
 
 def _equivalence(predicates: Sequence[Predicate]) -> list[TGD]:
@@ -214,59 +203,3 @@ def singularise_query(query: BCQ) -> Iterator[BCQ]:
 
 def canonical_query_singularisation(query: BCQ) -> BCQ:
     return next(singularise_query(query))
-
-
-# ---------------------------------------------------------------------------
-# eq-closed sets, the class-collapsing rewriting, and bracket
-
-
-class EqIncompleteError(ValueError):
-    """Raised when a rewriting is requested over a set that is not closed
-    under eq reflexivity, symmetry and transitivity."""
-
-
-def _eq_neighbours(aset: AtomSet) -> dict[Term, set[Term]]:
-    nbr: dict[Term, set[Term]] = {}
-    for atom in aset.bucket(EQ):
-        t, u = atom.args
-        nbr.setdefault(t, set()).add(u)
-    return nbr
-
-
-def is_ep_complete(aset: AtomSet) -> bool:
-    """True iff eq(t, t) is present for every argument term of the set
-    and the set satisfies eq-symmetry and eq-transitivity."""
-    nbr = _eq_neighbours(aset)
-    for t in aset.terms():
-        if t not in nbr or t not in nbr[t]:
-            return False
-    for t, us in nbr.items():
-        for u in us:
-            if t not in nbr.get(u, ()):
-                return False  # symmetry violated
-            for v in nbr.get(u, ()):
-                if v not in us:
-                    return False  # transitivity violated
-    return True
-
-
-def pi(aset: AtomSet) -> GroundRewriting:
-    """The rewriting sending every term of the set to the least member of
-    its eq-class under the term order."""
-    if not is_ep_complete(aset):
-        raise EqIncompleteError("atom set is not eq-complete")
-    nbr = _eq_neighbours(aset)
-    return {t: min(nbr[t], key=lambda u: u.order_key) for t in aset.terms()}
-
-
-def bracket(aset: AtomSet) -> AtomSet:
-    """Apply the class-collapsing rewriting argument-level to every atom,
-    then drop all eq atoms."""
-    mapping = pi(aset)
-    out = AtomSet()
-    for atom in aset:
-        if atom.predicate is EQ:
-            continue
-        out.add(Atom(atom.predicate, [mapping.get(t, t) for t in atom.args]))
-    return out
-

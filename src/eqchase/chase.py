@@ -432,11 +432,12 @@ class _CompiledRule:
     acyclicity saturation uses the same form without the queue.
 
     A match is identified by its key, the tuple of the terms it binds to
-    `universals`, which are the slots of the rule's plans.  The engine
-    builds every plan (`compile`); the saturation reads only the anchored
-    ones and builds only those (`compile_anchored`).  An anchored plan
-    matches its anchor atom in its kernel's first step, so a run on an
-    atom that does not fit the anchor position yields nothing.
+    `universals`, which are the slots of the rule's plans (`slot` maps
+    each to its index).  The engine builds every plan (`compile`); the
+    saturation reads only the anchored ones and builds only those
+    (`compile_anchored`).  An anchored plan matches its anchor atom in its
+    kernel's first step, so a run on an atom that does not fit the anchor
+    position yields nothing.
     `template` gives each atom of the skolemised head of a TGD as
     (predicate, arguments), each argument an index into the key or the
     Skolem symbol of an existential, whose term is that symbol applied to
@@ -461,20 +462,20 @@ class _CompiledRule:
     again when popped.
     """
 
-    __slots__ = ("rule", "kind", "universals", "idle", "whole", "plans", "head", "closed",
-                 "template", "build", "build_args", "x", "y", "heap", "queued")
+    __slots__ = ("rule", "kind", "universals", "slot", "idle", "whole", "plans", "head",
+                 "closed", "template", "build", "build_args", "x", "y", "heap", "queued")
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.universals = rule.universals
-        where = {v: i for i, v in enumerate(self.universals)}
+        self.slot = where = {v: i for i, v in enumerate(self.universals)}
         if type(rule) is TGD:
             self.kind = "tgd"
             # Without existentials a TGD head is fully instantiated by the
             # match, and it is embedded exactly when its atoms are present.
             self.closed = not rule.existentials
             n = len(self.universals)  # as `skolemise` names the symbols
-            where.update((w, SkolemSymbol(f"f_{w.name}", n)) for w in rule.existentials)
+            where = where | {w: SkolemSymbol(f"f_{w.name}", n) for w in rule.existentials}
             self.template = tuple(
                 (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
             )
@@ -501,10 +502,9 @@ class _CompiledRule:
         """Build `plans`, which maps each body predicate to the join
         plans over the key's slots anchored at each body position holding
         it, in body order.  `size` is as for `_Plan`."""
-        slot = {v: i for i, v in enumerate(self.universals)}
         self.plans: dict = {}
         for pos, atom in enumerate(self.rule.body):
-            plan = _Plan(self.rule.body, slot, size=size, pos=pos, idle=self.idle)
+            plan = _Plan(self.rule.body, self.slot, size=size, pos=pos, idle=self.idle)
             self.plans.setdefault(atom.predicate, []).append(plan)
 
     def compile(self, size: Callable) -> None:
@@ -513,8 +513,7 @@ class _CompiledRule:
         the head test: a plan over the head with the key's slots bound and
         one more slot for each existential."""
         self.compile_anchored(size)
-        self.whole = _Plan(self.rule.body, {v: i for i, v in enumerate(self.universals)},
-                           size=size, idle=self.idle)
+        self.whole = _Plan(self.rule.body, self.slot, size=size, idle=self.idle)
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _Plan(self.rule.head, extended, self.universals, size)

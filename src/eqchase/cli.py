@@ -14,7 +14,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -218,6 +218,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         witness = homomorphism(q.body, state)
         if witness is not None:
             status = "entailed"
+            witness = sorted((v.name, str(t)) for v, t in witness.items())
         elif finished:
             status = "not-entailed"
         else:
@@ -228,7 +229,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for q, status, witness in results:
             entry = {"query": serialize_query(q), "status": status}
             if witness is not None:
-                entry["witness"] = {v.name: str(t) for v, t in sorted(witness.items(), key=lambda kv: kv[0].name)}
+                entry["witness"] = dict(witness)
             if not finished:
                 entry["limit"] = outcome.limit
             doc.append(entry)
@@ -237,9 +238,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for q, status, witness in results:
             extra = ""
             if witness is not None:
-                extra = "  [" + ", ".join(
-                    f"{v.name}={t}" for v, t in sorted(witness.items(), key=lambda kv: kv[0].name)
-                ) + "]"
+                extra = "  [" + ", ".join(f"{v}={t}" for v, t in witness) + "]"
             print(f"{status}: {serialize_query(q)}{extra}")
     return EXIT_OK if finished else EXIT_LIMIT
 
@@ -248,10 +247,6 @@ def _cmd_axiomatise(args: argparse.Namespace) -> int:
     program = _load_program(args)
     _require_valid(program)
     rules = program.rules
-
-    def as_program(axr, queries) -> Program:
-        return Program(axr.rules, program.facts, tuple(queries))
-
     if args.kind == "st":
         outputs = [(standard_axiomatisation(rules), program.queries)]
     elif args.kind == "sing":
@@ -264,28 +259,28 @@ def _cmd_axiomatise(args: argparse.Namespace) -> int:
             (axr, [canonical_query_singularisation(q) for q in program.queries])
             for axr in itertools.islice(singularisations(rules), args.sing_cap)
         ]
-    if args.format == "json":
-        doc = []
-        for axr, queries in outputs:
-            doc.append(
-                {
-                    "kind": axr.kind,
-                    "choices": [dict(c) for c in axr.choices] if axr.choices else None,
-                    "rules": [serialize_rule(r) for r in axr.rules],
-                    "facts": [f"{f} ." for f in program.facts],
-                    "queries": [serialize_query(q) for q in queries],
-                }
-            )
-        print(json.dumps(doc))
-    else:
-        chunks = []
-        for i, (axr, queries) in enumerate(outputs):
+    chunks = []
+    for i, (axr, queries) in enumerate(outputs):
+        choices = [dict(c) for c in axr.choices] if axr.choices else None
+        if args.format == "json":
+            chunks.append({
+                "kind": axr.kind,
+                "choices": choices,
+                "rules": [serialize_rule(r) for r in axr.rules],
+                "facts": [f"{f} ." for f in program.facts],
+                "queries": [serialize_query(q) for q in queries],
+            })
+        else:
             header = f"% {axr.kind}"
-            if axr.choices:
-                header += f" {[dict(c) for c in axr.choices]}"
+            if choices:
+                header += f" {choices}"
             if len(outputs) > 1:
                 header += f" ({i + 1}/{len(outputs)})"
-            chunks.append(header + "\n" + serialize(as_program(axr, queries)))
+            program_out = Program(axr.rules, program.facts, tuple(queries))
+            chunks.append(header + "\n" + serialize(program_out))
+    if args.format == "json":
+        print(json.dumps(chunks))
+    else:
         print("\n".join(chunks), end="")
     return EXIT_OK
 
@@ -335,22 +330,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_LIMIT if hit_limit else EXIT_OK
 
 
-@dataclass
-class BenchRow:
-    id: str
-    n_tgd_exist: int
-    n_egd: int
-    reports: list[CheckReport]
-
-    def as_csv(self, timing: bool) -> list:
-        by_notion = {r.notion: r for r in self.reports}
-        row: list = [self.id, self.n_tgd_exist, self.n_egd]
-        for notion in ("emfa", "mfa-st", "mfa-sing"):
-            r = by_notion[notion]
-            row.extend([r.verdict, round(r.elapsed_ms, 3) if timing else 0])
-        return row
-
-
 BENCH_COLUMNS = [
     "id", "n_tgd_exist", "n_egd",
     "emfa_verdict", "emfa_ms",
@@ -363,38 +342,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     corpus = sorted(Path(args.corpus).glob("*.rules"))
     if not corpus:
         raise _CliFailure(EXIT_INVALID, f"no .rules files under {args.corpus}")
-    limits = _limits(args)
-    rows = []
-    failures = 0
-    for path in corpus:
-        try:
-            program = _parse_file(str(path))
-            violations = validate(Ontology(program.rules, program.facts))
-            if violations:
-                raise _CliFailure(EXIT_INVALID, "\n".join(str(v) for v in violations))
-        except _CliFailure as exc:
-            print(f"skipping {path.name}: {exc.message}", file=sys.stderr)
-            failures += 1
-            continue
-        rules = program.rules
-        reports = check_pipeline(rules, limits)
-        rows.append(
-            BenchRow(
-                id=path.stem,
-                n_tgd_exist=sum(1 for r in rules.tgds() if r.existentials),
-                n_egd=len(rules.egds()),
-                reports=reports,
-            )
-        )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        w = csv.writer(out)
-        w.writerow(BENCH_COLUMNS)
-        for row in rows:
-            w.writerow(row.as_csv(not args.no_timing))
-    finally:
-        if args.out:
-            out.close()
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        message = f"{args.out}: cannot write ({exc.strerror or exc})"
+        raise _CliFailure(EXIT_INVALID, message) from exc
+    limits = _limits(args)
+    rows = [BENCH_COLUMNS]
+    failures = 0
+    with out as f:
+        for path in corpus:
+            try:
+                program = _parse_file(str(path))
+                violations = validate(Ontology(program.rules, program.facts))
+                if violations:
+                    raise _CliFailure(EXIT_INVALID, "\n".join(str(v) for v in violations))
+            except _CliFailure as exc:
+                print(f"skipping {path.name}: {exc.message}", file=sys.stderr)
+                failures += 1
+                continue
+            rules = program.rules
+            by_notion = {r.notion: r for r in check_pipeline(rules, limits)}
+            row = [path.stem, sum(1 for r in rules.tgds() if r.existentials), len(rules.egds())]
+            for notion in ("emfa", "mfa-st", "mfa-sing"):
+                r = by_notion[notion]
+                row += [r.verdict, 0 if args.no_timing else round(r.elapsed_ms, 3)]
+            rows.append(row)
+        csv.writer(f).writerows(rows)
     return EXIT_INVALID if failures else EXIT_OK
 
 

@@ -3,14 +3,15 @@
 Symbols and terms (`Predicate`, `SkolemSymbol`, `Constant`, `Variable`,
 `Functional`) are interned: constructing one with the fields of a live
 one returns that object, so equality between them is identity and their
-hash is the object's.  Atoms, rules and the other values still compare
-structurally.  Everything is immutable; the intern tables are weak and
-unlocked, so terms are best built from one thread at a time.  The module
-also provides the primitive operations the rest of the engine is built
-on: the total term order used to direct merges, cyclic-term detection,
-the two distinct substitution semantics (argument-level term rewriting
-vs. syntactic variable substitution), and skolemisation of existential
-heads.
+hash is the object's.  `Constant` and `Variable` share one base, `_Name`,
+and keep an intern table each.  Atoms, rules and the other values still
+compare structurally.  Everything is immutable; the intern tables are
+weak and unlocked, so terms are best built from one thread at a time.
+The module also provides the primitive operations the rest of the engine
+is built on: the total term order used to direct merges, cyclic-term
+detection, the two distinct substitution semantics (argument-level term
+rewriting vs. syntactic variable substitution), and skolemisation of
+existential heads.
 """
 
 from __future__ import annotations
@@ -93,64 +94,50 @@ class SkolemSymbol:
         return f"SkolemSymbol({self.name!r}/{self.arity})"
 
 
-class Constant:
+class _Name:
+    """A constant or a variable: a term that is only its name.  Each
+    subclass keeps its own intern table, so `Constant(n)` and
+    `Variable(n)` are distinct objects."""
+
     __slots__ = ("name", "__weakref__")
-    _interned: WeakValueDictionary = WeakValueDictionary()
 
     depth = 1
+    cyclic = False
+    fn_symbols = _EMPTY_SYMS
+
+    def __new__(cls, name: str):
+        self = cls._interned.get(name)
+        if self is None:
+            self = cls._interned[name] = object.__new__(cls)
+            self.name = name
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __str__(self) -> str:
+        return self.name
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
+
+    @property
+    def order_key(self):
+        return (1, self._kind, self.name)
+
+
+class Constant(_Name):
+    __slots__ = ()
+    _interned: WeakValueDictionary = WeakValueDictionary()
+    _kind = 0
     has_var = False
-    cyclic = False
-    fn_symbols = _EMPTY_SYMS
-
-    def __new__(cls, name: str):
-        self = cls._interned.get(name)
-        if self is None:
-            self = cls._interned[name] = object.__new__(cls)
-            self.name = name
-        return self
-
-    def __reduce__(self):
-        return Constant, (self.name,)
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"Constant({self.name!r})"
-
-    @property
-    def order_key(self):
-        return (1, 0, self.name)
 
 
-class Variable:
-    __slots__ = ("name", "__weakref__")
+class Variable(_Name):
+    __slots__ = ()
     _interned: WeakValueDictionary = WeakValueDictionary()
-
-    depth = 1
+    _kind = 1
     has_var = True
-    cyclic = False
-    fn_symbols = _EMPTY_SYMS
-
-    def __new__(cls, name: str):
-        self = cls._interned.get(name)
-        if self is None:
-            self = cls._interned[name] = object.__new__(cls)
-            self.name = name
-        return self
-
-    def __reduce__(self):
-        return Variable, (self.name,)
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"Variable({self.name!r})"
-
-    @property
-    def order_key(self):
-        return (1, 1, self.name)
 
 
 class Functional:
@@ -330,7 +317,6 @@ class Atom:
 
 
 Substitution = dict  # Variable -> ground Term
-GroundRewriting = dict  # ground Term -> ground Term
 
 
 def _map_atom(atom: Atom, m: Mapping[Term, Term]) -> Atom:

@@ -339,23 +339,11 @@ def parse(text: str) -> Program:
 
 
 def serialize_rule(rule: Rule) -> str:
-    body = ", ".join(str(a) for a in rule.body)
-    if type(rule) is EGD:
-        return f"{body} -> {rule.x.name} = {rule.y.name} ."
-    if rule.existentials:
-        ex = "exists " + ", ".join(v.name for v in rule.existentials) + " . "
-    else:
-        ex = ""
-    head = ", ".join(str(a) for a in rule.head)
-    return f"{body} -> {ex}{head} ."
+    return f"{rule!r} ."
 
 
 def serialize_query(query: BCQ) -> str:
-    ex = ""
-    if query.variables:
-        ex = "exists " + ", ".join(v.name for v in query.variables) + " . "
-    body = ", ".join(str(a) for a in query.body)
-    return f"? {ex}{body} ."
+    return f"{query} ."
 
 
 def serialize(program: Program) -> str:

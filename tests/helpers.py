@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: term and atom-set operations, a
-reference lexer, and the parser's lexer output put in its form."""
+"""Helpers that only the tests use: term and atom-set operations, the
+class-collapsing rewriting of an eq-closed set, a reference lexer, and
+the parser's lexer output put in its form."""
 
 from eqchase import EQ, STAR, Atom, AtomSet, Constant, Functional
 from eqchase.model import _map_atom
@@ -49,6 +50,63 @@ def ep_completion(aset):
     for t, cls in classes.items():
         for u in sorted(cls, key=lambda u: u.order_key):
             out.add(Atom(EQ, (t, u)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# eq-closed sets, the class-collapsing rewriting, and bracket: the device
+# of the proof that an axiomatised chase mirrors the chase with equality.
+
+
+class EqIncompleteError(ValueError):
+    """Raised when a rewriting is requested over a set that is not closed
+    under eq reflexivity, symmetry and transitivity."""
+
+
+def _eq_neighbours(aset):
+    nbr = {}
+    for atom in aset.bucket(EQ):
+        t, u = atom.args
+        nbr.setdefault(t, set()).add(u)
+    return nbr
+
+
+def is_ep_complete(aset):
+    """True iff eq(t, t) is present for every argument term of the set
+    and the set satisfies eq-symmetry and eq-transitivity."""
+    nbr = _eq_neighbours(aset)
+    for t in aset.terms():
+        if t not in nbr or t not in nbr[t]:
+            return False
+    for t, us in nbr.items():
+        for u in us:
+            if t not in nbr.get(u, ()):
+                return False  # symmetry violated
+            for v in nbr.get(u, ()):
+                if v not in us:
+                    return False  # transitivity violated
+    return True
+
+
+def pi(aset):
+    """The rewriting (a dict from ground term to ground term) sending
+    every term of the set to the least member of its eq-class under the
+    term order."""
+    if not is_ep_complete(aset):
+        raise EqIncompleteError("atom set is not eq-complete")
+    nbr = _eq_neighbours(aset)
+    return {t: min(nbr[t], key=lambda u: u.order_key) for t in aset.terms()}
+
+
+def bracket(aset):
+    """Apply the class-collapsing rewriting argument-level to every atom,
+    then drop all eq atoms."""
+    mapping = pi(aset)
+    out = AtomSet()
+    for atom in aset:
+        if atom.predicate is EQ:
+            continue
+        out.add(Atom(atom.predicate, [mapping.get(t, t) for t in atom.args]))
     return out
 
 

@@ -38,7 +38,7 @@ from eqchase import (
 )
 from eqchase.cli import main as cli_main
 from corpus import random_facts, random_query, random_ruleset
-from helpers import ep_completion, star_atom
+from helpers import ep_completion, pi, star_atom
 from rulesets import facts, ontology, rules
 
 DATA = Path(__file__).parent / "data"
@@ -207,7 +207,7 @@ def test_criterion_08():
 
 @criterion(9, "class-collapse rewriting invariants (1000 eq-complete sets)")
 def test_criterion_09():
-    from eqchase import EQ, AtomSet, Functional, SkolemSymbol, pi
+    from eqchase import EQ, AtomSet, Functional, SkolemSymbol
 
     rng = random.Random(400)
     a_, b_ = Constant("a"), Constant("b")

@@ -10,7 +10,6 @@ from eqchase import (
     BCQ,
     ChaseLimits,
     Constant,
-    EqIncompleteError,
     Functional,
     Ontology,
     Predicate,
@@ -19,13 +18,10 @@ from eqchase import (
     Terminated,
     Variable,
     apply,
-    bracket,
     canonical_query_singularisation,
     canonical_singularisation,
     chase,
     entails,
-    is_ep_complete,
-    pi,
     singularisation_count,
     singularisations,
     singularise_conjunction,
@@ -33,7 +29,7 @@ from eqchase import (
     standard_axiomatisation,
     validate_ruleset,
 )
-from helpers import ep_completion
+from helpers import EqIncompleteError, bracket, ep_completion, is_ep_complete, pi
 from rulesets import facts, query, rules
 
 a, b = Constant("a"), Constant("b")

@@ -246,6 +246,21 @@ def test_bench_skips_bad_files(capsys, tmp_path):
     assert "good" in out
 
 
+@pytest.mark.parametrize("target", ["missing-dir/results.csv", "."])
+def test_bench_out_that_cannot_be_opened_is_bad_input(capsys, tmp_path, monkeypatch, target):
+    """A missing parent directory or a directory path fails before any
+    check runs."""
+    checked = []
+    monkeypatch.setattr("eqchase.cli.check_pipeline", lambda *a, **k: checked.append(a))
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "bench", str(DATA), "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"{out}: cannot write (")
+    assert "internal error" not in err
+    assert stdout == ""
+    assert checked == []
+
+
 def test_missing_file_is_bad_input(capsys):
     code, _, err = run(capsys, "chase", "no-such-file.rules")
     assert code == 1

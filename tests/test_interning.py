@@ -4,7 +4,9 @@ For each of `Predicate`, `SkolemSymbol`, `Constant`, `Variable` and
 `Functional`: equal fields give the same object and unequal fields never
 do; `copy`, `deepcopy` and `pickle` give that object back; an invalid
 construction still raises once a valid one with the same name exists;
-and a table entry goes once its last reference is dropped.
+and a table entry goes once its last reference is dropped.  A constant
+and a variable of one name stay distinct objects, whichever is built
+first.
 """
 
 import copy
@@ -56,6 +58,24 @@ def test_equal_fields_give_the_same_object(name, data):
         assert hash(x) == hash(y)
     for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert back is x
+
+
+@pytest.mark.parametrize("constant_first", [True, False])
+@pytest.mark.parametrize("name", ["a", "X", "*", "eq", "f_W__2"])
+def test_a_constant_and_a_variable_of_one_name_stay_apart(name, constant_first):
+    # The second name is built first here, in this order.
+    for n in (name, f"{name}#{constant_first}"):
+        if constant_first:
+            c, v = Constant(n), Variable(n)
+        else:
+            v, c = Variable(n), Constant(n)
+        assert type(c) is Constant and type(v) is Variable and c is not v
+        assert Constant(n) is c and Variable(n) is v
+        for t in (c, v):
+            for back in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert back is t
+        assert c.order_key == (1, 0, n) and v.order_key == (1, 1, n)
+        assert repr(c) == f"Constant({n!r})" and repr(v) == f"Variable({n!r})"
 
 
 def test_invalid_predicate_raises_after_a_valid_one_exists():
