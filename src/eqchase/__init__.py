@@ -12,10 +12,8 @@ attribute of the package; `from eqchase.chase import ...` and
 """
 
 from .model import (
-    AXIOM_EQ,
     EQ,
     EGD,
-    ORDINARY,
     STAR,
     TGD,
     Atom,
@@ -60,7 +58,6 @@ from .axiomatisation import (
     AxiomatisedRuleSet,
     canonical_query_singularisation,
     canonical_singularisation,
-    singularisation_count,
     singularisations,
     singularise_conjunction,
     singularise_query,

@@ -11,7 +11,6 @@ occurrence).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -164,11 +163,6 @@ def _singularise_rule(rule: Rule, choice: Mapping[str, int]) -> TGD:
     if type(rule) is TGD:
         return TGD(body, rule.existentials, rule.head)
     return TGD(body, (), [Atom(EQ, (rule.x, rule.y))])
-
-
-def singularisation_count(rules: RuleSet) -> int:
-    return math.prod(len(positions) for r in rules
-                     for positions in _occurrences(r.body).values())
 
 
 def singularisations(rules: RuleSet) -> Iterator[AxiomatisedRuleSet]:

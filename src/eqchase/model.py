@@ -22,46 +22,39 @@ from operator import itemgetter
 from weakref import WeakValueDictionary
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-# Predicate kinds.  Equality proper (written `x = y` in rule heads) never
-# appears as a data atom; the reserved binary predicate `eq` is the ordinary
-# stand-in used by the equality axiomatisations.
-ORDINARY = "ordinary"
-AXIOM_EQ = "axiom-eq"
-
+# Equality proper (written `x = y` in rule heads) never appears as a data
+# atom; the binary predicate `eq` is the ordinary stand-in the equality
+# axiomatisations use.  Its name is reserved: `eq` has arity 2 only.
 RESERVED_EQ_NAME = "eq"
 
 
 class Predicate:
-    """A predicate symbol with a fixed arity and kind."""
+    """A predicate symbol with a fixed arity."""
 
-    __slots__ = ("name", "arity", "kind", "__weakref__")
+    __slots__ = ("name", "arity", "__weakref__")
     _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __new__(cls, name: str, arity: int, kind: str = ORDINARY):
-        self = cls._interned.get((name, arity, kind))
+    def __new__(cls, name: str, arity: int):
+        self = cls._interned.get((name, arity))
         if self is None:
             if arity < 1:
                 raise ValueError(f"predicate {name!r} must have arity >= 1")
-            if kind not in (ORDINARY, AXIOM_EQ):
-                raise ValueError(f"unknown predicate kind {kind!r}")
-            if kind == AXIOM_EQ and arity != 2:
-                raise ValueError(f"{kind} predicate must be binary")
-            self = object.__new__(cls)
+            if name == RESERVED_EQ_NAME and arity != 2:
+                raise ValueError(f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
+            self = cls._interned[name, arity] = object.__new__(cls)
             self.name = name
             self.arity = arity
-            self.kind = kind
-            cls._interned[name, arity, kind] = self
         return self
 
     def __reduce__(self):
-        return Predicate, (self.name, self.arity, self.kind)
+        return Predicate, (self.name, self.arity)
 
     def __repr__(self) -> str:
         return f"Predicate({self.name!r}/{self.arity})"
 
 
 #: The reserved predicate used by axiomatisations in place of equality.
-EQ = Predicate(RESERVED_EQ_NAME, 2, AXIOM_EQ)
+EQ = Predicate(RESERVED_EQ_NAME, 2)
 
 _EMPTY_SYMS: frozenset = frozenset()
 
@@ -297,9 +290,7 @@ class Atom:
 
     @property
     def sort_key(self):
-        return (self.predicate.name, self.predicate.kind) + tuple(
-            a.order_key for a in self.args
-        )
+        return (self.predicate.name,) + tuple(a.order_key for a in self.args)
 
     def variables(self) -> Iterator[Variable]:
         # A stack of argument iterators, not recursion; a ground argument
@@ -865,8 +856,6 @@ def _check_rule(r: Rule, where: str, arities: dict[str, int]) -> list[Violation]
     atoms = list(r.body) + (list(r.head) if type(r) is TGD else [])
     for atom in atoms:
         p = atom.predicate
-        if p.kind == ORDINARY and p.name == RESERVED_EQ_NAME:
-            out.append(Violation(where, f"predicate name {RESERVED_EQ_NAME!r} is reserved"))
         known = arities.setdefault(p.name, p.arity)
         if known != p.arity:
             out.append(Violation(where, f"predicate {p.name!r} used with arities {known} and {p.arity}"))
@@ -917,7 +906,7 @@ def validate(ontology: Ontology) -> list[Violation]:
     for j, fact in enumerate(ontology.facts):
         where = f"fact {j + 1} ({fact})"
         p = fact.predicate
-        if p.kind == AXIOM_EQ:
+        if p is EQ:
             out.append(Violation(where, f"facts must not use the reserved predicate {RESERVED_EQ_NAME!r}"))
             continue
         if p.name not in known:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
-    EQ,
     EGD,
     RESERVED_EQ_NAME,
     TGD,
@@ -219,28 +218,24 @@ class _Parser:
         atoms = []
         for i, args in raw:
             name, arity = tokens[i], len(args)
-            if name == RESERVED_EQ_NAME:
-                if arity != 2:
-                    self.semantic.append(
-                        (offsets[i], f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
-                    )
-                    atoms = None
-                    continue
-                p = EQ
-            else:
-                seen = predicates.get(name)
-                if seen is None:
-                    seen = predicates[name] = (Predicate(name, arity), offsets[i])
-                elif seen[0].arity != arity:
-                    line = self.position(seen[1])[0]
-                    self.semantic.append(
-                        (offsets[i], f"predicate {name!r} used with arity {arity}, but line {line} uses arity {seen[0].arity}")
-                    )
-                    atoms = None
-                    continue
-                p = seen[0]
+            if name == RESERVED_EQ_NAME and arity != 2:
+                self.semantic.append(
+                    (offsets[i], f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
+                )
+                atoms = None
+                continue
+            seen = predicates.get(name)
+            if seen is None:
+                seen = predicates[name] = (Predicate(name, arity), offsets[i])
+            elif seen[0].arity != arity:
+                line = self.position(seen[1])[0]
+                self.semantic.append(
+                    (offsets[i], f"predicate {name!r} used with arity {arity}, but line {line} uses arity {seen[0].arity}")
+                )
+                atoms = None
+                continue
             if atoms is not None:
-                atoms.append(Atom(p, args))
+                atoms.append(Atom(seen[0], args))
         return atoms
 
     def statement(self, i: int) -> int:

@@ -11,6 +11,7 @@ import random
 from typing import Optional
 
 from eqchase import (
+    EQ,
     EGD,
     TGD,
     Atom,
@@ -73,7 +74,7 @@ def random_ruleset(
 
 
 def random_facts(rng: random.Random, rules: RuleSet, max_facts: int = 4) -> tuple[Atom, ...]:
-    preds = [p for p in rules.predicates() if p.kind == "ordinary"]
+    preds = [p for p in rules.predicates() if p is not EQ]
     facts = []
     for _ in range(rng.randint(1, max_facts)):
         p = rng.choice(preds)
@@ -89,7 +90,7 @@ def random_ontology(rng: random.Random, **kw) -> Ontology:
 
 
 def random_query(rng: random.Random, rules: RuleSet) -> BCQ:
-    preds = [p for p in rules.predicates() if p.kind == "ordinary"]
+    preds = [p for p in rules.predicates() if p is not EQ]
     body = []
     for _ in range(rng.randint(1, 2)):
         p = rng.choice(preds)

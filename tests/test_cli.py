@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,20 @@ def test_validate_reports_a_duplicate_existential_once(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert out.splitlines() == ["rule 1: duplicate existential variable"]
+
+
+def test_validate_json(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", THM2, "--facts", AA, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "violations": []}
+    bad = tmp_path / "bad.rules"
+    bad.write_text("A(X) -> B(X) .\nC(a) .\n")
+    code, out, _ = run(capsys, "validate", str(bad), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "violations": ["fact 1 (C(a)): predicate 'C' does not occur in the rule set"],
+    }
 
 
 def test_validate_parse_error_exit_code(capsys, tmp_path):
@@ -118,6 +133,12 @@ def test_chase_merges_terms_past_the_recursion_limit(capsys, tmp_path):
     assert "A500(c)" in out.splitlines()
 
 
+def test_chase_timeout_zero_stops_before_the_first_step(capsys):
+    code, out, _ = run(capsys, "chase", THM2, "--facts", AA, "--timeout-ms", "0")
+    assert code == 2
+    assert out.splitlines() == ["A(a)", "R(a,a)", "% stopped after 0 steps: wall_clock_ms exceeded"]
+
+
 def test_chase_json_deterministic_with_no_timing(capsys):
     outs = []
     for _ in range(2):
@@ -148,6 +169,17 @@ def test_query_subcommand(capsys):
     assert lines[1].startswith("not-entailed:")
 
 
+def test_query_reads_a_queries_file(capsys, tmp_path):
+    queries = tmp_path / "queries.rules"
+    queries.write_text("? exists X . B(X) .\n? exists X . C(X) .\n")
+    code, out, _ = run(capsys, "query", THM2, "--facts", AA, "--queries", str(queries))
+    assert code == 0
+    assert out.splitlines() == [
+        "entailed: ? exists X . B(X) .  [X=a]",
+        "not-entailed: ? exists X . C(X) .",
+    ]
+
+
 def test_query_prefixes_every_diagnostic_of_an_inline_query(capsys):
     code, _, err = run(capsys, "query", THM2, "--query", "? A(X Y) . ? B(")
     assert code == 1
@@ -170,6 +202,32 @@ def test_axiomatise_st_roundtrips(capsys):
 
     program = parse("".join(l + "\n" for l in out.splitlines() if not l.startswith("%")))
     assert len(program.rules) == 11
+
+
+def test_axiomatise_sing_prints_the_canonical_singularisation(capsys):
+    code, out, _ = run(capsys, "axiomatise", THM2, "--kind", "sing")
+    assert code == 0
+    assert out.splitlines() == [
+        "% singularisation [{}, {'X': 1}]",
+        "A(X) -> exists W . R(X,W), B(W) .",
+        "R(X,Y), R(X__2,Z), eq(X,X__2) -> eq(Y,Z) .",
+        "A(X1) -> eq(X1,X1) .",
+        "R(X1,X2) -> eq(X1,X1), eq(X2,X2) .",
+        "B(X1) -> eq(X1,X1) .",
+        "eq(X,Y) -> eq(Y,X) .",
+        "eq(X,Y), eq(Y,Z) -> eq(X,Z) .",
+    ]
+
+
+def test_axiomatise_sing_all_text_headers(capsys):
+    code, out, _ = run(capsys, "axiomatise", str(DATA / "thm4.rules"), "--kind", "sing-all")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("%")] == [
+        "% singularisation [{'X': 1}, {'X': 1}, {}] (1/4)",
+        "% singularisation [{'X': 1}, {'X': 2}, {}] (2/4)",
+        "% singularisation [{'X': 2}, {'X': 1}, {}] (3/4)",
+        "% singularisation [{'X': 2}, {'X': 2}, {}] (4/4)",
+    ]
 
 
 def test_axiomatise_sing_all(capsys):
@@ -201,6 +259,35 @@ def test_check_single_notion_text(capsys):
     code, out, _ = run(capsys, "check", str(DATA / "ex4.rules"), "--notion", "emfa")
     assert code == 0
     assert out.startswith("emfa: cyclic")
+
+
+@pytest.mark.parametrize("notion, line", [
+    ("mfa-st", "mfa-st: cyclic (witness R(f_W(*),f_W(f_W(*))), cyclic term f_W(f_W(*)))"
+               " [set_size=13, steps=9]"),
+    ("mfa-sing", "mfa-sing: acyclic [set_size=9, steps=5]"),
+])
+def test_check_one_axiomatised_notion(capsys, notion, line):
+    code, out, _ = run(capsys, "check", THM2, "--notion", notion, "--no-timing")
+    assert code == 0
+    assert out.splitlines() == [line]
+
+
+@pytest.mark.parametrize("notion", ["emfa", "mfa-st", "mfa-sing"])
+def test_a_single_notion_times_its_saturation_without_the_compile(capsys, monkeypatch, notion):
+    """Each rule's compile is slowed by 20 ms, so a time that held one
+    compile would reach 20 ms."""
+    from eqchase.acyclicity import _compile
+
+    def slow(rule):
+        time.sleep(0.02)
+        return _compile(rule)
+
+    monkeypatch.setattr("eqchase.acyclicity._compile", slow)
+    code, out, _ = run(capsys, "check", THM2, "--notion", notion, "--format", "json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["notion"] == notion
+    assert report["elapsed_ms"] < 20
 
 
 def test_check_csv_format(capsys):
@@ -240,10 +327,22 @@ def test_bench_skips_bad_files(capsys, tmp_path):
     corpus.mkdir()
     (corpus / "good.rules").write_text((DATA / "thm2.rules").read_text())
     (corpus / "bad.rules").write_text("A( .\n")
+    (corpus / "invalid.rules").write_text("A(X) -> B(X) .\nC(a) .\n")
     code, out, err = run(capsys, "bench", str(corpus))
     assert code == 1
     assert "skipping bad.rules" in err
+    assert ("skipping invalid.rules: fact 1 (C(a)): predicate 'C' does not occur"
+            " in the rule set") in err.splitlines()
     assert "good" in out
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["id", "good"]
+
+
+def test_bench_on_a_directory_without_rules_files(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("A(X) -> B(X) .\n")
+    code, out, err = run(capsys, "bench", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"no .rules files under {tmp_path}\n"
 
 
 @pytest.mark.parametrize("target", ["missing-dir/results.csv", "."])
@@ -375,6 +474,8 @@ CHAIN14 = "".join(f"A{i}(X) -> exists Y . R{i}(X,Y), A{i + 1}(Y) .\n" for i in r
 @pytest.mark.parametrize("flags,limit,counts", [
     ((), "max_term_depth", [(210, 181), (296, 266), (296, 266)]),
     (("--max-atoms", "5"), "max_atoms", [(6, 0)] * 3),
+    # The saturation adds the critical instance before its first clock test.
+    (("--timeout-ms", "0"), "wall_clock_ms", [(29, 0), (30, 0), (30, 0)]),
 ])
 def test_check_text_names_the_limit(capsys, tmp_path, flags, limit, counts):
     path = tmp_path / "chain14.rules"

@@ -18,13 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqchase import AXIOM_EQ, ORDINARY, Constant, Functional, Predicate, SkolemSymbol, Variable
+from eqchase import Constant, Functional, Predicate, SkolemSymbol, Variable
 
 _names = st.sampled_from(["a", "b", "P", "f", "X", "*", "eq"])
-_predicate = st.one_of(
-    st.tuples(_names, st.integers(1, 3), st.just(ORDINARY)),
-    st.tuples(_names, st.just(2), st.just(AXIOM_EQ)),
-)
+_predicate = st.tuples(_names, st.integers(1, 3)).filter(lambda f: f[0] != "eq" or f[1] == 2)
 _symbol = st.tuples(_names, st.integers(1, 2))
 _leaf = st.one_of(st.builds(Constant, _names), st.builds(Variable, _names))
 
@@ -82,11 +79,12 @@ def test_invalid_predicate_raises_after_a_valid_one_exists():
     valid = Predicate("P", 2)
     with pytest.raises(ValueError):
         Predicate("P", 0)
-    with pytest.raises(ValueError):
-        Predicate("P", 2, "no-such-kind")
-    with pytest.raises(ValueError):
-        Predicate("P", 3, AXIOM_EQ)
     assert Predicate("P", 2) is valid
+    eq = Predicate("eq", 2)
+    for arity in (1, 3):
+        with pytest.raises(ValueError):
+            Predicate("eq", arity)
+    assert Predicate("eq", 2) is eq
 
 
 def test_functional_with_the_wrong_argument_count_raises_after_a_valid_one():
@@ -102,7 +100,7 @@ def test_a_table_entry_goes_with_its_last_reference():
     # The Functional's key holds its symbol and arguments, which are kept.
     fn, args = SkolemSymbol(name + "-fn", 1), (Constant(name + "-arg"),)
     made = [
-        (Predicate, (name, 1, ORDINARY), Predicate(name, 1)),
+        (Predicate, (name, 1), Predicate(name, 1)),
         (SkolemSymbol, (name, 2), SkolemSymbol(name, 2)),
         (Constant, name, Constant(name)),
         (Variable, name, Variable(name)),

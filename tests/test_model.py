@@ -24,6 +24,8 @@ from eqchase import (
     SkolemisedTGD,
     Variable,
     apply_syntactic,
+    chase,
+    parse,
     skolemise,
     validate,
     validate_ruleset,
@@ -223,6 +225,26 @@ def test_validate_theorem2_ontology_clean():
 def test_validate_flags_equality_in_facts():
     o = Ontology(rules("thm2"), (Atom(EQ, [a, a]),))
     assert any("reserved" in v.message for v in validate(o))
+
+
+def test_a_python_built_eq_is_the_parsed_eq():
+    """`Predicate("eq", 2)` is `EQ`: a rule set built with it validates
+    clean and chases to the atoms of its parsed text."""
+    eq = Predicate("eq", 2)
+    assert eq is EQ
+    A, B, C = Predicate("A", 1), Predicate("B", 1), Predicate("C", 1)
+    built = Ontology(RuleSet([
+        TGD([Atom(A, [X])], (W,), [Atom(eq, [X, W]), Atom(B, [W])]),
+        TGD([Atom(eq, [X, Y]), Atom(B, [Y])], (), [Atom(C, [X])]),
+    ]), (Atom(A, [a]),))
+    program = parse("A(X) -> exists W . eq(X,W), B(W) .\n"
+                    "eq(X,Y), B(Y) -> C(X) .\n"
+                    "A(a) .\n")
+    parsed = Ontology(program.rules, program.facts)
+    assert validate(built) == [] == validate(parsed)
+    atoms = chase(built).result.sorted_atoms()
+    assert atoms == chase(parsed).result.sorted_atoms()
+    assert [str(x) for x in atoms] == ["A(a)", "B(f_W(a))", "C(a)", "eq(a,f_W(a))"]
 
 
 def test_validate_flags_constants_in_rules():
