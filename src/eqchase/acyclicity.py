@@ -91,9 +91,11 @@ class _Saturation:
     EGD matches stay active: a new map sweeps the whole current set, and
     every later atom passes through all active maps.
 
-    Rules run in the chase engine's `_CompiledRule` form (see `_compile`),
-    with anchored plans that join the processed atom first and the rest
-    of the body in body order, all in one kernel run.  `compiled` maps
+    Atoms are processed first in, first out.  Rules run in the chase
+    engine's `_CompiledRule` form (see `_compile`), with anchored plans
+    that join the processed atom first and the rest of the body in body
+    order, all in one kernel run; each join's matches fire in order once
+    it has ended, so no join sees the set change.  `compiled` maps
     rules to forms made beforehand (see `_compile_all`); without it
     each rule is compiled here.  `index` maps each form to the index of
     its rule's first occurrence, which derivation records carry, and
@@ -174,21 +176,18 @@ class _Saturation:
         aset = self.atoms
         for cr, plan in self.readers.get(atom.predicate, ()):
             idx = self.index[cr]
-            matches = match_conjunction(plan, aset, plan.slots, atom)
+            found = [(tuple(slots), tuple(plan.matched))
+                     for slots in match_conjunction(plan, aset, plan.slots, atom)]
             if cr.kind == "egd":
-                for slots in matches:
-                    self._fire_egd(cr, idx, tuple(slots))
+                for key, _ in found:
+                    self._fire_egd(cr, idx, key)
                 continue
-            # A TGD match fires inline, its head atoms tested against the
-            # set's own dict, which `AtomSet.add` keeps and never replaces.
+            # A TGD match's head atoms are tested against the set's own
+            # dict, which `AtomSet.add` keeps and never replaces.
             held, build, args = aset._atoms, cr.build, cr.build_args
-            for slots in matches:
-                key = tuple(slots)
-                body = None
+            for key, body in found:
                 for head in build(args, key):
                     if head not in held:
-                        if body is None:
-                            body = tuple(plan.matched)
                         self._add(head, ("tgd", idx, key, body))
 
     def run(self) -> SaturationOutcome:

@@ -142,10 +142,9 @@ class _Plan:
     bound beforehand, joins the atom at body position `pos` first: that
     step scans the anchor atom it is run with (see `match_conjunction`).
     The steps without a predicate are the plan's shape, which picks its
-    `kernel` together with `idle`; `preds` are the steps' predicates and
-    `scans` those of the other steps that read a whole bucket.  Running
-    the plan records the atom matched at each body position in
-    `matched`, so a plan runs one enumeration at a time.
+    `kernel` together with `idle` and whether it is anchored; `preds` are
+    the steps' predicates.  Running the plan records the atom matched at
+    each body position in `matched`, so it runs one enumeration at a time.
 
     `idle`, given only to a plan with no variable bound beforehand,
     holds its rule's idle conjunctions (see `_CompiledRule`), each a
@@ -159,7 +158,7 @@ class _Plan:
     generated, so building a plan does no work for them.
     """
 
-    __slots__ = ("matched", "slots", "preds", "scans", "kernel")
+    __slots__ = ("matched", "slots", "preds", "kernel")
 
     def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
                  idle=()):
@@ -179,9 +178,7 @@ class _Plan:
             order.append(body[i].predicate)
             shape.append((i,) + _step(body[i], bound, slot))
         self.preds = tuple(order)
-        self.scans = tuple(p for p, step in zip(order[anchored:], shape[anchored:])
-                           if step[1] is None)
-        self.kernel = _kernel(tuple(shape), idle)
+        self.kernel = _kernel(tuple(shape), idle, anchored)
         self.matched: list = [None] * len(body)
         self.slots: list = [None] * len(slot)
 
@@ -199,14 +196,14 @@ def _exec(source: str, name: str, namespace: dict):
 
 
 @lru_cache(maxsize=1024)
-def _kernel(shape: tuple, idle: tuple = (), start: int = 0):
+def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, start: int = 0):
     """The generator function that runs steps `start`.. of a plan of
     this shape with these idle conjunctions (see `_Plan`), at most
     `_SEGMENT` steps, then the next segment's kernel; see
-    `match_conjunction`."""
+    `match_conjunction`.  The first step of an anchored plan reads the
+    anchor `A` alone."""
     end = min(start + _SEGMENT, len(shape))
-    lines = ["def kernel(P, aset, slots, m, below, S):"]
-    snap = sum(step[1] is None for step in shape[:start])
+    lines = ["def kernel(P, aset, slots, m, A):"]
     at: dict = {}  # conjunction -> the first step that binds all its slots
     bound: set = set()
     for i, step in enumerate(shape):
@@ -217,12 +214,14 @@ def _kernel(shape: tuple, idle: tuple = (), start: int = 0):
     for i in range(start, end):
         pos, src, var, checks, repeats, binds = shape[i]
         pad = " " * (i - start + 1)
-        if src is None:
-            cands, snap = f"S[{snap}]", snap + 1
+        if anchored and i == 0:
+            cands = "(A,)"
+        elif src is None:
+            cands = f"aset.bucket(P[{i}])"
         elif src == 0:
             cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
         else:
-            cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}], below)"
+            cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}])"
         here = [c for c in at if at[c] == i]
         value = {s: f"x[{j}]" for j, s in binds}
         hoisted = [s for _, s in checks] + [s for c in here for p in c for s in p if s not in value]
@@ -240,8 +239,8 @@ def _kernel(shape: tuple, idle: tuple = (), start: int = 0):
         lines.append(f"{pad} m[{pos}] = a{i}")
     pad = " " * (end - start + 1)
     if end < len(shape):
-        lines.append(f"{pad}yield from rest(P, aset, slots, m, below, S)")
-        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, idle, end)})
+        lines.append(f"{pad}yield from rest(P, aset, slots, m, A)")
+        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, idle, False, end)})
     lines.append(f"{pad}yield slots")
     return _exec("\n".join(lines), "kernel", {})
 
@@ -290,19 +289,11 @@ def match_conjunction(
     tuple of the matched atoms' ranks (`AtomSet.rank`); the chase engine
     relies on this only through the rank tuples it queues.
 
-    Each step's candidate source is fixed when the call is made:
-
-    * the anchored step of an anchored plan: the anchor atom alone;
-    * first argument bound: the `arg0_bucket` list of its value, which is
-      live, so it also holds atoms added while the enumeration runs;
-    * another argument bound (the first such one): the `arg_bucket` list
-      of its value, cut at the set's `rank_bound()` as of the call;
-    * no argument bound: a copy of the predicate's bucket made at the
-      call.
-
-    So only a step with a bound first argument sees atoms added after
-    the call, exactly as if every other step scanned the whole bucket as
-    of the call.  A run leaves no reference cycle for the cyclic GC.
+    Each step reads the anchor alone (the anchored step of an anchored
+    plan) or one of the set's live index lists (`bucket`, `arg0_bucket`,
+    `arg_bucket`), so the set must not change while an enumeration runs:
+    a caller that adds atoms for the matches collects them first, as
+    `_Saturation` does.  A run leaves no reference cycle for the cyclic GC.
     """
     if type(body) is _Plan:
         plan, slots = body, init
@@ -314,10 +305,7 @@ def match_conjunction(
         slots = plan.slots
         for v, t in init.items():
             slots[slot[v]] = t
-    snaps = [] if anchor is None else [(anchor,)]
-    if plan.scans:
-        snaps += map(aset.bucket, plan.scans)
-    run = plan.kernel(plan.preds, aset, slots, plan.matched, aset.rank_bound(), snaps)
+    run = plan.kernel(plan.preds, aset, slots, plan.matched, anchor)
     if plan is body:
         return run
     return (dict(zip(variables, found)) for found in run)

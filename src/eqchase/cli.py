@@ -244,6 +244,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_axiomatise(args: argparse.Namespace) -> int:
+    if args.sing_cap is not None and args.kind != "sing-all":
+        raise _CliFailure(EXIT_INVALID, "error: --sing-cap needs --kind sing-all")
     program = _load_program(args)
     _require_valid(program)
     rules = program.rules
@@ -257,7 +259,8 @@ def _cmd_axiomatise(args: argparse.Namespace) -> int:
     else:
         outputs = [
             (axr, [canonical_query_singularisation(q) for q in program.queries])
-            for axr in itertools.islice(singularisations(rules), args.sing_cap)
+            for axr in itertools.islice(singularisations(rules),
+                                        8 if args.sing_cap is None else args.sing_cap)
         ]
     chunks = []
     for i, (axr, queries) in enumerate(outputs):
@@ -313,12 +316,14 @@ def _report_lines(reports: list[CheckReport], fmt: str, timing: bool) -> tuple[s
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.sing_cap is not None and args.notion != "all":
+        raise _CliFailure(EXIT_INVALID, "error: --sing-cap needs --notion all")
     program = _load_program(args)
     _require_valid(program)
     rules = program.rules
     limits = _limits(args)
     if args.notion == "all":
-        reports = check_pipeline(rules, limits, sing_cap=args.sing_cap)
+        reports = check_pipeline(rules, limits, sing_cap=args.sing_cap or 0)
     elif args.notion == "emfa":
         reports = [is_emfa(rules, limits)]
     elif args.notion == "mfa-st":
@@ -408,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--facts", action="append", metavar="FILE")
     p.add_argument("--kind", choices=("st", "sing", "sing-all"), required=True)
-    p.add_argument("--sing-cap", type=_count, default=8, metavar="N")
+    p.add_argument("--sing-cap", type=_count, metavar="N",
+                   help="with --kind sing-all: at most N singularisations (default 8)")
     _add_common(p)
     p.set_defaults(fn=_cmd_axiomatise)
 
@@ -416,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--facts", action="append", metavar="FILE")
     p.add_argument("--notion", choices=("emfa", "mfa-st", "mfa-sing", "all"), default="all")
-    p.add_argument("--sing-cap", type=_count, default=0, metavar="N",
-                   help="additionally check up to N enumerated singularisations")
+    p.add_argument("--sing-cap", type=_count, metavar="N",
+                   help="with --notion all: also check up to N enumerated singularisations")
     _add_common(p, ("text", "json", "csv"), limits=True, timing=True)
     p.set_defaults(fn=_cmd_check)
 

@@ -630,9 +630,10 @@ class AtomSet:
 
     Every atom carries a rank, an integer that orders the set: iteration
     order is rank order, and so is the order of every `bucket`,
-    `arg0_bucket` and `arg_bucket` list.  `add` gives a new atom a rank
-    above every other, and `rank_bound()` is the rank the next new atom
-    gets.  `rewrite_in_place` gives each image the least rank among its
+    `arg0_bucket` and `arg_bucket` list.  A lookup returns the index's
+    own live list, so do not mutate it, and read it only while the set
+    does not change.  `add` gives a new atom a rank above every other.
+    `rewrite_in_place` gives each image the least rank among its
     preimages and the atom it may equal already, so an image reuses a
     rank.  A rewrite touches only the atoms that hold a rewritten term; it
     finds them through an index from each term to the atoms holding it as
@@ -682,11 +683,6 @@ class AtomSet:
         (KeyError if absent), valid until the set changes."""
         return self._atoms.__getitem__
 
-    def rank_bound(self) -> int:
-        """A rank above every atom in the set and below every atom added
-        later."""
-        return self._next_rank
-
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
 
@@ -710,29 +706,22 @@ class AtomSet:
         return "{" + ", ".join(str(a) for a in self.sorted_atoms()) + "}"
 
     def bucket(self, predicate: Predicate) -> Sequence[Atom]:
-        b = self._buckets.get(predicate)
-        return list(b) if b else ()
+        """Atoms of the predicate."""
+        return self._buckets.get(predicate, ())
 
     def arg0_bucket(self, predicate: Predicate, first: Term) -> Sequence[Atom]:
         """Atoms of the predicate whose first argument is `first`."""
         return self._arg0.get((predicate, first), ())
 
-    def arg_bucket(self, predicate: Predicate, pos: int, term: Term, below: int) -> list[Atom]:
-        """A new list of the atoms of the predicate that hold `term` at
-        argument `pos` and rank below `below`, in rank order."""
+    def arg_bucket(self, predicate: Predicate, pos: int, term: Term) -> Sequence[Atom]:
+        """Atoms of the predicate that hold `term` at argument `pos`."""
         positions = self._pos.setdefault(predicate, {})
         index = positions.get(pos)
         if index is None:
             index = positions[pos] = {}
             for atom in self._buckets.get(predicate, ()):
                 index.setdefault(atom.args[pos], []).append(atom)
-        atoms = index.get(term)
-        if not atoms:
-            return []
-        rank = self._atoms.__getitem__
-        if rank(atoms[-1]) < below:
-            return atoms[:]
-        return atoms[: bisect_left(atoms, below, key=rank)]
+        return index.get(term, ())
 
     def bucket_size(self, predicate: Predicate) -> int:
         b = self._buckets.get(predicate)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -349,14 +350,19 @@ def _naive_closure(rules_):
             return "completed", set(aset)
 
 
-def test_saturation_equals_the_naive_closure():
+def _closure_corpus():
+    """The named rule sets, 300 random ones and both axiomatisations of
+    each: 912 sets."""
     rng = random.Random(5)
     corpus = [rules(name) for name in ALL_TEXTS]
     corpus += [random_ruleset(rng, max_rules=6) for _ in range(300)]
-    corpus += [axiomatise(rs).rules for axiomatise in
-               (standard_axiomatisation, canonical_singularisation) for rs in corpus]
+    return corpus + [axiomatise(rs).rules for axiomatise in
+                     (standard_axiomatisation, canonical_singularisation) for rs in corpus]
+
+
+def test_saturation_equals_the_naive_closure():
     verdicts = {"completed": 0, "cyclic": 0}
-    for rs in corpus:
+    for rs in _closure_corpus():
         out = emfa_set(rs, LIMITS)
         status, atoms = _naive_closure(rs)
         assert out.status == status
@@ -364,3 +370,93 @@ def test_saturation_equals_the_naive_closure():
             assert set(out.atoms) == atoms
         verdicts[status] += 1
     assert verdicts == {"completed": 410, "cyclic": 502}
+
+
+class _Cyclic(Exception):
+    pass
+
+
+def _worklist_closure(rules_):
+    """The saturation's order stated naively: (status, derivations).
+
+    Atoms are processed first in, first out.  Each processed atom passes
+    first through the active replacement maps, in the order they were
+    made; then each rule, in rule order, is joined at each body position
+    holding the atom's predicate, in body order: the atom at that
+    position, the other positions in body order, by nested loops over a
+    list of the set frozen when the join starts.  An EGD match equating a
+    term with itself is skipped.  The join's matches fire, in order,
+    after it ends.  The first atom with a cyclic term stops the run."""
+    derivations, queue, maps = {}, deque(), {}
+    heads = {rule: skolemise(rule).head for rule in rules_.tgds()}
+
+    def add(atom, deriv):
+        if atom not in derivations:
+            derivations[atom] = deriv
+            queue.append(atom)
+            if any(t.cyclic for t in atom.args):
+                raise _Cyclic
+
+    def rewrite(atom, frm, to, idx, key):
+        if frm in atom.args:
+            image = Atom(atom.predicate, [to if t is frm else t for t in atom.args])
+            add(image, ("egd", idx, key, atom, frm, to))
+
+    def join(body, pos, anchor):
+        """(binding, the matched atom at each body position) per match."""
+        frozen = list(derivations)
+        order = [pos] + [i for i in range(len(body)) if i != pos]
+        found = []
+
+        def rec(k, binding, matched):
+            if k == len(order):
+                found.append((binding, tuple(matched[i] for i in range(len(body)))))
+                return
+            i = order[k]
+            for cand in (anchor,) if k == 0 else frozen:
+                out = dict(binding)
+                if cand.predicate is body[i].predicate and all(
+                        out.setdefault(v, t) is t for v, t in zip(body[i].args, cand.args)):
+                    rec(k + 1, out, {**matched, i: cand})
+
+        rec(0, {}, {})
+        return found
+
+    try:
+        for fact in critical_instance(rules_):
+            add(fact, ("ci",))
+        while queue:
+            atom = queue.popleft()
+            for (frm, to), (idx, key) in maps.items():
+                rewrite(atom, frm, to, idx, key)
+            for idx, rule in enumerate(rules_):
+                for pos, b in enumerate(rule.body):
+                    if b.predicate is not atom.predicate:
+                        continue
+                    for binding, body in join(rule.body, pos, atom):
+                        key = tuple(binding[v] for v in rule.universals)
+                        if type(rule) is TGD:
+                            for head in heads[rule]:
+                                add(apply_syntactic(head, binding), ("tgd", idx, key, body))
+                            continue
+                        tx, ty = binding[rule.x], binding[rule.y]
+                        if tx is ty:
+                            continue
+                        pairs = [(ty, tx)] if tx.depth <= ty.depth else []
+                        pairs += [(tx, ty)] if ty.depth <= tx.depth else []
+                        for frm, to in pairs:
+                            if (frm, to) not in maps:
+                                maps[frm, to] = idx, key
+                                for existing in list(derivations):
+                                    rewrite(existing, frm, to, idx, key)
+    except _Cyclic:
+        return "cyclic", derivations
+    return "completed", derivations
+
+
+def test_saturation_follows_the_naive_worklist_order():
+    for rs in _closure_corpus():
+        out = emfa_set(rs, LIMITS)
+        status, derivations = _worklist_closure(rs)
+        assert out.status == status
+        assert list(out.derivations.items()) == list(derivations.items())

@@ -429,6 +429,9 @@ def test_a_decoding_error_after_a_byte_order_mark_names_its_file_offset(capsys, 
         ("axiomatise", THM2, "--kind", "st", "--seed", "3"),
         ("axiomatise", THM2, "--kind", "st", "--no-timing"),
         ("query", THM2, "--no-timing"),
+        # `--sing-cap` only where a singularisation count is read.
+        ("check", str(DATA / "thm4.rules"), "--notion", "mfa-sing", "--sing-cap", "4"),
+        ("axiomatise", THM2, "--kind", "st", "--sing-cap", "3"),
         # A limit is a count.
         ("chase", THM2, "--max-depth", "-1"),
         ("chase", THM2, "--max-atoms", "-1"),
@@ -444,7 +447,7 @@ def test_a_decoding_error_after_a_byte_order_mark_names_its_file_offset(capsys, 
          "validate-timeout-ms", "validate-seed", "validate-no-timing",
          "axiomatise-max-depth", "axiomatise-max-atoms", "axiomatise-max-steps",
          "axiomatise-timeout-ms", "axiomatise-seed", "axiomatise-no-timing",
-         "query-no-timing",
+         "query-no-timing", "check-sing-cap-single-notion", "axiomatise-sing-cap-st",
          "negative-max-depth", "negative-max-atoms", "negative-max-steps",
          "negative-timeout-ms", "negative-max-atoms-check", "negative-timeout-ms-query"],
 )

@@ -81,6 +81,9 @@ def test_each_layer_opens_its_spans(workload, tmp_path):
         assert run.info["steps"] == json.loads(out)["steps"]
         assert len(run.info["stamps"]) == run.info["steps"]
         assert run.matches > 0
+    if workload == "chase-datalog":
+        # The index lookups of each query search hand it candidates.
+        assert all(s.info > 0 for s in tracer.spans if s.name == "chase.query")
     if workload == "check-corpus":
         assert not runs
         assert any(s.matches for s in tracer.spans if s.name == "acyclicity.saturate")
