@@ -66,7 +66,7 @@ class _Stop(Exception):
 
 def _compile(rule: Rule) -> _CompiledRule:
     """The saturation's compiled form of a rule: its anchored plans, head
-    template and EGD positions, and no queue or other run state."""
+    kernel and EGD positions, and no queue or other run state."""
     cr = _CompiledRule(rule)
     cr.compile_anchored()
     return cr
@@ -96,13 +96,13 @@ class _Saturation:
     that join the processed atom first and the rest of the body in body
     order, all in one kernel run; each join's matches fire in order once
     it has ended, so no join sees the set change.  `compiled` maps
-    rules to forms made beforehand (see `_compile_all`); without it
-    each rule is compiled here.  `index` maps each form to the index of
-    its rule's first occurrence, which derivation records carry, and
-    `maps` each replacement (frm, to) to the index and key of the EGD
-    match that made it first.  A TGD match builds its head from the key
-    by the rule's template, and a derivation record only for an atom the
-    set does not hold yet, with the body instance the plan matched.
+    rules to forms made by `_compile_all`, here without it: one per
+    distinct rule, shared by its repeats.  `readers` pair each plan with
+    the index of the rule occurrence it serves, which derivation records
+    carry, and `maps` each replacement (frm, to) with the index and key
+    of the EGD match that made it first.  A TGD match builds its head
+    from the key by the rule's `build`, and a derivation record only for
+    an atom the set does not hold yet, with the body instance matched.
 
     The plans skip idle matches (see `_CompiledRule`): an EGD match
     equating a term with itself adds no replacement map, and a closed TGD
@@ -119,15 +119,15 @@ class _Saturation:
         self.queue: deque[Atom] = deque()
         self.derivations: dict[Atom, tuple] = {}
         self.maps: dict[tuple[Term, Term], tuple[int, tuple]] = {}
-        self.index: dict[_CompiledRule, int] = {}
-        # predicate -> (rule, plan anchored at a body position holding
-        # it), in rule order, then body order.
+        if compiled is None:
+            compiled = _compile_all(rules)
+        # predicate -> (rule, its index, plan anchored at a body position
+        # holding it), in rule order, then body order.
         self.readers: dict = {}
         for idx, rule in enumerate(rules):
-            cr = _compile(rule) if compiled is None else compiled[rule]
-            self.index.setdefault(cr, idx)
+            cr = compiled[rule]
             for pred, plans in cr.plans.items():
-                self.readers.setdefault(pred, []).extend((cr, plan) for plan in plans)
+                self.readers.setdefault(pred, []).extend((cr, idx, plan) for plan in plans)
         self.witness: Optional[tuple[Atom, Term]] = None
         self.stop_reason: Optional[str] = None
         self.ci = critical_instance(rules)
@@ -174,8 +174,7 @@ class _Saturation:
         for (frm, to), (idx, key) in self.maps.items():
             self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
-        for cr, plan in self.readers.get(atom.predicate, ()):
-            idx = self.index[cr]
+        for cr, idx, plan in self.readers.get(atom.predicate, ()):
             found = [(tuple(slots), tuple(plan.matched))
                      for slots in match_conjunction(plan, aset, plan.slots, atom)]
             if cr.kind == "egd":
@@ -223,7 +222,9 @@ def emfa_set(rules: RuleSet, limits: ChaseLimits = ChaseLimits(), *,
     the first cyclic term.  Without limits the computation still halts:
     atoms free of cyclic terms over a finite signature are finitely many.
     `compiled` holds compiled forms of the rules made beforehand (see
-    `check_pipeline`); by default each rule is compiled for this run."""
+    `check_pipeline`); by default each distinct rule is compiled once
+    for this run.  Either way a derivation record carries the index of
+    the rule occurrence whose join fired."""
     return _Saturation(rules, limits, compiled).run()
 
 

@@ -46,10 +46,10 @@ from .model import (
     Ontology,
     Rule,
     RuleSet,
-    SkolemSymbol,
     Substitution,
     Variable,
     apply_syntactic,
+    skolem_symbols,
     skolemise,
     validate,
     validate_query,
@@ -248,9 +248,9 @@ def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, start: int =
 @lru_cache(maxsize=1024)
 def _head_kernel(shape: tuple):
     """A function of (predicates and Skolem symbols, key) that builds the
-    head atoms of a template of this shape as one list display.  `shape`
-    gives each head atom's arguments: an index into the key, or -1 - k
-    for the k-th Skolem symbol, applied once to the whole key."""
+    head atoms of this shape as one list display.  `shape` gives each
+    head atom's arguments: an index into the key, or -1 - k for the k-th
+    Skolem symbol, applied once to the whole key."""
     n = len(shape)
     symbols = sorted({-1 - a for args in shape for a in args if a < 0})
     lines = ["def build(C, key):"]
@@ -426,10 +426,10 @@ class _CompiledRule:
     (`compile_anchored`).  An anchored plan matches its anchor atom in its
     kernel's first step, so a run on an atom that does not fit the anchor
     position yields nothing.
-    `template` gives each atom of the skolemised head of a TGD as
-    (predicate, arguments), each argument an index into the key or the
-    Skolem symbol of an existential, whose term is that symbol applied to
-    the whole key.
+    A TGD builds its skolemised head by `build`, the head kernel of its
+    shape, from `build_args`: the head's predicates, then the Skolem
+    symbol of each existential (`skolem_symbols`), whose term is that
+    symbol applied to the whole key.
 
     `idle` holds the conjunctions the anchored and `whole` plans skip
     (see `_Plan`).  An EGD has one, {(x, y)}: a match that equates a term
@@ -451,7 +451,7 @@ class _CompiledRule:
     """
 
     __slots__ = ("rule", "kind", "universals", "slot", "idle", "whole", "plans", "head",
-                 "closed", "template", "build", "build_args", "x", "y", "heap", "queued")
+                 "closed", "build", "build_args", "x", "y", "heap", "queued")
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -462,17 +462,9 @@ class _CompiledRule:
             # Without existentials a TGD head is fully instantiated by the
             # match, and it is embedded exactly when its atoms are present.
             self.closed = not rule.existentials
-            n = len(self.universals)  # as `skolemise` names the symbols
-            where = where | {w: SkolemSymbol(f"f_{w.name}", n) for w in rule.existentials}
-            self.template = tuple(
-                (a.predicate, tuple(where[v] for v in a.args)) for a in rule.head
-            )
-            symbols = [where[w] for w in rule.existentials]
-            self.build_args = (*(p for p, _ in self.template), *symbols)
-            self.build = _head_kernel(tuple(
-                tuple(a if type(a) is int else -1 - symbols.index(a) for a in args)
-                for _, args in self.template
-            ))
+            at = where | {w: -1 - k for k, w in enumerate(rule.existentials)}
+            self.build = _head_kernel(tuple(tuple(at[v] for v in a.args) for a in rule.head))
+            self.build_args = (*(a.predicate for a in rule.head), *skolem_symbols(rule))
             head = rule.head[0]
             self.idle = tuple([
                 tuple([(where[u], where[v]) for u, v in zip(head.args, b.args) if u is not v])
@@ -507,9 +499,7 @@ class _CompiledRule:
             self.head = _Plan(self.rule.head, extended, self.universals, size)
 
     def instantiate(self, key: tuple) -> list[Atom]:
-        """The skolemised head atoms of the match with this key: `build`,
-        the kernel of the template's shape, applied to `build_args`, the
-        head's predicates and then its Skolem symbols."""
+        """The skolemised head atoms of the match with this key."""
         return self.build(self.build_args, key)
 
 
@@ -609,13 +599,6 @@ class ChaseEngine:
                             queued[key] = ranks
                             heappush(heap, (ranks, next(pushes), key))
 
-    def _merge(self, frm, to) -> None:
-        """Rename `frm` to `to` in the state and queue the matches over
-        the atoms the rewrite re-ranked."""
-        changed = self.state.rewrite_in_place({frm: to})
-        self.gone.add(frm)
-        self._queue(changed)
-
     def _stop(self, heap: list, entry: tuple, limit: str) -> LimitExceeded:
         """Stop on `limit` with the selected candidate `entry` pushed back
         on its rule's heap, live under its rank tuple."""
@@ -678,11 +661,12 @@ class ChaseEngine:
                 self._queue(fresh)
                 trace.tgd_steps += 1
             else:
+                # Rename the later term in the order to the earlier one
+                # and queue the matches over the atoms this re-ranked.
                 tx, ty = key[cr.x], key[cr.y]
-                if tx.order_key < ty.order_key:
-                    self._merge(ty, tx)
-                else:
-                    self._merge(tx, ty)
+                frm, to = (ty, tx) if tx.order_key < ty.order_key else (tx, ty)
+                gone.add(frm)
+                self._queue(aset.rewrite_in_place({frm: to}))
                 trace.egd_steps += 1
             trace.steps += 1
             if self.on_step is not None:

@@ -110,9 +110,7 @@ class _CliFailure(Exception):
 
 def _load_program(args: argparse.Namespace) -> Program:
     program = _parse_file(args.file)
-    for extra in getattr(args, "facts", None) or []:
-        program = program.merge(_parse_file(extra))
-    for extra in getattr(args, "queries", None) or []:
+    for extra in [*(getattr(args, "facts", None) or []), *(getattr(args, "queries", None) or [])]:
         program = program.merge(_parse_file(extra))
     for text in getattr(args, "query", None) or []:
         try:
@@ -251,16 +249,11 @@ def _cmd_axiomatise(args: argparse.Namespace) -> int:
     rules = program.rules
     if args.kind == "st":
         outputs = [(standard_axiomatisation(rules), program.queries)]
-    elif args.kind == "sing":
-        outputs = [(
-            canonical_singularisation(rules),
-            [canonical_query_singularisation(q) for q in program.queries],
-        )]
     else:
+        cap = 1 if args.kind == "sing" else 8 if args.sing_cap is None else args.sing_cap
         outputs = [
             (axr, [canonical_query_singularisation(q) for q in program.queries])
-            for axr in itertools.islice(singularisations(rules),
-                                        8 if args.sing_cap is None else args.sing_cap)
+            for axr in itertools.islice(singularisations(rules), cap)
         ]
     chunks = []
     for i, (axr, queries) in enumerate(outputs):
@@ -359,9 +352,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for path in corpus:
             try:
                 program = _parse_file(str(path))
-                violations = validate(Ontology(program.rules, program.facts))
-                if violations:
-                    raise _CliFailure(EXIT_INVALID, "\n".join(str(v) for v in violations))
+                _require_valid(program)
             except _CliFailure as exc:
                 print(f"skipping {path.name}: {exc.message}", file=sys.stderr)
                 failures += 1

@@ -326,19 +326,14 @@ def _map_atom(atom: Atom, m: Mapping[Term, Term]) -> Atom:
     return Atom(atom.predicate, new_args) if changed else atom
 
 
-def apply_syntactic(s, subst: Mapping[Variable, Term]):
+def apply_syntactic(atom: Atom, subst: Mapping[Variable, Term]) -> Atom:
     """Syntactic variable substitution: descends into the arguments of
     functional terms, unlike argument-level rewriting.  This is the
     semantics used to instantiate skolemised heads.
 
     Raises ValueError on a variable the substitution does not bind.
     """
-    if isinstance(s, Atom):
-        return Atom(s.predicate, [_substitute(a, subst, True) for a in s.args])
-    out = AtomSet()
-    for atom in s:
-        out.add(Atom(atom.predicate, [_substitute(a, subst, True) for a in atom.args]))
-    return out
+    return Atom(atom.predicate, [_substitute(a, subst, True) for a in atom.args])
 
 
 def _substitute(t: Term, subst: Mapping[Variable, Term], strict: bool) -> Term:
@@ -599,6 +594,13 @@ class SkolemisedTGD:
     symbols: tuple[SkolemSymbol, ...]
 
 
+def skolem_symbols(rule: TGD) -> tuple[SkolemSymbol, ...]:
+    """The Skolem symbol of each existential variable w of the rule, in
+    order: f_w, of the arity of the rule's universal variables."""
+    n = len(rule.universals)
+    return tuple(SkolemSymbol(f"f_{w.name}", n) for w in rule.existentials)
+
+
 def skolemise(rule: TGD) -> SkolemisedTGD:
     """Replace each existential variable w by f_w(x1..xn) over the rule's
     universal variables in first-occurrence order.
@@ -609,14 +611,10 @@ def skolemise(rule: TGD) -> SkolemisedTGD:
     if type(rule) is not TGD:
         raise TypeError(f"can only skolemise a TGD, got {type(rule).__name__}")
     univ = rule.universals
-    mapping: dict[Variable, Term] = {}
-    symbols = []
-    for w in rule.existentials:
-        sym = SkolemSymbol(f"f_{w.name}", len(univ))
-        symbols.append(sym)
-        mapping[w] = Functional(sym, univ)
+    symbols = skolem_symbols(rule)
+    mapping = {w: Functional(sym, univ) for w, sym in zip(rule.existentials, symbols)}
     head = tuple(apply_syntactic_partial(a, mapping) for a in rule.head)
-    return SkolemisedTGD(head, tuple(symbols))
+    return SkolemisedTGD(head, symbols)
 
 
 # ---------------------------------------------------------------------------

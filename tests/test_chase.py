@@ -483,22 +483,25 @@ def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
 
 
 def test_compiled_skolem_symbols_are_those_of_skolemise():
+    # The whole head the compiled form builds from a key is the
+    # skolemised head under the key's substitution, Skolem symbols
+    # included, since symbols compare by identity.
     from eqchase.chase import _CompiledRule
-    from eqchase.model import skolemise
+    from eqchase.model import apply_syntactic, skolemise
 
-    rng = random.Random(8)
+    rng, keys = random.Random(8), random.Random(9)
     seen = 0
     for _ in range(200):
         for rule in random_ruleset(rng, max_rules=6):
             if type(rule) is not TGD or not rule.existentials:
                 continue
             cr = _CompiledRule(rule)
-            symbols = skolemise(rule).symbols
-            for atom, (_, args) in zip(rule.head, cr.template):
-                for v, a in zip(atom.args, args):
-                    if v in rule.existentials:
-                        assert a is symbols[rule.existentials.index(v)]
-                        seen += 1
+            head = skolemise(rule).head
+            for _ in range(3):
+                key = tuple(Constant(f"c{keys.randrange(3)}") for _ in rule.universals)
+                sigma = dict(zip(rule.universals, key))
+                assert cr.instantiate(key) == [apply_syntactic(atom, sigma) for atom in head]
+                seen += 1
     assert seen > 100
 
 

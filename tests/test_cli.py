@@ -238,6 +238,21 @@ def test_axiomatise_sing_all(capsys):
     assert all(d["kind"] == "singularisation" for d in doc)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["thm2", "thm4", "ex3", "ex4", "query"])
+def test_axiomatise_sing_is_the_first_of_sing_all(capsys, tmp_path, fmt, name):
+    path = DATA / f"{name}.rules"
+    if name == "query":
+        path = tmp_path / "query.rules"
+        path.write_text("A(X) -> exists W . R(X,W), B(W) .\nR(X,Y), R(X,Z) -> Y = Z .\n"
+                        "A(a) .\n? exists X, Y . R(X,Y), B(Y), R(X,X) .\n")
+    sing = run(capsys, "axiomatise", str(path), "--kind", "sing", "--format", fmt)
+    first = run(capsys, "axiomatise", str(path), "--kind", "sing-all", "--sing-cap", "1",
+                "--format", fmt)
+    assert sing == first
+    assert sing[0] == 0 and sing[1]
+
+
 def test_check_all_json(capsys):
     code, out, _ = run(
         capsys, "check", THM2, "--notion", "all", "--format", "json", "--no-timing"
@@ -308,7 +323,8 @@ def test_bench_writes_csv(capsys, tmp_path):
     out_csv = tmp_path / "results.csv"
     code, _, _ = run(capsys, "bench", str(corpus), "--out", str(out_csv), "--no-timing")
     assert code == 0
-    rows = list(csv.reader(out_csv.open()))
+    with out_csv.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == [
         "id", "n_tgd_exist", "n_egd",
         "emfa_verdict", "emfa_ms", "mfa_st_verdict", "mfa_st_ms",
@@ -328,11 +344,15 @@ def test_bench_skips_bad_files(capsys, tmp_path):
     (corpus / "good.rules").write_text((DATA / "thm2.rules").read_text())
     (corpus / "bad.rules").write_text("A( .\n")
     (corpus / "invalid.rules").write_text("A(X) -> B(X) .\nC(a) .\n")
+    # `check` rejects a query with a constant, so `bench` skips it too.
+    (corpus / "query.rules").write_text("A(X) -> exists W . R(X,W), B(W) .\n? A(a) .\n")
     code, out, err = run(capsys, "bench", str(corpus))
     assert code == 1
     assert "skipping bad.rules" in err
     assert ("skipping invalid.rules: fact 1 (C(a)): predicate 'C' does not occur"
             " in the rule set") in err.splitlines()
+    assert "skipping query.rules: query: queries must not contain constants (found a)" in (
+        err.splitlines())
     assert "good" in out
     assert [row[0] for row in csv.reader(io.StringIO(out))] == ["id", "good"]
 
