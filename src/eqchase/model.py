@@ -16,7 +16,7 @@ existential heads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from weakref import WeakValueDictionary
@@ -629,22 +629,27 @@ class AtomSet:
     Every atom carries a rank, an integer that orders the set: iteration
     order is rank order, and so is the order of every `bucket`,
     `arg0_bucket` and `arg_bucket` list.  A lookup returns the index's
-    own live list, so do not mutate it, and read it only while the set
-    does not change.  `add` gives a new atom a rank above every other.
-    `rewrite_in_place` gives each image the least rank among its
-    preimages and the atom it may equal already, so an image reuses a
-    rank.  A rewrite touches only the atoms that hold a rewritten term; it
-    finds them through an index from each term to the atoms holding it as
-    an argument, which the first rewrite builds, so a set that is never
-    rewritten does not pay for it.  In the same way, the index behind
-    `arg_bucket`, from (predicate, position, term) to the atoms holding
-    the term at that position, is built for one (predicate, position) on
-    its first lookup and kept up to date from then on; positions never
-    looked up cost nothing.  Mutation is confined to those two methods,
-    which keeps every run deterministic.
+    own list, so do not mutate it, and read it again after any change:
+    a change may replace a list rather than update it.  `add` gives a
+    new atom a rank above every other.  `rewrite_in_place` gives each
+    image the least rank among its preimages and the atom it may equal
+    already, so an image reuses a rank.  A rewrite touches only the atoms
+    that hold a rewritten term; it finds them through an index from each
+    term to the atoms holding it as an argument, which the first rewrite
+    builds, so a set that is never rewritten does not pay for it.  An
+    image takes its preimage's slot in every argument list whose key it
+    keeps.  The predicate buckets, the long lists, are not updated by a
+    rewrite: each predicate it touched goes stale, and its bucket is
+    re-sorted from the set on its next read.  The first-argument index
+    stays eager.  The index behind `arg_bucket`, from (predicate,
+    position, term) to the atoms holding the term at that position, is
+    built for one (predicate, position) on its first lookup and kept up
+    to date from then on; positions never looked up cost nothing.
+    Mutation is confined to those two methods, which keeps every run
+    deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_arg0", "_pos", "_next_rank", "_occ", "_in_order")
+    __slots__ = ("_atoms", "_buckets", "_arg0", "_pos", "_next_rank", "_occ", "_in_order", "_stale")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict[Atom, int] = {}
@@ -657,6 +662,8 @@ class AtomSet:
         self._occ: Optional[dict[Term, set[Atom]]] = None
         # Whether `_atoms` iterates in rank order; a rewrite can break it.
         self._in_order = True
+        # The predicates whose bucket a rewrite left out of date.
+        self._stale: set[Predicate] = set()
         for a in atoms:
             self.add(a)
 
@@ -665,9 +672,11 @@ class AtomSet:
             return False
         self._atoms[atom] = self._next_rank
         self._next_rank += 1
-        self._buckets.setdefault(atom.predicate, []).append(atom)
-        self._arg0.setdefault((atom.predicate, atom.args[0]), []).append(atom)
-        positions = self._pos.get(atom.predicate) if self._pos else None
+        p = atom.predicate
+        if p not in self._stale:
+            self._buckets.setdefault(p, []).append(atom)
+        self._arg0.setdefault((p, atom.args[0]), []).append(atom)
+        positions = self._pos.get(p) if self._pos else None
         if positions:
             for i, index in positions.items():
                 index.setdefault(atom.args[i], []).append(atom)
@@ -705,7 +714,7 @@ class AtomSet:
 
     def bucket(self, predicate: Predicate) -> Sequence[Atom]:
         """Atoms of the predicate."""
-        return self._buckets.get(predicate, ())
+        return self._bucket(predicate)
 
     def arg0_bucket(self, predicate: Predicate, first: Term) -> Sequence[Atom]:
         """Atoms of the predicate whose first argument is `first`."""
@@ -717,26 +726,38 @@ class AtomSet:
         index = positions.get(pos)
         if index is None:
             index = positions[pos] = {}
-            for atom in self._buckets.get(predicate, ()):
+            for atom in self._bucket(predicate):
                 index.setdefault(atom.args[pos], []).append(atom)
         return index.get(term, ())
 
     def bucket_size(self, predicate: Predicate) -> int:
-        b = self._buckets.get(predicate)
-        return len(b) if b else 0
+        return len(self._bucket(predicate))
+
+    def _bucket(self, predicate: Predicate) -> Sequence[Atom]:
+        """The predicate's bucket, first re-sorted from the set if stale."""
+        if predicate in self._stale:
+            self._stale.discard(predicate)
+            ranks = self._atoms
+            self._buckets[predicate] = sorted([a for a in ranks if a.predicate is predicate],
+                                              key=ranks.__getitem__)
+        return self._buckets.get(predicate, ())
 
     def rewrite_in_place(self, m: Mapping[Term, Term]) -> list[Atom]:
         """Argument-level rewriting of the set, with the result of a sweep
         over the whole set in rank order where the first image wins and
         keeps the rank of that preimage.
 
-        Only the atoms holding a key of `m` are unlinked; their images are
-        linked in preimage rank order.  A new image takes its preimage's
-        rank, an image equal to a higher-ranked atom moves that atom down
-        to the preimage's rank, and any other image is dropped.  Returns,
-        in rank order, the atoms whose rank is new or changed.
+        No value of `m` may also be a key of `m` (ValueError); a pair
+        `t: t` is ignored.  So an image holds no key and equals no
+        preimage, and the atoms holding a key are relinked in one pass in
+        rank order: a new image takes its preimage's rank and slot, an
+        image equal to a higher-ranked atom moves that atom down to the
+        preimage's rank and slot, and any other image is dropped.
+        Returns, in rank order, the atoms whose rank is new or changed.
         """
         m = {t: u for t, u in m.items() if t is not u}
+        if any(u in m for u in m.values()):
+            raise ValueError("rewrite_in_place: a value of the map is also one of its keys")
         ranks = self._atoms
         occ = self._occ
         if occ is None:
@@ -746,29 +767,24 @@ class AtomSet:
         hit: set[Atom] = set()
         for t in m:
             hit.update(occ.pop(t, ()))
-        pre = sorted(hit, key=ranks.__getitem__)
-        pre_ranks = [ranks[a] for a in pre]
-        for a in pre:
-            self._unlink(a)
+        changed = []
+        for r, a in sorted([(ranks[a], a) for a in hit]):
+            img = _map_atom(a, m)
+            old = ranks.get(img)
+            if old is not None and old < r:
+                img = None
+            self._relink(a, r, img, old)
             del ranks[a]
             for t in a.args:
                 held = occ.get(t)
                 if held is not None:
                     held.discard(a)
-        changed = []
-        for a, r in zip(pre, pre_ranks):
-            img = _map_atom(a, m)
-            old = ranks.get(img)
-            if old is None:
+            if img is not None:
                 ranks[img] = r
-                self._index(img)
-            elif old > r:
-                self._unlink(img)
-                ranks[img] = r
-            else:
-                continue
-            self._link(img)
-            changed.append(img)
+                if old is None:
+                    self._index(img)
+                changed.append(img)
+        self._stale.update(a.predicate for a in hit)
         if changed:
             self._in_order = False
         return changed
@@ -777,27 +793,32 @@ class AtomSet:
         for t in atom.args:
             self._occ.setdefault(t, set()).add(atom)
 
-    def _lists(self, atom: Atom) -> list[tuple[dict, object]]:
-        """(index, key) for every rank-ordered list that holds the atom."""
-        lists = [(self._buckets, atom.predicate), (self._arg0, (atom.predicate, atom.args[0]))]
-        positions = self._pos.get(atom.predicate)
+    def _relink(self, atom: Atom, r: int, image: Optional[Atom], old: Optional[int]) -> None:
+        """Put `image` in the slot of `atom`, of rank `r`, in every argument
+        list, taking it out of its own slot at rank `old` if the set holds
+        it already; with no image, unlink `atom`.  Ranks change after this."""
+        rank = self._atoms.__getitem__
+        p = atom.predicate
+        lists = [(self._arg0, (p, atom.args[0]), image and (p, image.args[0]))]
+        positions = self._pos.get(p)
         if positions:
-            lists.extend((index, atom.args[i]) for i, index in positions.items())
-        return lists
-
-    def _link(self, atom: Atom) -> None:
-        rank = self._atoms.__getitem__
-        for index, k in self._lists(atom):
-            insort(index.setdefault(k, []), atom, key=rank)
-
-    def _unlink(self, atom: Atom) -> None:
-        rank = self._atoms.__getitem__
-        r = rank(atom)
-        for index, k in self._lists(atom):
+            lists += [(index, atom.args[i], image and image.args[i]) for i, index in positions.items()]
+        for index, k, k2 in lists:
             atoms = index[k]
-            del atoms[bisect_left(atoms, r, key=rank)]
+            j = bisect_left(atoms, r, key=rank)
+            if k2 == k:
+                if old is not None:
+                    del atoms[bisect_left(atoms, old, j + 1, key=rank)]
+                atoms[j] = image
+                continue
+            del atoms[j]
             if not atoms:
                 del index[k]
+            if image is not None:
+                atoms = index.setdefault(k2, [])
+                if old is not None:
+                    del atoms[bisect_left(atoms, old, key=rank)]
+                atoms.insert(bisect_left(atoms, r, key=rank), image)
 
     def copy(self) -> "AtomSet":
         return AtomSet(self)

@@ -321,46 +321,102 @@ class _SweepReference:
 
 c, d = Constant("c"), Constant("d")
 _TERMS = [a, b, c, d, Functional(f, [a])]
-_PREDS = [P1, R2, Predicate("S", 3)]
+S3 = Predicate("S", 3)
+_PREDS = [P1, R2, S3]
+_POSITIONS = [(p, i) for p in _PREDS for i in range(p.arity)]
+
+
+@st.composite
+def _map(draw):
+    """A map of one or two pairs whose values are not keys."""
+    keys = draw(st.lists(st.sampled_from(_TERMS), min_size=1, max_size=2, unique=True))
+    values = st.sampled_from([t for t in _TERMS if t not in keys])
+    return {t: draw(values) for t in keys}
+
+
 _op = st.one_of(
     st.tuples(st.just("add"), st.sampled_from(_PREDS), st.lists(st.sampled_from(_TERMS), min_size=3, max_size=3)),
-    st.tuples(st.just("rewrite"), st.sampled_from(_TERMS), st.sampled_from(_TERMS)),
+    st.tuples(st.just("rewrite"), st.sampled_from(_TERMS), st.sampled_from(_TERMS)).map(
+        lambda op: ("rewrite", {op[1]: op[2]})),
+    st.tuples(st.just("rewrite"), _map()),
+    st.tuples(st.just("read"), st.sampled_from(_PREDS)),
 )
 
 
-def _run_ops(ops):
+def _run_ops(ops, built=()):
+    """Run the ops on an `AtomSet` and on the sweep reference, checking
+    after each op the order, the ranks and every index lookup but the
+    bucket, which is read at a "read" op and at the end.  The position
+    indexes of `built` are built before any op; the others are first
+    read after the first rewrite."""
     s, ref = AtomSet(), _SweepReference()
-    for kind, x, y in ops:
-        if kind == "add":
-            atom = Atom(x, y[: x.arity])
+    for p, i in built:
+        s.arg_bucket(p, i, a)
+    rewritten = False
+
+    def check_buckets(preds, order):
+        for p in preds:
+            expected = [atom for atom in order if atom.predicate == p]
+            assert list(s.bucket(p)) == expected
+            assert s.bucket_size(p) == len(expected)
+
+    for op in ops:
+        if op[0] == "add":
+            atom = Atom(op[1], op[2][: op[1].arity])
             assert s.add(atom) == ref.add(atom)
-        else:
-            assert s.rewrite_in_place({x: y}) == ref.rewrite({x: y})
+        elif op[0] == "rewrite":
+            assert s.rewrite_in_place(op[1]) == ref.rewrite(op[1])
+            rewritten = True
         order = ref.order()
+        if op[0] == "read":
+            check_buckets([op[1]], order)
         assert list(s) == order
         assert [s.rank(atom) for atom in order] == [ref.ranks[atom] for atom in order]
+        at = {}
+        for atom in order:
+            for i, t in enumerate(atom.args):
+                at.setdefault((atom.predicate, i, t), []).append(atom)
+        for p, i in _POSITIONS:
+            if rewritten or (p, i) in built:
+                for t in _TERMS:
+                    assert list(s.arg_bucket(p, i, t)) == at.get((p, i, t), [])
         for p in _PREDS:
-            assert list(s.bucket(p)) == [atom for atom in order if atom.predicate == p]
             for t in _TERMS:
-                assert list(s.arg0_bucket(p, t)) == [
-                    atom for atom in order if atom.predicate == p and atom.args[0] == t
-                ]
+                assert list(s.arg0_bucket(p, t)) == at.get((p, 0, t), [])
+    check_buckets(_PREDS, ref.order())
     return s
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_op, max_size=24))
+@given(st.lists(_op, max_size=24), st.sets(st.sampled_from(_POSITIONS)))
 # R(a,b) with b -> a: the image's arguments become equal.
-@example([("add", R2, [a, b, a]), ("rewrite", b, a)])
+@example([("add", R2, [a, b, a]), ("rewrite", {b: a})], set())
 # The image collides with an existing atom of higher rank, which moves down.
-@example([("add", R2, [b, c, a]), ("add", R2, [a, c, a]), ("rewrite", b, a)])
+@example([("add", R2, [b, c, a]), ("add", R2, [a, c, a]), ("rewrite", {b: a})], {(R2, 1)})
 # The image collides with an existing atom of lower rank and is dropped.
-@example([("add", R2, [a, c, a]), ("add", R2, [b, c, a]), ("rewrite", b, a)])
+@example([("add", R2, [a, c, a]), ("add", R2, [b, c, a]), ("rewrite", {b: a})], {(R2, 0)})
 # A rewritten first argument, then adds that must land after the images.
 @example([("add", R2, [c, a, a]), ("add", P1, [d, a, a]), ("add", R2, [d, b, a]),
-          ("rewrite", d, c), ("add", R2, [c, c, a]), ("rewrite", c, a)])
-def test_incremental_rewrite_matches_the_whole_set_sweep(ops):
-    _run_ops(ops)
+          ("rewrite", {d: c}), ("add", R2, [c, c, a]), ("rewrite", {c: a})], set())
+# A bucket is read, its predicate is rewritten twice, an atom is added to
+# the stale bucket, and the bucket is read again.
+@example([("add", R2, [a, b, a]), ("add", R2, [c, d, a]), ("add", R2, [b, d, a]), ("read", R2),
+          ("rewrite", {a: c, b: d}), ("rewrite", {d: a}), ("add", R2, [b, b, a]), ("read", R2)],
+         {(R2, 0), (R2, 1)})
+# A stale predicate is first read by the lazy build of a position index.
+@example([("add", S3, [a, b, c]), ("add", S3, [c, b, a]), ("add", S3, [b, b, b]),
+          ("rewrite", {c: a})], {(R2, 1)})
+def test_incremental_rewrite_matches_the_whole_set_sweep(ops, built):
+    _run_ops(ops, built)
+
+
+def test_rewrite_rejects_a_map_whose_value_is_a_key():
+    s = AtomSet([Atom(R2, [a, b]), Atom(R2, [b, c])])
+    with pytest.raises(ValueError, match="also one of its keys"):
+        s.rewrite_in_place({a: b, b: c})
+    assert list(s) == [Atom(R2, [a, b]), Atom(R2, [b, c])]
+    # A pair t: t is ignored.
+    assert s.rewrite_in_place({a: a, c: a}) == [Atom(R2, [b, a])]
 
 
 def test_rewrite_reports_new_and_reranked_atoms():
