@@ -61,7 +61,7 @@ class SaturationOutcome:
 
 
 class _Stop(Exception):
-    pass
+    """Stops a saturation; its argument is the reason, a limit or `CYCLIC`."""
 
 
 def _compile(rule: Rule) -> _CompiledRule:
@@ -129,26 +129,29 @@ class _Saturation:
             for pred, plans in cr.plans.items():
                 self.readers.setdefault(pred, []).extend((cr, idx, plan) for plan in plans)
         self.witness: Optional[tuple[Atom, Term]] = None
-        self.stop_reason: Optional[str] = None
         self.ci = critical_instance(rules)
 
     def _add(self, atom: Atom, deriv: tuple) -> None:
-        if not self.atoms.add(atom):
+        """Add the atom unless held.  The caps are tested before an atom
+        without a cyclic term is added, so only the witness passes them."""
+        atoms = self.atoms
+        if atom in atoms:
             return
+        for t in atom.args:  # leaves `t` the first cyclic argument, if any
+            if t.cyclic:
+                break
+        else:
+            if len(atoms) >= self.max_atoms:
+                raise _Stop("max_atoms")
+            for t in atom.args:
+                if t.depth > self.max_depth:
+                    raise _Stop("max_term_depth")
+        atoms.add(atom)
         self.derivations[atom] = deriv
         self.queue.append(atom)
-        for t in atom.args:
-            if t.cyclic:
-                self.witness = (atom, t)
-                self.stop_reason = CYCLIC
-                raise _Stop()
-        if len(self.atoms) > self.max_atoms:
-            self.stop_reason = "max_atoms"
-            raise _Stop()
-        for t in atom.args:
-            if t.depth > self.max_depth:
-                self.stop_reason = "max_term_depth"
-                raise _Stop()
+        if t.cyclic:
+            self.witness = (atom, t)
+            raise _Stop(CYCLIC)
 
     def _fire_egd(self, cr: _CompiledRule, idx: int, key: tuple) -> None:
         tx, ty = key[cr.x], key[cr.y]
@@ -198,21 +201,19 @@ class _Saturation:
                 self._add(fact, ("ci",))
             while self.queue:
                 if deadline is not None and time.monotonic() > deadline:
-                    self.stop_reason = "wall_clock_ms"
-                    raise _Stop()
+                    raise _Stop("wall_clock_ms")
                 self._process(self.queue.popleft())
-        except _Stop:
-            status = CYCLIC if self.stop_reason == CYCLIC else LIMIT
+        except _Stop as stop:
+            status, limit = (CYCLIC, None) if self.witness else (LIMIT, stop.args[0])
         else:
-            status = COMPLETED
+            status, limit = COMPLETED, None
         # The atoms derived beyond the critical instance, none while a
         # limit stops the saturation part-way through adding it.
         steps = max(0, len(self.atoms) - len(self.ci))
         atom, term = self.witness or (None, None)
         return SaturationOutcome(
             status, self.atoms, atom, term,
-            limit=self.stop_reason if status == LIMIT else None,
-            steps=steps, derivations=self.derivations,
+            limit=limit, steps=steps, derivations=self.derivations,
         )
 
 

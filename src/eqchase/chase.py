@@ -312,16 +312,13 @@ def match_conjunction(
 
 
 def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
-    """A total mapping of the body's variables into the atom set, or None.
-
-    Body atoms are reordered by bucket size (most selective first); the
-    ordering is a performance choice only.
-    """
-    ordered = sorted(
-        range(len(body)), key=lambda i: (aset.bucket_size(body[i].predicate), i)
-    )
-    for binding in match_conjunction([body[i] for i in ordered], aset):
-        return dict(binding)
+    """A total mapping of the body's variables into the atom set, or None:
+    the first match of a plan in the engine's greedy connected order
+    (see `_Plan`)."""
+    slot = {v: i for i, v in enumerate(dict.fromkeys(v for atom in body for v in atom.args))}
+    plan = _Plan(body, slot, size=aset.bucket_size)
+    for slots in match_conjunction(plan, aset, plan.slots):
+        return dict(zip(slot, slots))
     return None
 
 
@@ -718,7 +715,7 @@ def entails(
     (growth preserves embeddings and merges rename them along); absence
     of a witness is reported as unknown.
     """
-    violations = validate_query(query)
+    violations = validate_query(query, ontology.rules)
     if violations:
         raise InvalidInputError(violations)
     outcome = chase(ontology, limits, seed=seed)

@@ -128,7 +128,7 @@ def _violations(program: Program) -> tuple[Ontology, list]:
     ontology = Ontology(program.rules, program.facts)
     violations = validate(ontology)
     for q in program.queries:
-        violations.extend(validate_query(q))
+        violations.extend(validate_query(q, program.rules))
     return ontology, violations
 
 
@@ -143,7 +143,7 @@ def _chase_valid(program: Program, args: argparse.Namespace):
     """The chase of a valid program's ontology, which the engine validates;
     here it is validated only to list its violations before a query's."""
     ontology = Ontology(program.rules, program.facts)
-    violations = [v for q in program.queries for v in validate_query(q)]
+    violations = [v for q in program.queries for v in validate_query(q, program.rules)]
     if not violations:
         try:
             return chase(ontology, _limits(args), seed=args.seed)
@@ -348,6 +348,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     limits = _limits(args)
     rows = [BENCH_COLUMNS]
     failures = 0
+    hit_limit = False
     with out as f:
         for path in corpus:
             try:
@@ -362,10 +363,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             row = [path.stem, sum(1 for r in rules.tgds() if r.existentials), len(rules.egds())]
             for notion in ("emfa", "mfa-st", "mfa-sing"):
                 r = by_notion[notion]
+                hit_limit |= r.verdict == "limit-exceeded"
                 row += [r.verdict, 0 if args.no_timing else round(r.elapsed_ms, 3)]
             rows.append(row)
         csv.writer(f).writerows(rows)
-    return EXIT_INVALID if failures else EXIT_OK
+    return EXIT_INVALID if failures else EXIT_LIMIT if hit_limit else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

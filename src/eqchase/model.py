@@ -123,28 +123,25 @@ class Constant(_Name):
     __slots__ = ()
     _interned: WeakValueDictionary = WeakValueDictionary()
     _kind = 0
-    has_var = False
 
 
 class Variable(_Name):
     __slots__ = ()
     _interned: WeakValueDictionary = WeakValueDictionary()
     _kind = 1
-    has_var = True
 
 
 class Functional:
-    """A term built from a Skolem symbol.  Depth, variable occurrence,
-    the set of function symbols inside, and cyclicity are precomputed
-    bottom-up so the hot paths can read them in O(1).
+    """A term built from a Skolem symbol.  Depth, the set of function
+    symbols inside, and cyclicity are precomputed bottom-up so the hot
+    paths can read them in O(1).
 
     The depth of a term is 1 for constants and variables, else one more
     than the deepest argument.  A term is cyclic iff some functional
     subterm's symbol occurs again strictly inside one of that subterm's
     arguments, at any nesting depth."""
 
-    __slots__ = ("fn", "args", "depth", "has_var", "cyclic", "fn_symbols",
-                 "_key", "__weakref__")
+    __slots__ = ("fn", "args", "depth", "cyclic", "fn_symbols", "_key", "__weakref__")
     _interned: WeakValueDictionary = WeakValueDictionary()
 
     def __new__(cls, fn: SkolemSymbol, args: Sequence["Term"]):
@@ -158,7 +155,6 @@ class Functional:
         self.fn = fn
         self.args = args
         self.depth = 1 + max(a.depth for a in args)
-        self.has_var = any(a.has_var for a in args)
         # Symbols are tracked by name: within one rule set a name denotes
         # exactly one symbol, so this coincides with symbol identity.
         self.fn_symbols = frozenset((fn.name,)).union(*(a.fn_symbols for a in args))
@@ -286,21 +282,20 @@ class Atom:
 
     @property
     def is_ground(self) -> bool:
-        return not any(a.has_var for a in self.args)
+        return next(self.variables(), None) is None
 
     @property
     def sort_key(self):
         return (self.predicate.name,) + tuple(a.order_key for a in self.args)
 
     def variables(self) -> Iterator[Variable]:
-        # A stack of argument iterators, not recursion; a ground argument
-        # (`has_var` false) is skipped whole.
+        # A stack of argument iterators, not recursion.
         stack = [iter(self.args)]
         while stack:
             for a in stack[-1]:
                 if type(a) is Variable:
                     yield a
-                elif a.has_var:
+                elif type(a) is Functional:
                     stack.append(iter(a.args))
                     break
             else:
@@ -349,7 +344,7 @@ def _substitute(t: Term, subst: Mapping[Variable, Term], strict: bool) -> Term:
             if strict and u not in subst:
                 raise ValueError(f"unbound variable {u.name!r} during substitution")
             image[u] = subst.get(u, u)
-        elif type(u) is Functional and u.has_var:
+        elif type(u) is Functional:
             todo = [a for a in u.args if a not in image]
             if todo:
                 stack += (u, *todo)
@@ -929,12 +924,13 @@ def validate(ontology: Ontology) -> list[Violation]:
     return out
 
 
-def validate_query(q: BCQ) -> list[Violation]:
+def validate_query(q: BCQ, rules: RuleSet = RuleSet(())) -> list[Violation]:
+    """The query's violations; its predicates keep their arities in `rules`."""
     out: list[Violation] = []
     if not q.body:
         out.append(Violation("query", "query body must be non-empty"))
     declared = set(q.variables)
-    arities: dict[str, int] = {}
+    arities = {p.name: p.arity for p in reversed(rules.predicates())}
     for atom in q.body:
         p = atom.predicate
         known = arities.setdefault(p.name, p.arity)

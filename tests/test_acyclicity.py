@@ -230,6 +230,28 @@ def test_emfa_equals_mfa_on_equality_free_sets():
         assert is_emfa(rs, lim).verdict == is_mfa(rs, lim).verdict
 
 
+def test_caps_bound_the_saturation_set():
+    # The caps are tested before an atom is added, so only the cyclic
+    # witness, which is added and then stops the run, may pass them.
+    chain = parse("".join(f"A{i}(X) -> exists Y . R{i}(X,Y), A{i + 1}(Y) .\n"
+                          for i in range(14))).rules
+    out = emfa_set(chain, ChaseLimits(max_term_depth=3))
+    assert out.limit == "max_term_depth" and out.atoms.max_term_depth() == 3
+    out = emfa_set(chain, ChaseLimits(max_atoms=5))
+    assert out.limit == "max_atoms" and len(out.atoms) == 5
+    rng = random.Random(22)
+    for _ in range(80):
+        rs = random_ruleset(rng, max_rules=6)
+        atoms_cap = rng.randint(0, 40)
+        for lim in (ChaseLimits(max_term_depth=rng.randint(1, 3)), ChaseLimits(max_atoms=atoms_cap)):
+            out = emfa_set(rs, lim)
+            rest = [a for a in out.atoms if a != out.witness_atom]
+            if lim.max_atoms is not None:
+                assert len(rest) <= atoms_cap
+            else:
+                assert all(t.depth <= lim.max_term_depth for a in rest for t in a.args)
+
+
 def test_theorem8_direction_sampled():
     rng = random.Random(12)
     lim = ChaseLimits(max_atoms=20_000, max_term_depth=10)

@@ -15,6 +15,7 @@ from eqchase import (
     Constant,
     Entailed,
     Functional,
+    InvalidInputError,
     LimitExceeded,
     NotEntailed,
     Ontology,
@@ -467,6 +468,39 @@ def test_engine_joins_in_greedy_connected_order(monkeypatch):
     outcome = chase(o)
     assert isinstance(outcome, Terminated) and outcome.steps == 0
     assert sum(handed) < 1000
+
+
+def test_query_joins_in_greedy_connected_order(monkeypatch):
+    # A(X), B(Z), R(X,Y), S(Y,Z) over 60 facts of each predicate, no
+    # S(c_i, d_i) ending in a b_j, so the query is not entailed.  Joined
+    # by bucket size alone, A and B are taken first, and their cross
+    # product is searched: 10,860 atoms handed.  In connected order each
+    # A atom extends along R and S alone: 180.
+    handed = []
+    for name in ("bucket", "arg0_bucket", "arg_bucket"):
+        def counted(self, *args, method=getattr(AtomSet, name)):
+            atoms = method(self, *args)
+            handed.append(len(atoms))
+            return atoms
+        monkeypatch.setattr(AtomSet, name, counted)
+    S2 = Predicate("S", 2)
+    n = 60
+    facts = [f for i in range(n) for f in (
+        Atom(A1, [Constant(f"a{i}")]), Atom(B1, [Constant(f"b{i}")]),
+        Atom(R2, [Constant(f"a{i}"), Constant(f"c{i}")]),
+        Atom(S2, [Constant(f"c{i}"), Constant(f"d{i}")]))]
+    body = [Atom(A1, [X]), Atom(B1, [Z]), Atom(R2, [X, Y]), Atom(S2, [Y, Z])]
+    assert homomorphism(body, AtomSet(facts)) is None
+    assert sum(handed) < 600
+
+
+def test_entails_keeps_the_rule_arity_of_a_query_predicate():
+    program = parse("A(X) -> exists Y . R(X,Y) .\nA(a) .\n")
+    q = BCQ([X], [Atom(Predicate("R", 1), [X])])
+    with pytest.raises(InvalidInputError) as info:
+        entails(Ontology(program.rules, program.facts), q)
+    assert [str(v) for v in info.value.violations] == [
+        "query: predicate 'R' used with arities 2 and 1"]
 
 
 def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):

@@ -180,6 +180,20 @@ def test_query_reads_a_queries_file(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("flag", ["--query", "--queries"])
+def test_a_query_predicate_keeps_its_rule_arity(capsys, tmp_path, flag):
+    # Inside one file the parser rejects `R(X)`; from another source the
+    # query is checked against the rules, as a fact is.
+    path = tmp_path / "rules.rules"
+    path.write_text("A(X) -> exists Y . R(X,Y) .\nA(a) .\n")
+    text = "? exists X . R(X) .\n"
+    if flag == "--queries":
+        (tmp_path / "q.rules").write_text(text)
+        text = str(tmp_path / "q.rules")
+    got = run(capsys, "query", str(path), flag, text)
+    assert got == (1, "", "query: predicate 'R' used with arities 2 and 1\n")
+
+
 def test_query_prefixes_every_diagnostic_of_an_inline_query(capsys):
     code, _, err = run(capsys, "query", THM2, "--query", "? A(X Y) . ? B(")
     assert code == 1
@@ -357,6 +371,19 @@ def test_bench_skips_bad_files(capsys, tmp_path):
     assert [row[0] for row in csv.reader(io.StringIO(out))] == ["id", "good"]
 
 
+def test_bench_exits_2_when_a_check_hits_a_limit(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "thm2.rules").write_text((DATA / "thm2.rules").read_text())
+    code, out, _ = run(capsys, "bench", str(corpus), "--max-atoms", "5", "--no-timing")
+    assert code == 2
+    assert list(csv.reader(io.StringIO(out)))[1] == [
+        "thm2", "1", "1", "acyclic", "0", "limit-exceeded", "0", "limit-exceeded", "0"]
+    # A skipped file is bad input, which outranks the limit.
+    (corpus / "bad.rules").write_text("A( .\n")
+    assert run(capsys, "bench", str(corpus), "--max-atoms", "5")[0] == 1
+
+
 def test_bench_on_a_directory_without_rules_files(capsys, tmp_path):
     (tmp_path / "notes.txt").write_text("A(X) -> B(X) .\n")
     code, out, err = run(capsys, "bench", str(tmp_path))
@@ -495,8 +522,8 @@ CHAIN14 = "".join(f"A{i}(X) -> exists Y . R{i}(X,Y), A{i + 1}(Y) .\n" for i in r
 
 
 @pytest.mark.parametrize("flags,limit,counts", [
-    ((), "max_term_depth", [(210, 181), (296, 266), (296, 266)]),
-    (("--max-atoms", "5"), "max_atoms", [(6, 0)] * 3),
+    ((), "max_term_depth", [(209, 180), (295, 265), (295, 265)]),
+    (("--max-atoms", "5"), "max_atoms", [(5, 0)] * 3),
     # The saturation adds the critical instance before its first clock test.
     (("--timeout-ms", "0"), "wall_clock_ms", [(29, 0), (30, 0), (30, 0)]),
 ])

@@ -515,7 +515,7 @@ def test_substitution_into_a_term_deeper_than_the_recursion_limit():
     t = _deep(SkolemSymbol("f_Y", 2), X, 5001)
     ground = apply_syntactic(Atom(R2, [t, Y]), {X: a, Y: b})
     assert ground.args[1] is b and ground.args[0].depth == 5001
-    assert not ground.args[0].has_var and str(ground.args[0]).count("a") == 1
+    assert next(ground.variables(), None) is None and str(ground.args[0]).count("a") == 1
     partial = apply_syntactic_partial(Atom(R2, [t, Y]), {Y: a})
     assert partial.args == (t, a)
     assert apply_syntactic_partial(Atom(R2, [t, Y]), {X: a, Y: b}) == ground
