@@ -23,7 +23,7 @@ from .model import (
     Rule,
     RuleSet,
     Variable,
-    _first_occurrence_vars,
+    _vars_in_order,
 )
 
 #: Provenance labels.
@@ -89,7 +89,7 @@ def standard_axiomatisation(rules: RuleSet) -> AxiomatisedRuleSet:
 # Singularisation
 
 
-def _occurrences(body: Sequence[Atom]) -> dict[str, list[tuple[int, int]]]:
+def _var_positions(body: Sequence[Atom]) -> dict[str, list[tuple[int, int]]]:
     """Variable name -> positions (atom index, argument index), scanning
     the body left to right."""
     occ: dict[str, list[tuple[int, int]]] = {}
@@ -119,7 +119,7 @@ def singularise_conjunction(
     x__i, and an eq(x, x__i) atom is appended per fresh variable.
     """
     body = tuple(body)
-    occ = _occurrences(body)
+    occ = _var_positions(body)
     taken = set(occ)
     renames: dict[tuple[int, int], Variable] = {}
     links: list[Atom] = []
@@ -152,7 +152,7 @@ def _choices(body: Sequence[Atom]) -> Iterator[dict[str, int]]:
     """Every choice of kept occurrences for the body's repeated variables,
     lazily, one dict per combination in first-occurrence order of the
     variables; the first choice keeps every first occurrence."""
-    repeated = [(name, len(positions)) for name, positions in _occurrences(body).items()
+    repeated = [(name, len(positions)) for name, positions in _var_positions(body).items()
                 if len(positions) > 1]
     for ks in itertools.product(*(range(1, n + 1) for _, n in repeated)):
         yield {name: k for (name, _), k in zip(repeated, ks)}
@@ -192,7 +192,7 @@ def singularise_query(query: BCQ) -> Iterator[BCQ]:
     added to the existential list."""
     for choice in _choices(query.body):
         body = singularise_conjunction(query.body, choice)
-        yield BCQ(_first_occurrence_vars(body), body)
+        yield BCQ(_vars_in_order(body), body)
 
 
 def canonical_query_singularisation(query: BCQ) -> BCQ:

@@ -273,9 +273,9 @@ def match_conjunction(
     Given a compiled `_Plan`, runs it over the slot list `init` and yields
     that list, live, at every match that is not idle (see `_Plan`); an
     anchored plan is given the atom its first step matches as `anchor`.
-    Given atoms, compiles a plan in body order with the variables of
-    `init` bound, and no idle test, and yields a new dict per binding,
-    `init` included.
+    Given atoms, whose terms must be variables (else ValueError),
+    compiles a plan in body order with the variables of `init` bound,
+    and no idle test, and yields a new dict per binding, `init` included.
 
     A plan runs as its kernel, generated code with one nested `for` loop
     per step, inline `is not` tests and inline slot stores.  Kernels are
@@ -298,6 +298,7 @@ def match_conjunction(
     if type(body) is _Plan:
         plan, slots = body, init
     else:
+        _require_variables(body)
         init = init or {}
         variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
         slot = {v: i for i, v in enumerate(variables)}
@@ -311,10 +312,16 @@ def match_conjunction(
     return (dict(zip(variables, found)) for found in run)
 
 
+def _require_variables(body: Sequence[Atom]) -> None:
+    for t in (t for atom in body for t in atom.args if type(t) is not Variable):
+        raise ValueError(f"the body term {t} is not a variable")
+
+
 def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
     """A total mapping of the body's variables into the atom set, or None:
     the first match of a plan in the engine's greedy connected order
-    (see `_Plan`)."""
+    (see `_Plan`).  A body term that is not a variable is a ValueError."""
+    _require_variables(body)
     slot = {v: i for i, v in enumerate(dict.fromkeys(v for atom in body for v in atom.args))}
     plan = _Plan(body, slot, size=aset.bucket_size)
     for slots in match_conjunction(plan, aset, plan.slots):

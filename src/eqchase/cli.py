@@ -341,7 +341,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not corpus:
         raise _CliFailure(EXIT_INVALID, f"no .rules files under {args.corpus}")
     try:
-        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        # UTF-8 whatever the locale; a file name's own bytes pass through.
+        out = (open(args.out, "w", newline="", encoding="utf-8", errors="surrogateescape")
+               if args.out else nullcontext(sys.stdout))
     except OSError as exc:
         message = f"{args.out}: cannot write ({exc.strerror or exc})"
         raise _CliFailure(EXIT_INVALID, message) from exc

@@ -281,10 +281,6 @@ class Atom:
         return f"Atom({self})"
 
     @property
-    def is_ground(self) -> bool:
-        return next(self.variables(), None) is None
-
-    @property
     def sort_key(self):
         return (self.predicate.name,) + tuple(a.order_key for a in self.args)
 
@@ -402,7 +398,7 @@ class TGD:
     def universals(self) -> tuple[Variable, ...]:
         """Body variables in first-occurrence order."""
         if self._universals is None:
-            self._universals = _first_occurrence_vars(self.body)
+            self._universals = _vars_in_order(self.body)
         return self._universals
 
 
@@ -438,14 +434,14 @@ class EGD:
     @property
     def universals(self) -> tuple[Variable, ...]:
         if self._universals is None:
-            self._universals = _first_occurrence_vars(self.body)
+            self._universals = _vars_in_order(self.body)
         return self._universals
 
 
 Rule = Union[TGD, EGD]
 
 
-def _first_occurrence_vars(atoms: Sequence[Atom]) -> tuple[Variable, ...]:
+def _vars_in_order(atoms: Sequence[Atom]) -> tuple[Variable, ...]:
     seen: dict[Variable, None] = {}
     for atom in atoms:
         for v in atom.variables():
@@ -618,8 +614,7 @@ def skolemise(rule: TGD) -> SkolemisedTGD:
 
 class AtomSet:
     """The working state of a saturation: a set of atoms with a
-    per-predicate index, a first-argument index and a lazy index on the
-    other argument positions.
+    per-predicate index and one index on argument positions.
 
     Every atom carries a rank, an integer that orders the set: iteration
     order is rank order, and so is the order of every `bucket`,
@@ -628,33 +623,30 @@ class AtomSet:
     a change may replace a list rather than update it.  `add` gives a
     new atom a rank above every other.  `rewrite_in_place` gives each
     image the least rank among its preimages and the atom it may equal
-    already, so an image reuses a rank.  A rewrite touches only the atoms
-    that hold a rewritten term; it finds them through an index from each
-    term to the atoms holding it as an argument, which the first rewrite
-    builds, so a set that is never rewritten does not pay for it.  An
-    image takes its preimage's slot in every argument list whose key it
-    keeps.  The predicate buckets, the long lists, are not updated by a
-    rewrite: each predicate it touched goes stale, and its bucket is
-    re-sorted from the set on its next read.  The first-argument index
-    stays eager.  The index behind `arg_bucket`, from (predicate,
-    position, term) to the atoms holding the term at that position, is
-    built for one (predicate, position) on its first lookup and kept up
-    to date from then on; positions never looked up cost nothing.
-    Mutation is confined to those two methods, which keeps every run
-    deterministic.
+    already, so an image reuses a rank.
+
+    The position index, from (predicate, position, term) to the atoms
+    holding the term there, is built for one (predicate, position) on its
+    first lookup, and `add` and `_relink` keep its lists in step from then
+    on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  A rewrite first
+    indexes every position not yet built, so from the first rewrite on
+    all are; that index is how it finds the atoms that hold a rewritten
+    term, and it touches only those: an image takes its preimage's slot
+    in every position list whose key it keeps.  The predicate buckets,
+    the long lists, are not updated by a rewrite: each predicate it
+    touched goes stale, and its bucket is re-sorted from the set on its
+    next read.  Mutation is confined to those two methods, which keeps
+    every run deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_arg0", "_pos", "_next_rank", "_occ", "_in_order", "_stale")
+    __slots__ = ("_atoms", "_buckets", "_pos", "_next_rank", "_in_order", "_stale")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict[Atom, int] = {}
         self._buckets: dict[Predicate, list[Atom]] = {}
-        self._arg0: dict[tuple[Predicate, Term], list[Atom]] = {}
-        # predicate -> position -> term -> atoms, for the positions looked up.
+        # predicate -> position -> term -> atoms, for the positions built.
         self._pos: dict[Predicate, dict[int, dict[Term, list[Atom]]]] = {}
         self._next_rank = 0
-        # term -> the atoms holding it as an argument; None until a rewrite.
-        self._occ: Optional[dict[Term, set[Atom]]] = None
         # Whether `_atoms` iterates in rank order; a rewrite can break it.
         self._in_order = True
         # The predicates whose bucket a rewrite left out of date.
@@ -670,13 +662,10 @@ class AtomSet:
         p = atom.predicate
         if p not in self._stale:
             self._buckets.setdefault(p, []).append(atom)
-        self._arg0.setdefault((p, atom.args[0]), []).append(atom)
-        positions = self._pos.get(p) if self._pos else None
+        positions = self._pos.get(p)
         if positions:
             for i, index in positions.items():
                 index.setdefault(atom.args[i], []).append(atom)
-        if self._occ is not None:
-            self._index(atom)
         return True
 
     @property
@@ -713,17 +702,24 @@ class AtomSet:
 
     def arg0_bucket(self, predicate: Predicate, first: Term) -> Sequence[Atom]:
         """Atoms of the predicate whose first argument is `first`."""
-        return self._arg0.get((predicate, first), ())
+        try:
+            return self._pos[predicate][0].get(first, ())
+        except KeyError:
+            return self._position(predicate, 0).get(first, ())
 
     def arg_bucket(self, predicate: Predicate, pos: int, term: Term) -> Sequence[Atom]:
         """Atoms of the predicate that hold `term` at argument `pos`."""
-        positions = self._pos.setdefault(predicate, {})
-        index = positions.get(pos)
-        if index is None:
-            index = positions[pos] = {}
-            for atom in self._bucket(predicate):
-                index.setdefault(atom.args[pos], []).append(atom)
-        return index.get(term, ())
+        try:
+            return self._pos[predicate][pos].get(term, ())
+        except KeyError:
+            return self._position(predicate, pos).get(term, ())
+
+    def _position(self, predicate: Predicate, pos: int) -> dict[Term, list[Atom]]:
+        """Build the index of one position of the predicate from its bucket."""
+        index = self._pos.setdefault(predicate, {})[pos] = {}
+        for atom in self._bucket(predicate):
+            index.setdefault(atom.args[pos], []).append(atom)
+        return index
 
     def bucket_size(self, predicate: Predicate) -> int:
         return len(self._bucket(predicate))
@@ -754,14 +750,12 @@ class AtomSet:
         if any(u in m for u in m.values()):
             raise ValueError("rewrite_in_place: a value of the map is also one of its keys")
         ranks = self._atoms
-        occ = self._occ
-        if occ is None:
-            occ = self._occ = {}
-            for atom in ranks:
-                self._index(atom)
-        hit: set[Atom] = set()
-        for t in m:
-            hit.update(occ.pop(t, ()))
+        for p in self._buckets:
+            if len(self._pos.get(p, ())) < p.arity:
+                for i in set(range(p.arity)).difference(self._pos.get(p, ())):
+                    self._position(p, i)
+        hit: set[Atom] = set().union(*[index.get(t, ()) for positions in self._pos.values()
+                                       for index in positions.values() for t in m])
         changed = []
         for r, a in sorted([(ranks[a], a) for a in hit]):
             img = _map_atom(a, m)
@@ -770,37 +764,23 @@ class AtomSet:
                 img = None
             self._relink(a, r, img, old)
             del ranks[a]
-            for t in a.args:
-                held = occ.get(t)
-                if held is not None:
-                    held.discard(a)
             if img is not None:
                 ranks[img] = r
-                if old is None:
-                    self._index(img)
                 changed.append(img)
         self._stale.update(a.predicate for a in hit)
         if changed:
             self._in_order = False
         return changed
 
-    def _index(self, atom: Atom) -> None:
-        for t in atom.args:
-            self._occ.setdefault(t, set()).add(atom)
-
     def _relink(self, atom: Atom, r: int, image: Optional[Atom], old: Optional[int]) -> None:
-        """Put `image` in the slot of `atom`, of rank `r`, in every argument
+        """Put `image` in the slot of `atom`, of rank `r`, in every position
         list, taking it out of its own slot at rank `old` if the set holds
         it already; with no image, unlink `atom`.  Ranks change after this."""
         rank = self._atoms.__getitem__
-        p = atom.predicate
-        lists = [(self._arg0, (p, atom.args[0]), image and (p, image.args[0]))]
-        positions = self._pos.get(p)
-        if positions:
-            lists += [(index, atom.args[i], image and image.args[i]) for i, index in positions.items()]
-        for index, k, k2 in lists:
+        for i, index in self._pos[atom.predicate].items():
+            k, k2 = atom.args[i], image and image.args[i]
             atoms = index[k]
-            j = bisect_left(atoms, r, key=rank)
+            j = bisect_left(atoms, r, key=rank) if len(atoms) > 1 else 0
             if k2 == k:
                 if old is not None:
                     del atoms[bisect_left(atoms, old, j + 1, key=rank)]
@@ -907,7 +887,9 @@ def validate(ontology: Ontology) -> list[Violation]:
     for p in ontology.rules.predicates():
         known.setdefault(p.name, p.arity)
     for j, fact in enumerate(ontology.facts):
-        where = f"fact {j + 1} ({fact})"
+        # A functional fact is not rendered: a shared subterm prints as a tree.
+        functional = any(type(t) is Functional for t in fact.args)
+        where = f"fact {j + 1}" if functional else f"fact {j + 1} ({fact})"
         p = fact.predicate
         if p is EQ:
             out.append(Violation(where, f"facts must not use the reserved predicate {RESERVED_EQ_NAME!r}"))
@@ -916,11 +898,10 @@ def validate(ontology: Ontology) -> list[Violation]:
             out.append(Violation(where, f"predicate {p.name!r} does not occur in the rule set"))
         elif known[p.name] != p.arity:
             out.append(Violation(where, f"predicate {p.name!r} used with arities {known[p.name]} and {p.arity}"))
-        if not fact.is_ground:
+        if functional:
+            out.append(Violation(where, "facts must be function-free"))
+        elif any(type(t) is Variable for t in fact.args):
             out.append(Violation(where, "facts must be ground"))
-        for t in fact.args:
-            if type(t) is Functional:
-                out.append(Violation(where, "facts must be function-free"))
     return out
 
 

@@ -41,7 +41,7 @@ from .model import (
     Rule,
     RuleSet,
     Variable,
-    _first_occurrence_vars,
+    _vars_in_order,
 )
 
 
@@ -257,7 +257,7 @@ class _Parser:
                 return ~i
             body = self.build(raw)
             if body is not None:
-                self.queries.append(BCQ(exists or _first_occurrence_vars(body), body))
+                self.queries.append(BCQ(exists or _vars_in_order(body), body))
             return i + 1
         i, raw = self.conjunction(i)
         if raw is None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,18 @@ def test_homomorphism_single_atom_identity():
 
 def test_homomorphism_none_on_disjoint_predicates():
     assert homomorphism((Atom(B1, [X]),), AtomSet([Atom(A1, [a])])) is None
+
+
+@pytest.mark.parametrize("term", [a, fw_a])
+def test_a_body_term_that_is_not_a_variable_is_rejected(term):
+    # A homomorphism fixes constants, so P(a) does not map onto P(b).
+    aset = AtomSet([Atom(A1, [b]), Atom(R2, [b, fw_a])])
+    body = (Atom(R2, [X, Y]), Atom(A1, [term]))
+    message = re.escape(f"the body term {term} is not a variable")
+    with pytest.raises(ValueError, match=message):
+        homomorphism(body, aset)
+    with pytest.raises(ValueError, match=message):
+        match_conjunction(body, aset)
 
 
 def test_homomorphism_matches_exhaustive_oracle():

@@ -2,6 +2,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -350,6 +352,25 @@ def test_bench_writes_csv(capsys, tmp_path):
     assert by_id["thm2"][3] == "acyclic" and by_id["thm2"][5] == "cyclic"
     assert by_id["ex4"][3] == "cyclic" and by_id["ex4"][7] == "acyclic"
     assert all(r[4] == "0" for r in rows[1:])  # --no-timing zeroes the ms columns
+
+
+def test_bench_writes_utf8_csv_under_an_ascii_locale(tmp_path):
+    """Under an ASCII locale, with no UTF-8 coercion, a non-ASCII file
+    name reaches the CSV as its own UTF-8 bytes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "日本.rules").write_bytes((DATA / "thm2.rules").read_bytes())
+    out_csv = tmp_path / "results.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from eqchase.cli import main; sys.exit(main())",
+         "bench", str(corpus), "--out", str(out_csv), "--no-timing"],
+        env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    rows = out_csv.read_bytes().decode("utf-8").splitlines()
+    assert rows[1:] == ["日本,1,1,acyclic,0,cyclic,0,acyclic,0"]
 
 
 def test_bench_skips_bad_files(capsys, tmp_path):

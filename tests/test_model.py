@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +215,32 @@ def test_validate_theorem2_ontology_clean():
     assert validate(ontology("thm2", "A(a) .\nR(a,a) .")) == []
 
 
+def test_validate_locates_a_nonground_fact():
+    assert [str(v) for v in validate(ontology("thm2", "A(X) ."))] == [
+        "fact 1 (A(X)): facts must be ground"]
+
+
+def test_validate_gives_a_functional_fact_one_violation_without_rendering_it():
+    A = Predicate("A", 1)
+    t = Functional(f, [a])
+    facts = (Atom(R2, [t, t]), Atom(Predicate("Q", 1), [t]), Atom(A, [a]))
+    assert [str(v) for v in validate(Ontology(rules("thm2"), facts))] == [
+        "fact 1: facts must be function-free",
+        "fact 2: predicate 'Q' does not occur in the rule set",
+        "fact 2: facts must be function-free"]
+
+
+def test_validate_is_fast_on_a_fact_with_a_shared_subterm():
+    # t_k = g(t_{k-1}, t_{k-1}) has 2**24 leaves as a tree, 25 nodes as a DAG.
+    t = a
+    for _ in range(24):
+        t = Functional(g2, (t, t))
+    start = time.perf_counter()
+    found = validate(Ontology(rules("thm2"), (Atom(Predicate("A", 1), [t]),)))
+    assert time.perf_counter() - start < 1.0
+    assert [str(v) for v in found] == ["fact 1: facts must be function-free"]
+
+
 def test_validate_flags_equality_in_facts():
     o = Ontology(rules("thm2"), (Atom(EQ, [a, a]),))
     assert any("reserved" in v.message for v in validate(o))
@@ -381,8 +408,9 @@ def _run_ops(ops, built=()):
                 for t in _TERMS:
                     assert list(s.arg_bucket(p, i, t)) == at.get((p, i, t), [])
         for p in _PREDS:
-            for t in _TERMS:
-                assert list(s.arg0_bucket(p, t)) == at.get((p, 0, t), [])
+            if rewritten or (p, 0) in built:
+                for t in _TERMS:
+                    assert list(s.arg0_bucket(p, t)) == at.get((p, 0, t), [])
     check_buckets(_PREDS, ref.order())
     return s
 
@@ -406,8 +434,25 @@ def _run_ops(ops, built=()):
 # A stale predicate is first read by the lazy build of a position index.
 @example([("add", S3, [a, b, c]), ("add", S3, [c, b, a]), ("add", S3, [b, b, b]),
           ("rewrite", {c: a})], {(R2, 1)})
+# A rewrite while no position is indexed: it indexes every one to find
+# the atoms that hold b.
+@example([("add", R2, [b, a, a]), ("add", S3, [c, d, b]), ("add", P1, [b, a, a]),
+          ("rewrite", {b: c})], set())
+# A predicate first added after one rewrite, and renamed by the next.
+@example([("add", P1, [a, a, a]), ("rewrite", {a: b}), ("add", R2, [c, d, a]),
+          ("rewrite", {c: a, d: b})], set())
 def test_incremental_rewrite_matches_the_whole_set_sweep(ops, built):
     _run_ops(ops, built)
+
+
+def test_a_rewrite_finds_a_predicate_added_after_an_earlier_rewrite():
+    # No lookup in between: only the rewrite itself can index R.
+    s = AtomSet([Atom(P1, [a])])
+    assert s.rewrite_in_place({a: b}) == [Atom(P1, [b])]
+    s.add(Atom(R2, [c, d]))
+    s.add(Atom(S3, [d, d, c]))
+    assert s.rewrite_in_place({c: a}) == [Atom(R2, [a, d]), Atom(S3, [d, d, a])]
+    assert list(s) == [Atom(P1, [b]), Atom(R2, [a, d]), Atom(S3, [d, d, a])]
 
 
 def test_rewrite_rejects_a_map_whose_value_is_a_key():
