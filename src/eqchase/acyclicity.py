@@ -94,13 +94,14 @@ class _Saturation:
     Atoms are processed first in, first out.  Rules run in the chase
     engine's `_CompiledRule` form (see `_compile`), with anchored plans
     that join the processed atom first and the rest of the body in body
-    order, all in one kernel run; each join's matches fire in order once
-    it has ended, so no join sees the set change.  `compiled` maps
-    rules to forms made by `_compile_all`, here without it: one per
-    distinct rule, shared by its repeats.  `readers` pair each plan with
-    the index of the rule occurrence it serves, which derivation records
-    carry, and `maps` each replacement (frm, to) with the index and key
-    of the EGD match that made it first.  A TGD match builds its head
+    order, all in one kernel run that returns the join's matches
+    collected; they fire in order once it has returned, so no join sees
+    the set change.  Rules of one body shape share their plans' kernels.
+    `compiled` maps rules to forms made by `_compile_all`, here without
+    it: one per distinct rule, shared by its repeats.  `readers` pair
+    each plan with the index of the rule occurrence it serves, which
+    derivation records carry, and `maps` each replacement (frm, to) with
+    the index and key of the EGD match that made it first.  A TGD match builds its head
     from the key by the rule's `build`, and a derivation record only for
     an atom the set does not hold yet, with the body instance matched.
 
@@ -178,8 +179,7 @@ class _Saturation:
             self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
         for cr, idx, plan in self.readers.get(atom.predicate, ()):
-            found = [(tuple(slots), tuple(plan.matched))
-                     for slots in match_conjunction(plan, aset, plan.slots, atom)]
+            found = match_conjunction(plan, aset, plan.slots, atom)
             if cr.kind == "egd":
                 for key, _ in found:
                     self._fire_egd(cr, idx, key)

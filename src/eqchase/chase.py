@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     TGD,
@@ -104,83 +104,115 @@ ChaseOutcome = Union[Terminated, LimitExceeded]
 # Conjunction matching
 
 
-def _step(atom: Atom, bound: set, slot: Mapping) -> tuple:
-    """How to match the atom once the variables in `bound` are bound:
-    (source argument, its slot, checks, repeats, binds).  The first bound
-    argument picks the candidates, and any other bound argument is a
-    check (argument, slot).  A variable's first occurrence in the atom
-    binds it (argument, slot), and a repeat is checked against that
-    occurrence (argument, argument).  Adds the atom's variables to
-    `bound`."""
+def _step(args: tuple, bound: set) -> tuple:
+    """How to match an atom whose arguments are these slots once the
+    slots in `bound` are bound: (source argument, its slot, checks,
+    repeats, binds).  The first bound argument picks the candidates, and
+    any other bound argument is a check (argument, slot).  A slot's first
+    occurrence in the atom binds it (argument, slot), and a repeat is
+    checked against that occurrence (argument, argument).  Adds the
+    atom's slots to `bound`."""
     src = var = None
     checks, repeats, binds = [], [], []
     first: dict = {}
-    for j, v in enumerate(atom.args):
-        if v in bound:
+    for j, s in enumerate(args):
+        if s in bound:
             if src is None:
-                src, var = j, slot[v]
+                src, var = j, s
             else:
-                checks.append((j, slot[v]))
-        elif v in first:
-            repeats.append((first[v], j))
+                checks.append((j, s))
+        elif s in first:
+            repeats.append((first[s], j))
         else:
-            first[v] = j
-            binds.append((j, slot[v]))
+            first[s] = j
+            binds.append((j, s))
     bound.update(first)
     return src, var, tuple(checks), tuple(repeats), tuple(binds)
 
 
+def _join(pattern: tuple, bound=(), size=None, pos=None) -> tuple:
+    """The shape of a join over a body given as its slot pattern (see
+    `_pattern`): one step per atom in join order, its body position and
+    its `_step`.  Without `size` the atoms are joined in body order; with
+    it (a function from a body position to its bucket size) in greedy
+    connected order: next an atom that holds a bound slot, then the one
+    with the smaller bucket.  The atom at `pos`, if given, comes first."""
+    bound = set(bound)
+    todo = list(range(len(pattern)))
+    shape = []
+    while todo:
+        if pos is not None and not shape:
+            i = pos
+        elif size is None:
+            i = todo[0]
+        else:
+            i = min(todo, key=lambda k: (bound.isdisjoint(pattern[k]), size(k), k))
+        todo.remove(i)
+        shape.append((i,) + _step(pattern[i], bound))
+    return tuple(shape)
+
+
 class _Plan:
-    """A join over a body, compiled once, that binds the variables to
-    slots (`slot` maps each variable to its index in the slot list).
+    """A join over a body, compiled once, that binds the body's variables
+    to slots; made by `_plan`, or for a rule's anchored plans in body
+    order from the per-shape cache `_anchored`.
 
-    Each body atom joined is one step: its predicate, its body position
-    and its `_step`.  Without `size` the atoms are joined in body order;
-    with it (a function from a predicate to its bucket size) in greedy
-    connected order: next an atom that holds a bound variable, then the
-    one with the smaller bucket.  An anchored plan, one with no variable
-    bound beforehand, joins the atom at body position `pos` first: that
-    step scans the anchor atom it is run with (see `match_conjunction`).
-    The steps without a predicate are the plan's shape, which picks its
-    `kernel` together with `idle` and whether it is anchored; `preds` are
-    the steps' predicates.  Running the plan records the atom matched at
-    each body position in `matched`, so it runs one enumeration at a time.
+    `kernel` runs the join, with the steps' predicates `preds` as an
+    argument (see `_kernel`).  An anchored plan, one with no variable
+    bound beforehand that joins the atom at one body position first,
+    matches that step against the anchor atom it is run with (see
+    `match_conjunction`) and returns its matches collected; any other
+    plan yields them one at a time.  Running the plan records the atom
+    matched at each body position in `matched`, so it runs one
+    enumeration at a time.
 
-    `idle`, given only to a plan with no variable bound beforehand,
-    holds its rule's idle conjunctions (see `_CompiledRule`), each a
-    tuple of slot pairs: a match that binds both slots of every pair of
-    one of them to the same term is dropped before it is yielded.  The
-    kernel tests each conjunction at the first step that binds all its
-    slots, inline after that step's checks: a slot the step binds is
-    read from the candidate's arguments, any other from a local hoisted
-    at loop entry; a conjunction without pairs drops every match.  The
-    tests are placed once per kernel shape, when the kernel is
-    generated, so building a plan does no work for them.
+    A plan with no variable bound beforehand may skip its rule's idle
+    conjunctions (see `_CompiledRule`), each a tuple of slot pairs: a
+    match that binds both slots of every pair of one of them to the same
+    term is dropped.  The kernel tests each conjunction at the first step
+    that binds all its slots, inline after that step's checks: a slot the
+    step binds is read from the candidate's arguments, any other from a
+    local hoisted at loop entry; a conjunction without pairs drops every
+    match.  The tests are placed once per kernel shape, when the kernel
+    is generated, so building a plan does no work for them.
     """
 
     __slots__ = ("matched", "slots", "preds", "kernel")
 
-    def __init__(self, body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
-                 idle=()):
-        bound = set(bound)
-        anchored = pos is not None
-        todo = list(range(len(body)))
-        order, shape = [], []
-        while todo:
-            if anchored and not order:
-                i = pos
-            elif size is None:
-                i = todo[0]
-            else:
-                i = min(todo, key=lambda k: (
-                    bound.isdisjoint(body[k].args), size(body[k].predicate), k))
-            todo.remove(i)
-            order.append(body[i].predicate)
-            shape.append((i,) + _step(body[i], bound, slot))
-        self.preds = tuple(order)
-        self.kernel = _kernel(tuple(shape), idle, anchored)
-        self.matched: list = [None] * len(body)
-        self.slots: list = [None] * len(slot)
+    def __init__(self, preds: tuple, kernel: Callable, slots: int):
+        self.preds = preds
+        self.kernel = kernel
+        self.matched: list = [None] * len(preds)
+        self.slots: list = [None] * slots
+
+
+def _pattern(body: Sequence[Atom], slot: Mapping) -> tuple:
+    """The body's slot pattern: each atom's arguments as slots."""
+    return tuple([tuple([slot[v] for v in atom.args]) for atom in body])
+
+
+def _plan(body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
+          idle=()) -> _Plan:
+    """The plan over the body with `slot` mapping each variable to its
+    slot and the variables of `bound` bound beforehand, joined as `_join`
+    orders it: `size` maps a predicate to its bucket size; `pos` anchors
+    the plan at that body position; `idle` is as for `_Plan`."""
+    pattern = _pattern(body, slot)
+    weight = None if size is None else (lambda k: size(body[k].predicate))
+    shape = _join(pattern, [slot[v] for v in bound], weight, pos)
+    kernel = _kernel(shape, idle, pos is not None)
+    return _Plan(tuple([body[step[0]].predicate for step in shape]), kernel, len(slot))
+
+
+@lru_cache(maxsize=1024)
+def _anchored(pattern: tuple, idle: tuple) -> tuple:
+    """For a body of this slot pattern with these idle conjunctions, the
+    plan anchored at each body position, in body order, as its join order
+    (the anchor, then the other body positions in body order) and its
+    kernel.  Integers and kernels only: a rule binds its own predicates."""
+    shapes = [_join(pattern, pos=pos) for pos in range(len(pattern))]
+    return tuple([(tuple([step[0] for step in shape]), _kernel(shape, idle, True))
+                  for shape in shapes])
 
 
 # Steps per kernel: CPython nests at most 20 blocks in one function.
@@ -197,13 +229,19 @@ def _exec(source: str, name: str, namespace: dict):
 
 @lru_cache(maxsize=1024)
 def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, start: int = 0):
-    """The generator function that runs steps `start`.. of a plan of
-    this shape with these idle conjunctions (see `_Plan`), at most
-    `_SEGMENT` steps, then the next segment's kernel; see
-    `match_conjunction`.  The first step of an anchored plan reads the
-    anchor `A` alone."""
+    """The function that runs steps `start`.. of a plan of this shape
+    with these idle conjunctions (see `_Plan`), at most `_SEGMENT` steps,
+    then the next segment's kernel; see `match_conjunction`.  An anchored
+    plan's kernel is a plain function: it tests the anchor `A` in
+    straight-line code, returning an empty list on a mismatch before any
+    loop, and returns the list of its matches, each the pair (key,
+    matched atoms) of tuples.  Every other kernel, and every segment
+    after the first, is a generator function that yields the live slot
+    list at each match."""
     end = min(start + _SEGMENT, len(shape))
     lines = ["def kernel(P, aset, slots, m, A):"]
+    if anchored:
+        lines.append(" out = []")
     at: dict = {}  # conjunction -> the first step that binds all its slots
     bound: set = set()
     for i, step in enumerate(shape):
@@ -211,38 +249,47 @@ def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, start: int =
         for c in idle:
             if c not in at and bound.issuperset(s for p in c for s in p):
                 at[c] = i
+    pad = " "
     for i in range(start, end):
         pos, src, var, checks, repeats, binds = shape[i]
-        pad = " " * (i - start + 1)
-        if anchored and i == 0:
-            cands = "(A,)"
-        elif src is None:
-            cands = f"aset.bucket(P[{i}])"
-        elif src == 0:
-            cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
-        else:
-            cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}])"
         here = [c for c in at if at[c] == i]
         value = {s: f"x[{j}]" for j, s in binds}
         hoisted = [s for _, s in checks] + [s for c in here for p in c for s in p if s not in value]
         value.update((s, f"t{i}_{s}") for s in hoisted)
         lines += [f"{pad}t{i}_{s} = slots[{s}]" for s in dict.fromkeys(hoisted)]
-        lines.append(f"{pad}for a{i} in {cands}:")
+        if anchored and i == 0:
+            atom, skip = "A", "return out"
+        else:
+            if src is None:
+                cands = f"aset.bucket(P[{i}])"
+            elif src == 0:
+                cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
+            else:
+                cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}])"
+            lines.append(f"{pad}for a{i} in {cands}:")
+            atom, skip, pad = f"a{i}", "continue", pad + " "
         tests = [f"x[{j}] is not t{i}_{s}" for j, s in checks]
         tests += [f"x[{k}] is not x[{j}]" for j, k in repeats]
         tests += [" and ".join(f"{value[a]} is {value[b]}" for a, b in c) or "True" for c in here]
         if tests or binds:
-            lines.append(f"{pad} x = a{i}.args")
+            lines.append(f"{pad}x = {atom}.args")
         if tests:
-            lines.append(f"{pad} if {' or '.join(tests)}: continue")
-        lines += [f"{pad} slots[{s}] = x[{j}]" for j, s in binds]
-        lines.append(f"{pad} m[{pos}] = a{i}")
-    pad = " " * (end - start + 1)
+            lines.append(f"{pad}if {' or '.join(tests)}: {skip}")
+        lines += [f"{pad}slots[{s}] = x[{j}]" for j, s in binds]
+        lines.append(f"{pad}m[{pos}] = {atom}")
+    namespace: dict = {}
     if end < len(shape):
-        lines.append(f"{pad}yield from rest(P, aset, slots, m, A)")
-        return _exec("\n".join(lines), "kernel", {"rest": _kernel(shape, idle, False, end)})
-    lines.append(f"{pad}yield slots")
-    return _exec("\n".join(lines), "kernel", {})
+        namespace["rest"] = _kernel(shape, idle, False, end)
+        if anchored:
+            lines.append(f"{pad}for _ in rest(P, aset, slots, m, A):")
+            pad += " "
+        else:
+            lines.append(f"{pad}yield from rest(P, aset, slots, m, A)")
+    if anchored:
+        lines += [f"{pad}out.append((tuple(slots), tuple(m)))", " return out"]
+    elif end == len(shape):
+        lines.append(f"{pad}yield slots")
+    return _exec("\n".join(lines), "kernel", namespace)
 
 
 @lru_cache(maxsize=1024)
@@ -265,35 +312,42 @@ def match_conjunction(
     aset: AtomSet,
     init: Union[list, Mapping[Variable, object], None] = None,
     anchor: Optional[Atom] = None,
-) -> Iterator:
+) -> Iterable:
     """Enumerate every binding of the body variables that embeds the
     conjunction into the atom set, in deterministic order; a compiled
     plan skips the idle bindings of its rule.
 
-    Given a compiled `_Plan`, runs it over the slot list `init` and yields
-    that list, live, at every match that is not idle (see `_Plan`); an
-    anchored plan is given the atom its first step matches as `anchor`.
-    Given atoms, whose terms must be variables (else ValueError),
-    compiles a plan in body order with the variables of `init` bound,
-    and no idle test, and yields a new dict per binding, `init` included.
+    Given a compiled `_Plan`, runs it over the slot list `init`.  An
+    anchored plan is given the atom its first step matches as `anchor`
+    and returns its matches that are not idle collected, as a list of
+    pairs (key, matched atoms): the tuple of the slots and the tuple of
+    the atom matched at each body position.  Any other plan yields the
+    slot list, live, at every match that is not idle (see `_Plan`), so a
+    caller that wants only a first match stops there.  Given atoms, whose
+    terms must be variables (else ValueError), compiles a plan in body
+    order with the variables of `init` bound, and no idle test, and
+    yields a new dict per binding, `init` included.
 
     A plan runs as its kernel, generated code with one nested `for` loop
-    per step, inline `is not` tests and inline slot stores.  Kernels are
-    cached by shape, the steps without their predicates, which are an
-    argument; so the source holds integers only, never an input name.
+    per step, inline `is not` tests and inline slot stores; an anchored
+    plan tests its anchor before the first loop.  Kernels are cached by
+    shape, the steps without their predicates, which are an argument; so
+    the source holds integers only, never an input name.
     A shape of over `_SEGMENT` steps is split into segments, each one
     kernel whose innermost loop delegates to the next one's.
 
     Order invariant: candidates come in rank order at each step, so a
-    plan in body order yields its bindings in lexicographic order of the
+    plan in body order finds its bindings in lexicographic order of the
     tuple of the matched atoms' ranks (`AtomSet.rank`); the chase engine
     relies on this only through the rank tuples it queues.
 
     Each step reads the anchor alone (the anchored step of an anchored
     plan) or one of the set's live index lists (`bucket`, `arg0_bucket`,
     `arg_bucket`), so the set must not change while an enumeration runs:
-    a caller that adds atoms for the matches collects them first, as
-    `_Saturation` does.  A run leaves no reference cycle for the cyclic GC.
+    a caller that adds atoms for the matches of an unanchored plan
+    collects them first; an anchored plan has collected its matches when
+    it returns, so `_Saturation` and the engine's `_queue` fire or queue
+    them from its list.  A run leaves no reference cycle for the cyclic GC.
     """
     if type(body) is _Plan:
         plan, slots = body, init
@@ -302,7 +356,7 @@ def match_conjunction(
         init = init or {}
         variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
         slot = {v: i for i, v in enumerate(variables)}
-        plan = _Plan(body, slot, init)
+        plan = _plan(body, slot, init)
         slots = plan.slots
         for v, t in init.items():
             slots[slot[v]] = t
@@ -320,10 +374,10 @@ def _require_variables(body: Sequence[Atom]) -> None:
 def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
     """A total mapping of the body's variables into the atom set, or None:
     the first match of a plan in the engine's greedy connected order
-    (see `_Plan`).  A body term that is not a variable is a ValueError."""
+    (see `_join`).  A body term that is not a variable is a ValueError."""
     _require_variables(body)
     slot = {v: i for i, v in enumerate(dict.fromkeys(v for atom in body for v in atom.args))}
-    plan = _Plan(body, slot, size=aset.bucket_size)
+    plan = _plan(body, slot, size=aset.bucket_size)
     for slots in match_conjunction(plan, aset, plan.slots):
         return dict(zip(slot, slots))
     return None
@@ -427,9 +481,10 @@ class _CompiledRule:
     `universals`, which are the slots of the rule's plans (`slot` maps
     each to its index).  The engine builds every plan (`compile`); the
     saturation reads only the anchored ones and builds only those
-    (`compile_anchored`).  An anchored plan matches its anchor atom in its
-    kernel's first step, so a run on an atom that does not fit the anchor
-    position yields nothing.
+    (`compile_anchored`), in body order, taken from the per-shape cache
+    `_anchored`.  An anchored plan tests its anchor atom before its
+    kernel's first loop, so a run on an atom that does not fit the anchor
+    position returns no match; a run returns its matches collected.
     A TGD builds its skolemised head by `build`, the head kernel of its
     shape, from `build_args`: the head's predicates, then the Skolem
     symbol of each existential (`skolem_symbols`), whose term is that
@@ -440,7 +495,7 @@ class _CompiledRule:
     with itself.  A closed TGD with one head atom has one per body atom
     with the head's predicate, the (head argument, body argument) pairs
     that differ: a match satisfying it instantiates the head as that
-    body atom, so the head is held.  So `plans` and `whole` yield only
+    body atom, so the head is held.  So `plans` and `whole` find only
     matches that can change the set; the head plan yields every head
     embedding.
 
@@ -485,10 +540,20 @@ class _CompiledRule:
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
         """Build `plans`, which maps each body predicate to the join
         plans over the key's slots anchored at each body position holding
-        it, in body order.  `size` is as for `_Plan`."""
+        it, in body order.  `size` is as for `_plan`; without it the plans
+        join in body order, and their join orders and kernels come from
+        `_anchored` by the body's slot pattern and `idle`, so rules of one
+        shape compile their joins once."""
+        body, slot = self.rule.body, self.slot
+        if size is None:
+            preds = [atom.predicate for atom in body]
+            plans = [_Plan(tuple([preds[i] for i in order]), kernel, len(slot))
+                     for order, kernel in _anchored(_pattern(body, slot), self.idle)]
+        else:
+            plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
+                     for pos in range(len(body))]
         self.plans: dict = {}
-        for pos, atom in enumerate(self.rule.body):
-            plan = _Plan(self.rule.body, self.slot, size=size, pos=pos, idle=self.idle)
+        for atom, plan in zip(body, plans):
             self.plans.setdefault(atom.predicate, []).append(plan)
 
     def compile(self, size: Callable) -> None:
@@ -497,10 +562,10 @@ class _CompiledRule:
         the head test: a plan over the head with the key's slots bound and
         one more slot for each existential."""
         self.compile_anchored(size)
-        self.whole = _Plan(self.rule.body, self.slot, size=size, idle=self.idle)
+        self.whole = _plan(self.rule.body, self.slot, size=size, idle=self.idle)
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
-            self.head = _Plan(self.rule.head, extended, self.universals, size)
+            self.head = _plan(self.rule.head, extended, self.universals, size)
 
     def instantiate(self, key: tuple) -> list[Atom]:
         """The skolemised head atoms of the match with this key."""
@@ -596,9 +661,8 @@ class ChaseEngine:
             plans, heap, queued = cr.plans, cr.heap, cr.queued
             for atom in atoms:
                 for plan in plans.get(atom.predicate, ()):
-                    for slots in match_conjunction(plan, aset, plan.slots, atom):
-                        key = tuple(slots)
-                        ranks = tuple(map(rank, plan.matched))
+                    for key, matched in match_conjunction(plan, aset, plan.slots, atom):
+                        ranks = tuple(map(rank, matched))
                         if queued.get(key) != ranks:
                             queued[key] = ranks
                             heappush(heap, (ranks, next(pushes), key))

@@ -765,6 +765,10 @@ class AtomSet:
             self._relink(a, r, img, old)
             del ranks[a]
             if img is not None:
+                if old is not None:
+                    # Key the entry by the image object, which the
+                    # position lists and `changed` hold.
+                    del ranks[img]
                 ranks[img] = r
                 changed.append(img)
         self._stale.update(a.predicate for a in hit)

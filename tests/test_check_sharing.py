@@ -1,12 +1,14 @@
 """`check_pipeline` shares one compiled form of each rule among its
-saturations, and that sharing changes no result.
+saturations, rules of one shape share their compiled joins, and neither
+sharing changes a result.
 
 The differential test runs `check_pipeline` and, for every saturation it
 made, a fresh `_Saturation(rules, limits).run()` over the same rules, and
 requires the same atoms in rank order, derivation records, status,
 witness and counts.  The counting tests pin how much compiling one
-`check --notion all` job does, and that a compiled form lives no longer
-than the call that made it.
+`check --notion all` job does, that a compiled form lives no longer
+than the call that made it, and that a second pass over the benchmark's
+check cycle generates no join or head kernel and plans no rule shape.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from eqchase import (
 )
 from eqchase import acyclicity
 from eqchase.acyclicity import _Saturation
-from eqchase.chase import _CompiledRule, _Plan
+from eqchase.chase import _CompiledRule, _Plan, _anchored, _head_kernel, _kernel
 from eqchase.cli import main
 from perfbench_loader import load_workloads
 from rulesets import ALL_TEXTS
 
 w = load_workloads()
+# The kernel and shape caches every compiled join comes from.
+CACHES = (_kernel, _head_kernel, _anchored)
 LIMITS = ChaseLimits(max_atoms=20_000, max_term_depth=10)
 SING_CAP = 4
 
@@ -156,6 +160,37 @@ def test_check_cycle_compiles_each_distinct_rule_once(counting, tmp_path):
     assert (counting["rules"], counting["plans"]) == (1473, 2312)
 
 
+def _shape(cr) -> tuple:
+    """The key a compiled rule's anchored plans are cached under: its
+    body's slot pattern and its idle conjunctions."""
+    return tuple(tuple(cr.slot[v] for v in atom.args) for atom in cr.rule.body), cr.idle
+
+
+def test_a_second_check_cycle_compiles_no_new_join(tmp_path):
+    jobs = w.make_jobs("check-corpus", 101)
+    w.write_inputs(jobs, tmp_path)
+    rules = []  # each job's distinct rules
+    for job in jobs:
+        rs = parse(job.text).rules
+        rules += dict.fromkeys([*rs, *standard_axiomatisation(rs).rules,
+                                *canonical_singularisation(rs).rules])
+    shapes = {_shape(_CompiledRule(r)) for r in rules}
+
+    def cycle():
+        for job in jobs:
+            code, out, err = w.run_cli(main, job.cli_args(tmp_path))
+            assert w.check_output("check-corpus", job, code, out) is None, err
+        return [cache.cache_info().misses for cache in CACHES]
+
+    for cache in CACHES:
+        cache.cache_clear()
+    first = cycle()
+    # One shape entry per distinct (slot pattern, idle) pair: the 1473
+    # rules the cycle compiles plan their joins 24 times.
+    assert (len(rules), len(shapes), first[2]) == (1473, 24, 24)
+    assert cycle() == first
+
+
 def test_each_call_compiles_anew(counting):
     rules = parse(ALL_TEXTS["thm2"]).rules
     check_pipeline(rules, LIMITS)
@@ -163,6 +198,44 @@ def test_each_call_compiles_anew(counting):
     assert once[0] > 0
     check_pipeline(rules, LIMITS)
     assert (counting["rules"], counting["plans"]) == (2 * once[0], 2 * once[1])
+
+
+# Rules of one slot pattern over other predicates, and of one pattern
+# with other idle conjunctions: a closed TGD whose head predicate is in
+# its body (transitivity of R) next to one whose is not.
+T, S = Predicate("T", 2), Predicate("S", 2)
+Z, U = Variable("Z"), Variable("U")
+SHAPES = RuleSet([
+    TGD([Atom(A, (X,))], (W,), [Atom(R, (X, W))]),
+    TGD([Atom(B, (X,))], (U,), [Atom(S, (X, U))]),
+    TGD([Atom(R, (X, Y)), Atom(R, (Y, Z))], (), [Atom(R, (X, Z))]),
+    TGD([Atom(S, (X, Y)), Atom(S, (Y, Z))], (), [Atom(T, (X, Z))]),
+    TGD([Atom(R, (X, Y))], (), [Atom(B, (Y,))]),
+    TGD([Atom(T, (X, Y))], (), [Atom(A, (Y,))]),
+])
+
+
+def _cold(rules: RuleSet):
+    """The saturation with each distinct rule compiled from empty kernel
+    and shape caches, so that no two rules share a compiled join."""
+    compiled = {}
+    for rule in rules:
+        if rule not in compiled:
+            for cache in CACHES:
+                cache.cache_clear()
+            compiled[rule] = acyclicity._compile(rule)
+    return _Saturation(rules, LIMITS, compiled).run()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_rules_of_one_shape_share_their_joins_exactly(flip):
+    rules = RuleSet(SHAPES[::-1] if flip else SHAPES)
+    _anchored.cache_clear()
+    shared = _fresh(rules)
+    # Six rules, four (slot pattern, idle) keys.
+    assert (_anchored.cache_info().misses, _anchored.cache_info().hits) == (4, 2)
+    assert shared.status == "cyclic" and len(shared.atoms) > len(rules.predicates())
+    _same_outcome(shared, _cold(rules))
 
 
 def test_compiled_forms_die_with_the_call(counting):

@@ -89,9 +89,17 @@ def _dict_keys(body, s, universals, init):
 
 
 def _plan_matches(plan, s, anchor=None):
-    """(key, rank tuple) of each match the compiled plan finds, in order."""
-    return [(tuple(found), tuple(map(s.rank, plan.matched)))
-            for found in match_conjunction(plan, s, plan.slots, anchor)]
+    """(key, rank tuple) of each match the compiled plan finds, in order.
+    An anchored plan returns its matches as a list of (key, matched
+    atoms) tuples; the whole-body plan yields its live slot list."""
+    if anchor is None:
+        found = [(tuple(slots), tuple(plan.matched))
+                 for slots in match_conjunction(plan, s, plan.slots)]
+    else:
+        found = match_conjunction(plan, s, plan.slots, anchor)
+        assert type(found) is list
+        assert all(type(key) is tuple and type(m) is tuple for key, m in found)
+    return [(key, tuple(map(s.rank, matched))) for key, matched in found]
 
 
 def _check_plans(cr, s, body, greedy, keep=lambda key: True):
@@ -199,10 +207,8 @@ def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
     engine._start(cr)
     assert list(cr.queued) == [(a,)]
     plan, = cr.plans[R2]
-    found = [(tuple(slots), list(plan.matched))
-             for slots in match_conjunction(plan, engine.state, plan.slots, same)]
-    assert found == [((a,), [same])]
-    assert list(match_conjunction(plan, engine.state, plan.slots, differ)) == []
+    assert match_conjunction(plan, engine.state, plan.slots, same) == [((a,), (same,))]
+    assert match_conjunction(plan, engine.state, plan.slots, differ) == []
 
     saturation = _Saturation(RuleSet([rule]), ChaseLimits())
     for atom in (differ, same):

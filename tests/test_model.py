@@ -473,6 +473,24 @@ def test_rewrite_reports_new_and_reranked_atoms():
     assert [s.rank(x) for x in s] == [0, 2, 3, 4]
 
 
+def test_a_reranked_atom_is_held_as_its_image_object():
+    # R(b,c) rewrites to an R(a,c) equal to the held, higher-ranked one,
+    # which moves down to rank 0.  The set's dict, every position list and
+    # the returned list then hold one object, the image, so a rank lookup
+    # is an identity probe, not a call of `Atom.__eq__`.
+    held = Atom(R2, [a, c])
+    s = AtomSet([Atom(R2, [b, c]), held, Atom(P1, [c])])
+    s.arg_bucket(R2, 1, c)
+    image, = s.rewrite_in_place({b: a})
+    assert image == held and image is not held
+    keys = [x for x in s._atoms if x == image]
+    assert len(keys) == 1 and keys[0] is image and s.rank(image) == 0
+    entries = [x for index in s._pos[R2].values() for atoms in index.values() for x in atoms]
+    assert len(entries) == 2 and all(x is image for x in entries)
+    assert len(s.bucket(R2)) == 1 and s.bucket(R2)[0] is image
+    assert list(s) == [image, Atom(P1, [c])]
+
+
 
 def test_ruleset_renames_past_a_user_name_of_the_fresh_form():
     w2, s2 = Variable("W__2"), Predicate("S", 2)
