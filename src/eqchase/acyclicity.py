@@ -179,7 +179,7 @@ class _Saturation:
             self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
         for cr, idx, plan in self.readers.get(atom.predicate, ()):
-            found = match_conjunction(plan, aset, plan.slots, atom)
+            found = match_conjunction(plan, aset, (), atom)
             if cr.kind == "egd":
                 for key, _ in found:
                     self._fire_egd(cr, idx, key)

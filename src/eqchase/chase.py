@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     TGD,
@@ -158,32 +158,27 @@ class _Plan:
     order from the per-shape cache `_anchored`.
 
     `kernel` runs the join, with the steps' predicates `preds` as an
-    argument (see `_kernel`).  An anchored plan, one with no variable
-    bound beforehand that joins the atom at one body position first,
-    matches that step against the anchor atom it is run with (see
-    `match_conjunction`) and returns its matches collected; any other
-    plan yields them one at a time.  Running the plan records the atom
-    matched at each body position in `matched`, so it runs one
-    enumeration at a time.
+    argument, and returns its matches as one list (see `_kernel`).  An
+    anchored plan, one with no variable bound beforehand that joins the
+    atom at one body position first, matches that step against the
+    anchor atom it is run with.  A first-match plan returns at its first
+    match.
 
     A plan with no variable bound beforehand may skip its rule's idle
     conjunctions (see `_CompiledRule`), each a tuple of slot pairs: a
     match that binds both slots of every pair of one of them to the same
     term is dropped.  The kernel tests each conjunction at the first step
-    that binds all its slots, inline after that step's checks: a slot the
-    step binds is read from the candidate's arguments, any other from a
-    local hoisted at loop entry; a conjunction without pairs drops every
-    match.  The tests are placed once per kernel shape, when the kernel
-    is generated, so building a plan does no work for them.
+    that binds all its slots, inline after that step's checks; a
+    conjunction without pairs drops every match.  The tests are placed
+    when the kernel is generated, so building a plan does no work for
+    them.
     """
 
-    __slots__ = ("matched", "slots", "preds", "kernel")
+    __slots__ = ("preds", "kernel")
 
-    def __init__(self, preds: tuple, kernel: Callable, slots: int):
+    def __init__(self, preds: tuple, kernel: Callable):
         self.preds = preds
         self.kernel = kernel
-        self.matched: list = [None] * len(preds)
-        self.slots: list = [None] * slots
 
 
 def _pattern(body: Sequence[Atom], slot: Mapping) -> tuple:
@@ -192,16 +187,17 @@ def _pattern(body: Sequence[Atom], slot: Mapping) -> tuple:
 
 
 def _plan(body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
-          idle=()) -> _Plan:
+          idle=(), first=False) -> _Plan:
     """The plan over the body with `slot` mapping each variable to its
-    slot and the variables of `bound` bound beforehand, joined as `_join`
-    orders it: `size` maps a predicate to its bucket size; `pos` anchors
-    the plan at that body position; `idle` is as for `_Plan`."""
+    slot and the variables of `bound`, which take the first slots, bound
+    beforehand, joined as `_join` orders it: `size` maps a predicate to
+    its bucket size; `pos` anchors the plan at that body position; `idle`
+    is as for `_Plan`; `first` makes it a first-match plan."""
     pattern = _pattern(body, slot)
     weight = None if size is None else (lambda k: size(body[k].predicate))
     shape = _join(pattern, [slot[v] for v in bound], weight, pos)
-    kernel = _kernel(shape, idle, pos is not None)
-    return _Plan(tuple([body[step[0]].predicate for step in shape]), kernel, len(slot))
+    kernel = _kernel(shape, idle, pos is not None, first, len(bound))
+    return _Plan(tuple([body[step[0]].predicate for step in shape]), kernel)
 
 
 @lru_cache(maxsize=1024)
@@ -228,67 +224,84 @@ def _exec(source: str, name: str, namespace: dict):
 
 
 @lru_cache(maxsize=1024)
-def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, start: int = 0):
-    """The function that runs steps `start`.. of a plan of this shape
-    with these idle conjunctions (see `_Plan`), at most `_SEGMENT` steps,
-    then the next segment's kernel; see `match_conjunction`.  An anchored
-    plan's kernel is a plain function: it tests the anchor `A` in
-    straight-line code, returning an empty list on a mismatch before any
-    loop, and returns the list of its matches, each the pair (key,
-    matched atoms) of tuples.  Every other kernel, and every segment
-    after the first, is a generator function that yields the live slot
-    list at each match."""
+def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, first: bool = False,
+            bound: int = 0, start: int = 0):
+    """The function `kernel(P, aset, init, A, out)` that runs steps
+    `start`.. of a plan of this shape with these idle conjunctions (see
+    `_Plan`), at most `_SEGMENT` steps, then the next segment's kernel.
+    It is generated code with one nested `for` loop per step and inline
+    `is not` tests; each slot is a local `s{slot}` and each matched atom
+    the loop variable of its step.  The `bound` slots bound beforehand,
+    the first ones, are unpacked from the tuple `init` at entry.  An
+    anchored plan tests the anchor `A` before any loop and returns on a
+    mismatch.  Each match is appended to `out` as the pair (key, matched
+    atoms), the tuple of every slot and the tuple of the atom matched at
+    each body position, and `out` is returned, at the first match if
+    `first` is set.  A later segment is handed the slots bound so far as
+    `init` and the atoms matched so far, in join order, as `A`.  Kernels
+    are cached by shape, the steps without their predicates, which are
+    the argument `P`; so the source holds integers only, never an input
+    name."""
     end = min(start + _SEGMENT, len(shape))
-    lines = ["def kernel(P, aset, slots, m, A):"]
-    if anchored:
-        lines.append(" out = []")
     at: dict = {}  # conjunction -> the first step that binds all its slots
-    bound: set = set()
+    binder: dict = {}  # slot -> the step that binds it
     for i, step in enumerate(shape):
-        bound.update(s for _, s in step[5])
+        binder.update((s, i) for _, s in step[5])
         for c in idle:
-            if c not in at and bound.issuperset(s for p in c for s in p):
+            if c not in at and all(s in binder for p in c for s in p):
                 at[c] = i
+
+    def known(i):  # the slots bound before step i, in slot order
+        return [*range(bound), *sorted(s for s in binder if binder[s] < i)]
+
+    def tup(names):
+        return "(" + "".join(f"{n}, " for n in names) + ")"
+
+    atom = [f"a{i}" for i in range(len(shape))]
+    lines = ["def kernel(P, aset, init, A, out):"]
+    if known(start):
+        lines.append(f" {tup(f's{s}' for s in known(start))} = init")
+    if start:
+        lines.append(f" {tup(atom[:start])} = A")
+    elif anchored:
+        atom[0] = "A"
     pad = " "
     for i in range(start, end):
         pos, src, var, checks, repeats, binds = shape[i]
-        here = [c for c in at if at[c] == i]
-        value = {s: f"x[{j}]" for j, s in binds}
-        hoisted = [s for _, s in checks] + [s for c in here for p in c for s in p if s not in value]
-        value.update((s, f"t{i}_{s}") for s in hoisted)
-        lines += [f"{pad}t{i}_{s} = slots[{s}]" for s in dict.fromkeys(hoisted)]
-        if anchored and i == 0:
-            atom, skip = "A", "return out"
+        if atom[i] == "A":
+            skip = "return out"
         else:
             if src is None:
                 cands = f"aset.bucket(P[{i}])"
             elif src == 0:
-                cands = f"aset.arg0_bucket(P[{i}], slots[{var}])"
+                cands = f"aset.arg0_bucket(P[{i}], s{var})"
             else:
-                cands = f"aset.arg_bucket(P[{i}], {src}, slots[{var}])"
+                cands = f"aset.arg_bucket(P[{i}], {src}, s{var})"
             lines.append(f"{pad}for a{i} in {cands}:")
-            atom, skip, pad = f"a{i}", "continue", pad + " "
-        tests = [f"x[{j}] is not t{i}_{s}" for j, s in checks]
+            skip, pad = "continue", pad + " "
+        value = {s: f"x[{j}]" for j, s in binds}
+        tests = [f"x[{j}] is not s{s}" for j, s in checks]
         tests += [f"x[{k}] is not x[{j}]" for j, k in repeats]
-        tests += [" and ".join(f"{value[a]} is {value[b]}" for a, b in c) or "True" for c in here]
+        tests += [" and ".join(f"{value.get(a, f's{a}')} is {value.get(b, f's{b}')}"
+                               for a, b in c) or "True" for c in idle if at[c] == i]
         if tests or binds:
-            lines.append(f"{pad}x = {atom}.args")
+            lines.append(f"{pad}x = {atom[i]}.args")
         if tests:
             lines.append(f"{pad}if {' or '.join(tests)}: {skip}")
-        lines += [f"{pad}slots[{s}] = x[{j}]" for j, s in binds]
-        lines.append(f"{pad}m[{pos}] = {atom}")
+        lines += [f"{pad}s{s} = x[{j}]" for j, s in binds]
     namespace: dict = {}
+    slots = tup(f"s{s}" for s in known(end))
     if end < len(shape):
-        namespace["rest"] = _kernel(shape, idle, False, end)
-        if anchored:
-            lines.append(f"{pad}for _ in rest(P, aset, slots, m, A):")
-            pad += " "
-        else:
-            lines.append(f"{pad}yield from rest(P, aset, slots, m, A)")
-    if anchored:
-        lines += [f"{pad}out.append((tuple(slots), tuple(m)))", " return out"]
-    elif end == len(shape):
-        lines.append(f"{pad}yield slots")
+        namespace["rest"] = _kernel(shape, idle, False, first, bound, end)
+        lines.append(f"{pad}rest(P, aset, {slots}, {tup(atom[:end])}, out)")
+        if first:
+            lines.append(f"{pad}if out: return out")
+    else:
+        matched = tup(atom[i] for i in sorted(range(end), key=lambda i: shape[i][0]))
+        lines.append(f"{pad}out.append(({slots}, {matched}))")
+        if first:
+            lines.append(f"{pad}return out")
+    lines.append(" return out")
     return _exec("\n".join(lines), "kernel", namespace)
 
 
@@ -310,60 +323,41 @@ def _head_kernel(shape: tuple):
 def match_conjunction(
     body: Union[_Plan, Sequence[Atom]],
     aset: AtomSet,
-    init: Union[list, Mapping[Variable, object], None] = None,
+    init: Union[tuple, Mapping[Variable, object]] = (),
     anchor: Optional[Atom] = None,
-) -> Iterable:
-    """Enumerate every binding of the body variables that embeds the
-    conjunction into the atom set, in deterministic order; a compiled
-    plan skips the idle bindings of its rule.
+) -> list:
+    """Every binding of the body variables that embeds the conjunction
+    into the atom set, as a list in deterministic order; a compiled plan
+    skips the idle bindings of its rule.
 
-    Given a compiled `_Plan`, runs it over the slot list `init`.  An
-    anchored plan is given the atom its first step matches as `anchor`
-    and returns its matches that are not idle collected, as a list of
-    pairs (key, matched atoms): the tuple of the slots and the tuple of
-    the atom matched at each body position.  Any other plan yields the
-    slot list, live, at every match that is not idle (see `_Plan`), so a
-    caller that wants only a first match stops there.  Given atoms, whose
-    terms must be variables (else ValueError), compiles a plan in body
-    order with the variables of `init` bound, and no idle test, and
-    yields a new dict per binding, `init` included.
-
-    A plan runs as its kernel, generated code with one nested `for` loop
-    per step, inline `is not` tests and inline slot stores; an anchored
-    plan tests its anchor before the first loop.  Kernels are cached by
-    shape, the steps without their predicates, which are an argument; so
-    the source holds integers only, never an input name.
-    A shape of over `_SEGMENT` steps is split into segments, each one
-    kernel whose innermost loop delegates to the next one's.
+    Given a compiled `_Plan`, runs it with its first slots bound to the
+    tuple `init`, and an anchored plan with the atom its first step
+    matches as `anchor`, and returns its kernel's list of (key, matched
+    atoms) pairs (see `_kernel`); a first-match plan's list holds at
+    most one.  Given atoms, whose terms must be variables (else
+    ValueError), compiles a plan in body order with the variables of the
+    mapping `init` bound, and no idle test, and returns a new dict per
+    binding, `init` included.
 
     Order invariant: candidates come in rank order at each step, so a
     plan in body order finds its bindings in lexicographic order of the
     tuple of the matched atoms' ranks (`AtomSet.rank`); the chase engine
     relies on this only through the rank tuples it queues.
 
-    Each step reads the anchor alone (the anchored step of an anchored
-    plan) or one of the set's live index lists (`bucket`, `arg0_bucket`,
-    `arg_bucket`), so the set must not change while an enumeration runs:
-    a caller that adds atoms for the matches of an unanchored plan
-    collects them first; an anchored plan has collected its matches when
-    it returns, so `_Saturation` and the engine's `_queue` fire or queue
-    them from its list.  A run leaves no reference cycle for the cyclic GC.
+    Each step reads the anchor alone or one of the set's live index
+    lists (`bucket`, `arg0_bucket`, `arg_bucket`), and every match is
+    collected before the call returns, so a caller may change the set
+    while it reads the list.  A run leaves no reference cycle for the
+    cyclic GC.
     """
     if type(body) is _Plan:
-        plan, slots = body, init
-    else:
-        _require_variables(body)
-        init = init or {}
-        variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
-        slot = {v: i for i, v in enumerate(variables)}
-        plan = _plan(body, slot, init)
-        slots = plan.slots
-        for v, t in init.items():
-            slots[slot[v]] = t
-    run = plan.kernel(plan.preds, aset, slots, plan.matched, anchor)
-    if plan is body:
-        return run
-    return (dict(zip(variables, found)) for found in run)
+        return body.kernel(body.preds, aset, init, anchor, [])
+    _require_variables(body)
+    init = dict(init)
+    variables = list(dict.fromkeys([*init, *(v for atom in body for v in atom.args)]))
+    plan = _plan(body, {v: i for i, v in enumerate(variables)}, init)
+    found = plan.kernel(plan.preds, aset, tuple(init.values()), None, [])
+    return [dict(zip(variables, key)) for key, _ in found]
 
 
 def _require_variables(body: Sequence[Atom]) -> None:
@@ -377,9 +371,9 @@ def homomorphism(body: Sequence[Atom], aset: AtomSet) -> Optional[Substitution]:
     (see `_join`).  A body term that is not a variable is a ValueError."""
     _require_variables(body)
     slot = {v: i for i, v in enumerate(dict.fromkeys(v for atom in body for v in atom.args))}
-    plan = _plan(body, slot, size=aset.bucket_size)
-    for slots in match_conjunction(plan, aset, plan.slots):
-        return dict(zip(slot, slots))
+    plan = _plan(body, slot, size=aset.bucket_size, first=True)
+    for key, _ in match_conjunction(plan, aset):
+        return dict(zip(slot, key))
     return None
 
 
@@ -408,14 +402,8 @@ def _body_holds(rule: Rule, sigma: Mapping, aset: AtomSet) -> bool:
 
 
 def _head_embedded(head: Sequence[Atom], sigma: Mapping, aset: AtomSet) -> bool:
-    init = {}
-    for atom in head:
-        for v in atom.variables():
-            if v in sigma:
-                init[v] = sigma[v]
-    for _ in match_conjunction(head, aset, init=init):
-        return True
-    return False
+    init = {v: sigma[v] for atom in head for v in atom.variables() if v in sigma}
+    return next(iter(match_conjunction(head, aset, init)), None) is not None
 
 
 def _violated(rule: Rule, sigma: Mapping, aset: AtomSet) -> bool:
@@ -484,7 +472,7 @@ class _CompiledRule:
     (`compile_anchored`), in body order, taken from the per-shape cache
     `_anchored`.  An anchored plan tests its anchor atom before its
     kernel's first loop, so a run on an atom that does not fit the anchor
-    position returns no match; a run returns its matches collected.
+    position returns no match.
     A TGD builds its skolemised head by `build`, the head kernel of its
     shape, from `build_args`: the head's predicates, then the Skolem
     symbol of each existential (`skolem_symbols`), whose term is that
@@ -496,7 +484,7 @@ class _CompiledRule:
     with the head's predicate, the (head argument, body argument) pairs
     that differ: a match satisfying it instantiates the head as that
     body atom, so the head is held.  So `plans` and `whole` find only
-    matches that can change the set; the head plan yields every head
+    matches that can change the set; the head plan skips no head
     embedding.
 
     The queue is `heap`, entries (rank tuple, push number, key), and
@@ -547,7 +535,7 @@ class _CompiledRule:
         body, slot = self.rule.body, self.slot
         if size is None:
             preds = [atom.predicate for atom in body]
-            plans = [_Plan(tuple([preds[i] for i in order]), kernel, len(slot))
+            plans = [_Plan(tuple([preds[i] for i in order]), kernel)
                      for order, kernel in _anchored(_pattern(body, slot), self.idle)]
         else:
             plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
@@ -559,13 +547,13 @@ class _CompiledRule:
     def compile(self, size: Callable) -> None:
         """Build every plan the engine reads: the anchored `plans`,
         `whole` for the body, and, for a TGD that is not `closed`, `head`,
-        the head test: a plan over the head with the key's slots bound and
-        one more slot for each existential."""
+        the head test: a first-match plan over the head with the key's
+        slots bound and one more slot for each existential."""
         self.compile_anchored(size)
         self.whole = _plan(self.rule.body, self.slot, size=size, idle=self.idle)
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
-            self.head = _plan(self.rule.head, extended, self.universals, size)
+            self.head = _plan(self.rule.head, extended, self.universals, size, first=True)
 
     def instantiate(self, key: tuple) -> list[Atom]:
         """The skolemised head atoms of the match with this key."""
@@ -639,12 +627,10 @@ class ChaseEngine:
         and queue every match of the rule in it."""
         aset = self.state
         cr.compile(aset.bucket_size)
-        plan = cr.whole
         rank = aset.rank
         queued, heap = cr.queued, cr.heap = {}, []
-        for slots in match_conjunction(plan, aset, plan.slots):
-            key = tuple(slots)
-            ranks = queued[key] = tuple(map(rank, plan.matched))
+        for key, matched in match_conjunction(cr.whole, aset):
+            ranks = queued[key] = tuple(map(rank, matched))
             heap.append((ranks, next(self._pushes), key))
         heapify(heap)
 
@@ -661,7 +647,7 @@ class ChaseEngine:
             plans, heap, queued = cr.plans, cr.heap, cr.queued
             for atom in atoms:
                 for plan in plans.get(atom.predicate, ()):
-                    for key, matched in match_conjunction(plan, aset, plan.slots, atom):
+                    for key, matched in match_conjunction(plan, aset, (), atom):
                         ranks = tuple(map(rank, matched))
                         if queued.get(key) != ranks:
                             queued[key] = ranks
@@ -704,12 +690,9 @@ class ChaseEngine:
                         head = cr.instantiate(key)
                         if not all(map(held.__contains__, head)):
                             break
-                    else:
-                        plan = cr.head
-                        plan.slots[:len(key)] = key
-                        if next(match_conjunction(plan, aset, plan.slots), None) is None:
-                            head = cr.instantiate(key)
-                            break
+                    elif next(iter(match_conjunction(cr.head, aset, key)), None) is None:
+                        head = cr.instantiate(key)
+                        break
                 else:
                     continue  # no applicable match: the next rule
                 break  # applicable: `cr` and `key`, and `head` for a TGD

@@ -108,10 +108,20 @@ class _CliFailure(Exception):
         super().__init__(message)
 
 
+def _only(extra: Program, kind: str, flag: str, source: str) -> Program:
+    """The program read from `source` for `flag`, which may hold `kind`
+    ("facts" or "queries") alone."""
+    for other in ("rules", "facts", "queries"):
+        if other != kind and len(getattr(extra, other)):
+            raise _CliFailure(EXIT_INVALID, f"{flag} {source}: holds {other}; {flag} takes {kind} only")
+    return extra
+
+
 def _load_program(args: argparse.Namespace) -> Program:
     program = _parse_file(args.file)
-    for extra in [*(getattr(args, "facts", None) or []), *(getattr(args, "queries", None) or [])]:
-        program = program.merge(_parse_file(extra))
+    for kind in ("facts", "queries"):
+        for path in getattr(args, kind, None) or []:
+            program = program.merge(_only(_parse_file(path), kind, f"--{kind}", path))
     for text in getattr(args, "query", None) or []:
         try:
             inline = parse(text)
@@ -119,7 +129,7 @@ def _load_program(args: argparse.Namespace) -> Program:
             raise _CliFailure(
                 EXIT_INVALID, "\n".join(f"--query: {d}" for d in exc.diagnostics)
             ) from exc
-        program = program.merge(inline)
+        program = program.merge(_only(inline, "queries", "--query", repr(text)))
     return program
 
 

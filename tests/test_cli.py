@@ -196,6 +196,25 @@ def test_a_query_predicate_keeps_its_rule_arity(capsys, tmp_path, flag):
     assert got == (1, "", "query: predicate 'R' used with arities 2 and 1\n")
 
 
+@pytest.mark.parametrize("flag, text, other", [
+    ("--query", "B(X) -> C(X) .", "rules"),
+    ("--queries", "? exists X . C(X) .\nA(b) .\n", "facts"),
+    ("--facts", "A(b) .\nB(X) -> C(X) .\n", "rules"),
+])
+def test_an_extra_source_holds_statements_of_its_own_kind_only(capsys, tmp_path, flag, text,
+                                                               other):
+    # A rule or fact from a query source, or a rule from a facts file,
+    # would silently join the program.
+    source = repr(text)
+    if flag != "--query":
+        path = tmp_path / "extra.rules"
+        path.write_text(text)
+        text = source = str(path)
+    got = run(capsys, "query", THM2, flag, text, "--query", "? exists X . C(X) .")
+    kind = "facts" if flag == "--facts" else "queries"
+    assert got == (1, "", f"{flag} {source}: holds {other}; {flag} takes {kind} only\n")
+
+
 def test_query_prefixes_every_diagnostic_of_an_inline_query(capsys):
     code, _, err = run(capsys, "query", THM2, "--query", "? A(X Y) . ? B(")
     assert code == 1

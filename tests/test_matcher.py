@@ -2,15 +2,15 @@
 
 Bindings and their order must agree with plain nested loops over the
 set in rank order, including when the set was rewritten after an
-earlier call built its indexes, and when atoms were added between two
-enumerations.
+earlier call built its indexes, when atoms were added between two
+enumerations, and when the body runs as more than one kernel segment.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqchase import EGD, TGD, Atom, AtomSet, Constant, Functional, Predicate, SkolemSymbol, Variable
-from eqchase.chase import _CompiledRule, match_conjunction
+from eqchase.chase import _SEGMENT, _CompiledRule, _plan, match_conjunction
 
 P1, R2, S3 = Predicate("P", 1), Predicate("R", 2), Predicate("S", 3)
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -56,6 +56,11 @@ _body = st.lists(
     max_size=3,
 )
 _init = st.dictionaries(st.sampled_from([X, Y, Z]), st.sampled_from(_TERMS), max_size=2)
+# Atoms on a triangle and a loop, and a body that walks the triangle
+# for longer than one kernel segment, starting at X.
+_CYCLE = [("add", R2, [a, b, a]), ("add", R2, [b, c, a]), ("add", R2, [c, a, a]),
+          ("add", R2, [a, a, a])]
+_LONG = [(R2, [(X, Y, Z)[i % 3], (X, Y, Z)[(i + 1) % 3], X]) for i in range(_SEGMENT + 2)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -69,6 +74,8 @@ _init = st.dictionaries(st.sampled_from([X, Y, Z]), st.sampled_from(_TERMS), max
     [("rewrite", a, b)],
     [(R2, [Y, X, X]), (R2, [Z, X, X])], {X: b}, [("add", R2, [a, b, a])],
 )
+# The second segment is handed the slot bound beforehand.
+@example(_CYCLE, [], _LONG, {X: a}, [("add", R2, [b, a, a])])
 def test_match_conjunction_agrees_with_the_reference_loop(before, after, body, init, later):
     body = [_atom(p, vs) for p, vs in body]
     s = AtomSet()
@@ -89,16 +96,12 @@ def _dict_keys(body, s, universals, init):
 
 
 def _plan_matches(plan, s, anchor=None):
-    """(key, rank tuple) of each match the compiled plan finds, in order.
-    An anchored plan returns its matches as a list of (key, matched
-    atoms) tuples; the whole-body plan yields its live slot list."""
-    if anchor is None:
-        found = [(tuple(slots), tuple(plan.matched))
-                 for slots in match_conjunction(plan, s, plan.slots)]
-    else:
-        found = match_conjunction(plan, s, plan.slots, anchor)
-        assert type(found) is list
-        assert all(type(key) is tuple and type(m) is tuple for key, m in found)
+    """(key, rank tuple) of each match the compiled plan finds, in order;
+    every plan returns its matches as a list of (key, matched atoms)
+    tuples."""
+    found = match_conjunction(plan, s, (), anchor)
+    assert type(found) is list
+    assert all(type(key) is tuple and type(m) is tuple for key, m in found)
     return [(key, tuple(map(s.rank, matched))) for key, matched in found]
 
 
@@ -135,14 +138,20 @@ def _check_plans(cr, s, body, greedy, keep=lambda key: True):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_op, max_size=16), _body, st.booleans())
+@example(_CYCLE, _LONG, False)
+@example(_CYCLE, _LONG, True)
 def test_compiled_plans_agree_with_the_dict_path(ops, body, greedy):
     body = [_atom(p, vs) for p, vs in body]
     s = AtomSet()
     _apply(s, ops)
     # The head's predicate is in no body, so no match is idle.
     cr = _CompiledRule(TGD(body, (), [Atom(Predicate("Fresh", 1), body[0].args[:1])]))
-    cr.compile(s.bucket_size if greedy else None)
+    size = s.bucket_size if greedy else None
+    cr.compile(size)
     _check_plans(cr, s, body, greedy)
+    # A first-match plan of the body finds the whole plan's first match.
+    first = _plan(body, cr.slot, size=size, first=True)
+    assert _plan_matches(first, s) == _plan_matches(cr.whole, s)[:1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,14 +216,30 @@ def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
     engine._start(cr)
     assert list(cr.queued) == [(a,)]
     plan, = cr.plans[R2]
-    assert match_conjunction(plan, engine.state, plan.slots, same) == [((a,), (same,))]
-    assert match_conjunction(plan, engine.state, plan.slots, differ) == []
+    assert match_conjunction(plan, engine.state, (), same) == [((a,), (same,))]
+    assert match_conjunction(plan, engine.state, (), differ) == []
 
     saturation = _Saturation(RuleSet([rule]), ChaseLimits())
     for atom in (differ, same):
         saturation.atoms.add(atom)
         saturation._process(atom)
     assert list(saturation.atoms) == [differ, same, Atom(P1, (a,))]
+
+
+def test_a_returned_match_list_stays_as_it_was_while_the_set_grows():
+    # Every join has collected its matches when it returns, so its caller
+    # may add the atoms they derive while it reads the list.
+    s = AtomSet([Atom(R2, (a, b)), Atom(R2, (b, c))])
+    cr = _CompiledRule(TGD([Atom(R2, (X, Y)), Atom(R2, (Y, Z))], (), [Atom(R2, (X, Z))]))
+    cr.compile(s.bucket_size)
+    found = match_conjunction(cr.whole, s)
+    want = [((a, b, c), (Atom(R2, (a, b)), Atom(R2, (b, c))))]
+    assert found == want
+    for key, _ in found:
+        for atom in [Atom(R2, (key[0], key[2])), Atom(R2, (c, a)), Atom(R2, (c, b))]:
+            s.add(atom)
+    assert found == want
+    assert len(match_conjunction(cr.whole, s)) == 8
 
 
 def _run_all(text):
