@@ -65,8 +65,8 @@ class _Stop(Exception):
 
 
 def _compile(rule: Rule) -> _CompiledRule:
-    """The saturation's compiled form of a rule: its anchored plans, head
-    kernel and EGD positions, and no queue or other run state."""
+    """The saturation's compiled form of a rule: its anchored plans in
+    body order, head kernel and EGD positions."""
     cr = _CompiledRule(rule)
     cr.compile_anchored()
     return cr
@@ -98,12 +98,14 @@ class _Saturation:
     collected; they fire in order once it has returned, so no join sees
     the set change.  Rules of one body shape share their plans' kernels.
     `compiled` maps rules to forms made by `_compile_all`, here without
-    it: one per distinct rule, shared by its repeats.  `readers` pair
-    each plan with the index of the rule occurrence it serves, which
-    derivation records carry, and `maps` each replacement (frm, to) with
-    the index and key of the EGD match that made it first.  A TGD match builds its head
-    from the key by the rule's `build`, and a derivation record only for
-    an atom the set does not hold yet, with the body instance matched.
+    it: one per distinct rule, shared by its repeats.  `readers`, filled
+    in rule order by `_CompiledRule.file_plans` as the chase engine's
+    is, pairs each plan with the index of the rule occurrence it serves,
+    which derivation records carry, and `maps` each replacement (frm, to)
+    with the index and key of the EGD match that made it first.  A TGD
+    match builds its head from the key by the rule's `build`, and a
+    derivation record only for an atom the set does not hold yet, with
+    the body instance matched.
 
     The plans skip idle matches (see `_CompiledRule`): an EGD match
     equating a term with itself adds no replacement map, and a closed TGD
@@ -122,13 +124,9 @@ class _Saturation:
         self.maps: dict[tuple[Term, Term], tuple[int, tuple]] = {}
         if compiled is None:
             compiled = _compile_all(rules)
-        # predicate -> (rule, its index, plan anchored at a body position
-        # holding it), in rule order, then body order.
         self.readers: dict = {}
         for idx, rule in enumerate(rules):
-            cr = compiled[rule]
-            for pred, plans in cr.plans.items():
-                self.readers.setdefault(pred, []).extend((cr, idx, plan) for plan in plans)
+            compiled[rule].file_plans(self.readers, idx)
         self.witness: Optional[tuple[Atom, Term]] = None
         self.ci = critical_instance(rules)
 

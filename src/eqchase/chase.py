@@ -6,14 +6,14 @@ shallower one across the whole atom set (argument-level).  A run applies,
 at every step, the first applicable (rule, substitution) pair in rule
 order and match order, which is the order `match_conjunction`
 enumerates over the rule body: lexicographic in the ranks of the matched
-atoms.  The engine finds that pair incrementally, from per-rule queues
-of matches ordered by rank tuple, and selects the same sequence as a
-naive full rescan with `find_applicable`.  A match is queued again
-whenever a merge gives it a new rank tuple, even one already applied or
-found blocked: the applicability test rejects it when it is popped, so
-the engine keeps no record of consumed matches.  Every pair that stays
-applicable is eventually applied, and the final set of a finished run
-satisfies every rule.
+atoms.  The engine finds that pair incrementally, from one queue of
+matches ordered by rule index and rank tuple, and selects the same
+sequence as a naive full rescan with `find_applicable`.  A match is
+queued again whenever a merge gives it a new rank tuple, even one
+already applied or found blocked: the applicability test rejects it
+when it is popped, so the engine keeps no record of consumed matches.
+Every pair that stays applicable is eventually applied, and the final
+set of a finished run satisfies every rule.
 
 The compiled joins of the engine and of the acyclicity checks skip idle
 matches, those whose firing can change nothing: an EGD match that
@@ -462,17 +462,18 @@ def satisfies(aset: AtomSet, rule: Rule) -> bool:
 
 
 class _CompiledRule:
-    """A rule with its skolemised head, its join plans and its queue; the
-    acyclicity saturation uses the same form without the queue.
+    """A rule with its skolemised head and its join plans: the one form
+    the chase engine and the acyclicity saturation run, with no run state.
 
     A match is identified by its key, the tuple of the terms it binds to
     `universals`, which are the slots of the rule's plans (`slot` maps
     each to its index).  The engine builds every plan (`compile`); the
-    saturation reads only the anchored ones and builds only those
-    (`compile_anchored`), in body order, taken from the per-shape cache
-    `_anchored`.  An anchored plan tests its anchor atom before its
-    kernel's first loop, so a run on an atom that does not fit the anchor
-    position returns no match.
+    saturation builds only the anchored ones (`compile_anchored`), in
+    body order, from the per-shape cache `_anchored`.  Both look up the
+    plans that read an atom in a `readers` map that `file_plans` fills.
+    An anchored plan tests its anchor atom before its kernel's first
+    loop, so a run on an atom that does not fit the anchor position
+    returns no match.
     A TGD builds its skolemised head by `build`, the head kernel of its
     shape, from `build_args`: the head's predicates, then the Skolem
     symbol of each existential (`skolem_symbols`), whose term is that
@@ -486,19 +487,10 @@ class _CompiledRule:
     body atom, so the head is held.  So `plans` and `whole` find only
     matches that can change the set; the head plan skips no head
     embedding.
-
-    The queue is `heap`, entries (rank tuple, push number, key), and
-    `queued` maps every key ever pushed to the rank tuple of its last
-    push; a heap entry is live only while its rank tuple is that one.
-    Both are None until the engine starts the rule at its first use
-    (`ChaseEngine._start`); the saturation never starts one.  A popped
-    match that was applied or found blocked keeps its `queued` entry and
-    nothing else: if a merge re-ranks it, it is pushed again and rejected
-    again when popped.
     """
 
     __slots__ = ("rule", "kind", "universals", "slot", "idle", "whole", "plans", "head",
-                 "closed", "build", "build_args", "x", "y", "heap", "queued")
+                 "closed", "build", "build_args", "x", "y")
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -522,27 +514,28 @@ class _CompiledRule:
             self.x = where[rule.x]
             self.y = where[rule.y]
             self.idle = (((self.x, self.y),),)
-        self.heap: Optional[list] = None
-        self.queued: Optional[dict] = None
 
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
-        """Build `plans`, which maps each body predicate to the join
-        plans over the key's slots anchored at each body position holding
-        it, in body order.  `size` is as for `_plan`; without it the plans
-        join in body order, and their join orders and kernels come from
-        `_anchored` by the body's slot pattern and `idle`, so rules of one
-        shape compile their joins once."""
+        """Build `plans`, the join plans over the key's slots anchored at
+        each body position, in body order.  `size` is as for `_plan`;
+        without it the plans join in body order, and their join orders and
+        kernels come from `_anchored` by the body's slot pattern and
+        `idle`, so rules of one shape compile their joins once."""
         body, slot = self.rule.body, self.slot
         if size is None:
             preds = [atom.predicate for atom in body]
-            plans = [_Plan(tuple([preds[i] for i in order]), kernel)
-                     for order, kernel in _anchored(_pattern(body, slot), self.idle)]
+            self.plans = [_Plan(tuple([preds[i] for i in order]), kernel)
+                          for order, kernel in _anchored(_pattern(body, slot), self.idle)]
         else:
-            plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
-                     for pos in range(len(body))]
-        self.plans: dict = {}
-        for atom, plan in zip(body, plans):
-            self.plans.setdefault(atom.predicate, []).append(plan)
+            self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
+                          for pos in range(len(body))]
+
+    def file_plans(self, readers: dict, idx: int) -> None:
+        """Append each anchored plan, in body order, to `readers` as
+        (self, idx, plan) under its anchor's predicate; `idx` is the
+        index of the rule occurrence the plans serve."""
+        for atom, plan in zip(self.rule.body, self.plans):
+            readers.setdefault(atom.predicate, []).append((self, idx, plan))
 
     def compile(self, size: Callable) -> None:
         """Build every plan the engine reads: the anchored `plans`,
@@ -566,26 +559,33 @@ class ChaseEngine:
     Each step applies the first applicable pair in (rule order, match
     order), the pair a naive rescan with `find_applicable` would pick.
     Match order is lexicographic in the ranks of the matched atoms, so
-    each rule keeps its unconsumed matches in a queue ordered by rank
-    tuple (see `_CompiledRule`), and a step pops candidates rule by rule
-    until one passes the applicability test.  Since the queues, not the
-    matcher, order the matches, a rule's plans join in greedy connected
-    order, compiled at its first use with the bucket sizes of then.
+    the unconsumed matches wait in one heap of entries (rule index, rank
+    tuple, push number, key), and a step pops candidates until one passes
+    the applicability test.  `queued` holds a dict per started rule, by
+    rule index, from every key ever pushed to the rank tuple of its last
+    push; an entry is live only while its rank tuple is that one.
 
-    Both kinds of step queue matches the same way (`_queue`): each
-    started rule anchors each body position on each atom the step added
-    or re-ranked and pushes each match whose rank tuple is not its
-    queued one.  A TGD step adds atoms at the end of the rank order, so
-    every match that uses one is new, found semi-naively.  An EGD step
-    renames one term and so removes the atoms that hold it and gives
-    their images, or atoms they collide with, new ranks.  Rules are
-    constant-free, so a queued match over atoms the merge left alone
-    keeps its key and rank tuple, and one over a removed atom holds the
-    merged-away term: such keys are dropped when popped, by a check
-    against `gone`, the merged-away terms.  A re-ranked TGD match that
-    was consumed is popped again and rejected again: an applied match's
-    head is present, and a blocked one stays blocked under the renaming
-    (it maps a head embedding to a head embedding).
+    Rules start in rule order (`_start`), each when the heap runs empty,
+    so when no earlier rule has a candidate; once every rule has started,
+    an empty heap ends the run.  Since the heap, not the matcher, orders
+    the matches, a rule's plans join in greedy connected order, compiled
+    at its start with the bucket sizes of then.
+
+    Both kinds of step queue matches the same way (`_queue`): the plans
+    filed in `readers` under each atom's predicate are anchored on each
+    atom the step added or re-ranked, and each match whose rank tuple is
+    not its queued one is pushed.  A TGD step adds atoms at the end of
+    the rank order, so every match that uses one is new, found
+    semi-naively.  An EGD step renames one term and so removes the atoms
+    that hold it and gives their images, or atoms they collide with, new
+    ranks.  Rules are constant-free, so a queued match over atoms the
+    merge left alone keeps its key and rank tuple, and one over a removed
+    atom holds the merged-away term: such keys are dropped when popped,
+    by a check against `gone`, the merged-away terms.  A consumed TGD
+    match keeps its `queued` entry alone; re-ranked, it is popped again
+    and rejected again: an applied match's head is present, and a blocked
+    one stays blocked under the renaming (it maps a head embedding to a
+    head embedding).
 
     The plans queue no idle match (see the module docstring), so a live
     EGD entry, whose key holds no merged-away term, equates two distinct
@@ -593,11 +593,10 @@ class ChaseEngine:
     candidate was selected; `_stop` pushes it back, so a run resumed
     with other limits selects it first, as one uncapped run would.
 
-    `run` is one loop: it pops each rule's heap and tests a closed TGD's
-    head by membership in the set's dict.
-    A closed head holds only terms of the state, no deeper than
-    max(1, cap): facts are function-free, and every other term passed the
-    depth test.  So a closed TGD is depth-tested only for a cap below 1.
+    `run` tests a closed TGD's head by membership in the set's dict.  A
+    closed head holds only terms of the state, no deeper than max(1,
+    cap): facts are function-free, and every other term passed the depth
+    test.  So a closed TGD is depth-tested only for a cap below 1.
     """
 
     def __init__(
@@ -620,43 +619,46 @@ class ChaseEngine:
 
             random.Random(seed).shuffle(self.compiled)
         self.gone: set = set()
+        self.heap: list = []
+        self.queued: list[dict] = []
+        self.readers: dict = {}
         self._pushes = count()
 
-    def _start(self, cr: _CompiledRule) -> None:
-        """Compile the rule's plans for the current state, make its queue
-        and queue every match of the rule in it."""
-        aset = self.state
+    def _start(self) -> None:
+        """Start the next rule while the heap is empty: compile its plans
+        for the current state, file its anchored plans in `readers` and
+        queue every match of the rule in the state."""
+        aset, idx = self.state, len(self.queued)
+        cr = self.compiled[idx]
         cr.compile(aset.bucket_size)
-        rank = aset.rank
-        queued, heap = cr.queued, cr.heap = {}, []
+        cr.file_plans(self.readers, idx)
+        rank, heap, queued = aset.rank, self.heap, {}
+        self.queued.append(queued)
         for key, matched in match_conjunction(cr.whole, aset):
             ranks = queued[key] = tuple(map(rank, matched))
-            heap.append((ranks, next(self._pushes), key))
+            heap.append((idx, ranks, next(self._pushes), key))
         heapify(heap)
 
     def _queue(self, atoms: Sequence[Atom]) -> None:
-        """Push each started rule's matches that use one of the atoms,
-        found by anchoring each body position on each atom, unless the
-        match is queued with the rank tuple it has now.  An added atom's
-        rank is new, so every match over it is pushed once."""
-        aset, pushes = self.state, self._pushes
+        """Push the started rules' matches that use one of the atoms, found
+        by the plans that read each atom's predicate, unless the match is
+        queued with the rank tuple it has now.  An added atom's rank is
+        new, so every match over it is pushed once."""
+        aset, heap, queued, pushes = self.state, self.heap, self.queued, self._pushes
         rank = aset.rank
-        for cr in self.compiled:
-            if cr.heap is None:
-                continue
-            plans, heap, queued = cr.plans, cr.heap, cr.queued
-            for atom in atoms:
-                for plan in plans.get(atom.predicate, ()):
-                    for key, matched in match_conjunction(plan, aset, (), atom):
-                        ranks = tuple(map(rank, matched))
-                        if queued.get(key) != ranks:
-                            queued[key] = ranks
-                            heappush(heap, (ranks, next(pushes), key))
+        for atom in atoms:
+            for _, idx, plan in self.readers.get(atom.predicate, ()):
+                keys = queued[idx]
+                for key, matched in match_conjunction(plan, aset, (), atom):
+                    ranks = tuple(map(rank, matched))
+                    if keys.get(key) != ranks:
+                        keys[key] = ranks
+                        heappush(heap, (idx, ranks, next(pushes), key))
 
-    def _stop(self, heap: list, entry: tuple, limit: str) -> LimitExceeded:
+    def _stop(self, entry: tuple, limit: str) -> LimitExceeded:
         """Stop on `limit` with the selected candidate `entry` pushed back
-        on its rule's heap, live under its rank tuple."""
-        heappush(heap, entry)
+        on the heap, live under its rank tuple."""
+        heappush(self.heap, entry)
         return LimitExceeded(self.state, limit, self.trace.steps, self.trace)
 
     def run(self) -> ChaseOutcome:
@@ -666,47 +668,45 @@ class ChaseEngine:
         if limits.wall_clock_ms is not None:
             deadline = time.monotonic() + limits.wall_clock_ms / 1000.0
         aset, trace, compiled, gone = self.state, self.trace, self.compiled, self.gone
+        heap, queued = self.heap, self.queued
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 return LimitExceeded(aset, "wall_clock_ms", trace.steps, trace)
             # Read each step: an `on_step` that iterates the set after a
             # merge replaces its dict.
             held = aset._atoms
-            # Pop rule by rule until a candidate passes the test.
-            for cr in compiled:
-                if cr.heap is None:
-                    self._start(cr)
-                heap, queued = cr.heap, cr.queued
-                while heap:
-                    entry = heappop(heap)
-                    ranks, _, key = entry
-                    # Entries go stale only at merges, so before the first
-                    # one every entry is live.
-                    if gone and (queued[key] is not ranks or not gone.isdisjoint(key)):
-                        continue
-                    if cr.kind == "egd":
+            # Pop until a candidate passes the test: `cr` and `key`, and
+            # `head` for a TGD.
+            while True:
+                while not heap:
+                    if len(queued) == len(compiled):
+                        return Terminated(aset, trace.steps, trace)
+                    self._start()
+                entry = heappop(heap)
+                idx, ranks, _, key = entry
+                # Entries go stale only at merges, so before the first one
+                # every entry is live.
+                if gone and (queued[idx][key] is not ranks or not gone.isdisjoint(key)):
+                    continue
+                cr = compiled[idx]
+                if cr.kind == "egd":
+                    break
+                if cr.closed:
+                    head = cr.instantiate(key)
+                    if not all(map(held.__contains__, head)):
                         break
-                    if cr.closed:
-                        head = cr.instantiate(key)
-                        if not all(map(held.__contains__, head)):
-                            break
-                    elif next(iter(match_conjunction(cr.head, aset, key)), None) is None:
-                        head = cr.instantiate(key)
-                        break
-                else:
-                    continue  # no applicable match: the next rule
-                break  # applicable: `cr` and `key`, and `head` for a TGD
-            else:
-                return Terminated(aset, trace.steps, trace)
+                elif next(iter(match_conjunction(cr.head, aset, key)), None) is None:
+                    head = cr.instantiate(key)
+                    break
             if max_steps is not None and trace.steps >= max_steps:
-                return self._stop(heap, entry, "max_steps")
+                return self._stop(entry, "max_steps")
             if cr.kind == "tgd":
                 fresh = [a for a in dict.fromkeys(head) if a not in held]
                 if (cap is not None and (cap < 1 or not cr.closed)
                         and max(t.depth for a in head for t in a.args) > cap):
-                    return self._stop(heap, entry, "max_term_depth")
+                    return self._stop(entry, "max_term_depth")
                 if max_atoms is not None and len(held) + len(fresh) > max_atoms:
-                    return self._stop(heap, entry, "max_atoms")
+                    return self._stop(entry, "max_atoms")
                 for a in fresh:
                     aset.add(a)
                 self._queue(fresh)

@@ -1,4 +1,5 @@
-r"""The chase-egd, query, check, derivation and parse pins, run without pytest.
+r"""The chase-egd, query, check, derivation and parse pins and the engine's
+differential cases, run without pytest.
 
 For an interpreter that has no pytest installed, e.g. to try the
 generated join kernels (built with `exec`, nested as deep as CPython
@@ -9,8 +10,9 @@ interpreter's Unicode tables) on another Python version:
 
 Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py`,
 `test_check_pins.py`, `test_derivation_pins.py` and `test_parse_pins.py`
-once per case, the first three through `eqchase.cli.main`; prints one
-line per file and exits 1 if any case misses its pin.
+once per case, the first three through `eqchase.cli.main`, and checks
+each case of `differential.py`: the engine selects the naive run's step
+sequence.  Prints one line per suite and exits 1 if any case misses.
 """
 
 from __future__ import annotations
@@ -30,11 +32,19 @@ except ImportError:
     stub.mark = types.SimpleNamespace(parametrize=lambda *args, **kwargs: lambda fn: fn)
     sys.modules["pytest"] = stub
 
+import differential  # noqa: E402
 import test_bench_pins  # noqa: E402
 import test_check_pins  # noqa: E402
 import test_derivation_pins  # noqa: E402
 import test_parse_pins  # noqa: E402
 import test_query_pins  # noqa: E402
+
+DIFFERENTIAL = list(differential._differential_cases())
+
+
+def differential_case_count() -> None:
+    assert len(DIFFERENTIAL) == differential.CASES
+
 
 # (name, checks of the case list, the pin test, its arguments per case;
 # each test also takes a scratch directory)
@@ -54,6 +64,9 @@ SUITES = [
                test_parse_pins.test_the_pins_cover_both_outcomes],
      lambda case, tmp: test_parse_pins.test_parse_matches_the_pin(case),
      [(case,) for case in sorted(test_parse_pins.CASES)]),
+    ("differential", [differential_case_count],
+     lambda i, tmp: differential.check_case(*DIFFERENTIAL[i]),
+     [(i,) for i in range(len(DIFFERENTIAL))]),
 ]
 
 
@@ -73,7 +86,7 @@ def main() -> int:
                 except AssertionError:
                     bad.append(str(case))
                     traceback.print_exc()
-        print(f"{name}: {len(cases) - len(bad)} of {len(cases)} pins match"
+        print(f"{name}: {len(cases) - len(bad)} of {len(cases)} cases match"
               + (f"; failed: {', '.join(bad)}" if bad else ""))
         failed += len(bad)
     print(f"Python {sys.version.split()[0]}: {'FAILED' if failed else 'ok'}")

@@ -38,6 +38,8 @@ from eqchase import (
     standard_axiomatisation,
 )
 from corpus import random_facts, random_ontology, random_ruleset
+from differential import (
+    CASES, _differential_cases, _engine_steps, _oracle_steps, _render, check_case)
 from perfbench_loader import load_workloads
 from rulesets import facts, ontology, query, rules
 
@@ -295,93 +297,12 @@ def test_chase_on_step_observes_each_state():
 # The engine against the naive reference semantics
 
 
-def _render(rule, sigma):
-    return f"{rule!r} | " + ", ".join(f"{v.name}={sigma[v]}" for v in rule.universals)
-
-
-def _oracle_steps(o, limits, seed):
-    """The naive run: at every step the first pair `find_applicable` yields
-    over the rules in the engine's (seed-shuffled) order, applied with
-    `apply`.  Stops where the engine's step and depth caps stop it."""
-    order = list(o.rules)
-    if seed:
-        random.Random(seed).shuffle(order)
-    state = AtomSet(o.facts)
-    steps = []
-    while limits.max_steps is None or len(steps) < limits.max_steps:
-        pair = next(find_applicable(order, state), None)
-        if pair is None:
-            break
-        rule, sigma = pair
-        after = apply(rule, sigma, state)
-        if after.max_term_depth() > limits.max_term_depth:
-            break
-        steps.append(_render(rule, sigma))
-        state = after
-    return steps
-
-
-def _engine_steps(o, limits, seed):
-    steps = []
-    chase(o, limits, seed=seed,
-          on_step=lambda i, rule, sigma, aset: steps.append(_render(rule, sigma)))
-    return steps
-
-
-EGD_FAMILY = (
-    "A(X) -> exists W . R(X,W), B(W) .\n"
-    "R(X,Y), R(X,Z) -> Y = Z .\n"
-    "E(X,Y) -> R(X,Y) .\n"
-    "R(X,Y), B(Y) -> C(X) .\n"
-)
-# The last rule's `B(U)` shares no variable with the rest of the body, so
-# every merge that rewrites a `B` atom is followed by a read of the
-# stale `B` bucket while matches are queued.
-EGD_CROSS_FAMILY = EGD_FAMILY.replace("R(X,Y), B(Y) -> C(X) .", "R(X,Y), B(U) -> C(X) .")
-TC_RULES = "E(X,Y) -> T(X,Y) .\nT(X,Y), E(Y,Z) -> T(X,Z) .\n"
-
-
-def _differential_cases():
-    """(ontology, seed, limits) of each case the engine is checked on
-    against the naive run."""
-    limits = ChaseLimits(max_steps=60, max_term_depth=4)
-    for seed in range(3):
-        rng = random.Random(seed)
-        for _ in range(120):
-            yield random_ontology(rng), seed, limits
-    for n in (3, 5, 8, 12, 16):
-        rng = random.Random(f"egd:{n}")
-        text = EGD_FAMILY + "".join(f"A(c{i}) .\n" for i in range(n))
-        text += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
-        program = parse(text)
-        for seed in range(3):
-            yield Ontology(program.rules, program.facts), seed, limits
-    for n in (5, 12, 24):
-        rng = random.Random(f"egd-cross:{n}")
-        text = EGD_CROSS_FAMILY + "".join(f"A(c{i}) .\n" for i in range(n))
-        text += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
-        program = parse(text)
-        for seed in range(3):
-            yield Ontology(program.rules, program.facts), seed, limits
-    for n in (3, 6):
-        rng = random.Random(f"tc:{n}")
-        edges = [(i, i + 1) for i in range(n)] + [(i, rng.randrange(i + 1, n + 1)) for i in range(n)]
-        program = parse(TC_RULES + "".join(f"E(v{i},v{j}) .\n" for i, j in edges))
-        for seed in range(2):
-            yield Ontology(program.rules, program.facts), seed, limits
-    # The benchmark's chase-egd instances, run to the end: their merges
-    # re-rank TGD matches that were already applied.
-    for n in (8, 16, 24):
-        program = parse(load_workloads().egd_instance(n, 0))
-        yield Ontology(program.rules, program.facts), 0, ChaseLimits(max_term_depth=10)
-
-
 def test_engine_selects_the_naive_step_sequence():
     cases = 0
     for o, seed, limits in _differential_cases():
-        assert _engine_steps(o, limits, seed) == _oracle_steps(o, limits, seed)
+        check_case(o, seed, limits)
         cases += 1
-    assert cases == 3 * 120 + 15 + 9 + 4 + 3
+    assert cases == CASES
 
 
 @pytest.mark.parametrize("stop", [
@@ -536,7 +457,7 @@ def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
     outcome = engine.run()
     assert isinstance(outcome, Terminated) and outcome.trace.egd_steps == 0
     assert all(cr.closed for cr in engine.compiled)
-    assert len(calls) == len(set(calls)) == sum(len(cr.queued) for cr in engine.compiled)
+    assert len(calls) == len(set(calls)) == sum(map(len, engine.queued))
     assert outcome.trace.tgd_steps < len(calls)
 
 

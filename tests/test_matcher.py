@@ -124,16 +124,14 @@ def _check_plans(cr, s, body, greedy, keep=lambda key: True):
             assert ranks == tuple(s.rank(a) for a in atoms)
 
     check(cr.whole, None, {}, range(len(body)))
-    for pred, plans in cr.plans.items():
-        positions = [i for i, atom in enumerate(body) if atom.predicate is pred]
-        for pos, plan in zip(positions, plans):
-            rest = [i for i in range(len(body)) if i != pos]
-            for atom in list(s.bucket(pred)):
-                init = {}
-                if all(init.setdefault(v, t) is t for v, t in zip(body[pos].args, atom.args)):
-                    check(plan, atom, init, rest)
-                else:
-                    assert _plan_matches(plan, s, atom) == []
+    for pos, plan in enumerate(cr.plans):
+        rest = [i for i in range(len(body)) if i != pos]
+        for atom in list(s.bucket(body[pos].predicate)):
+            init = {}
+            if all(init.setdefault(v, t) is t for v, t in zip(body[pos].args, atom.args)):
+                check(plan, atom, init, rest)
+            else:
+                assert _plan_matches(plan, s, atom) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,9 +211,9 @@ def test_an_anchor_that_repeats_a_variable_matches_only_equal_arguments():
     same, differ = Atom(R2, (a, a)), Atom(R2, (a, b))
     engine = ChaseEngine(Ontology(RuleSet([rule]), [same, differ]))
     cr = engine.compiled[0]
-    engine._start(cr)
-    assert list(cr.queued) == [(a,)]
-    plan, = cr.plans[R2]
+    engine._start()
+    assert engine.queued == [{(a,): (0,)}]
+    plan, = cr.plans
     assert match_conjunction(plan, engine.state, (), same) == [((a,), (same,))]
     assert match_conjunction(plan, engine.state, (), differ) == []
 
