@@ -119,6 +119,7 @@ class _Saturation:
         self.max_atoms = math.inf if limits.max_atoms is None else limits.max_atoms
         self.max_depth = math.inf if limits.max_term_depth is None else limits.max_term_depth
         self.atoms = AtomSet()
+        self.held = self.atoms._atoms  # the set's dict, one for its life
         self.queue: deque[Atom] = deque()
         self.derivations: dict[Atom, tuple] = {}
         self.maps: dict[tuple[Term, Term], tuple[int, tuple]] = {}
@@ -182,9 +183,7 @@ class _Saturation:
                 for key, _ in found:
                     self._fire_egd(cr, idx, key)
                 continue
-            # A TGD match's head atoms are tested against the set's own
-            # dict, which `AtomSet.add` keeps and never replaces.
-            held, build, args = aset._atoms, cr.build, cr.build_args
+            held, build, args = self.held, cr.build, cr.build_args
             for key, body in found:
                 for head in build(args, key):
                     if head not in held:

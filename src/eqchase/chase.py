@@ -47,6 +47,7 @@ from .model import (
     Rule,
     RuleSet,
     Substitution,
+    Term,
     Variable,
     apply_syntactic,
     skolem_symbols,
@@ -394,23 +395,12 @@ def _check_domain(rule: Rule, sigma: Mapping) -> None:
         raise ValueError("substitution must be undefined on existential variables")
 
 
-def _body_holds(rule: Rule, sigma: Mapping, aset: AtomSet) -> bool:
-    for atom in rule.body:
-        if Atom(atom.predicate, [sigma[v] for v in atom.args]) not in aset:
-            return False
-    return True
-
-
-def _head_embedded(head: Sequence[Atom], sigma: Mapping, aset: AtomSet) -> bool:
-    init = {v: sigma[v] for atom in head for v in atom.variables() if v in sigma}
-    return next(iter(match_conjunction(head, aset, init)), None) is not None
-
-
 def _violated(rule: Rule, sigma: Mapping, aset: AtomSet) -> bool:
     """Whether a body match is not satisfied: no extension of it embeds a
     TGD head, or an EGD equates two distinct terms."""
     if type(rule) is TGD:
-        return not _head_embedded(rule.head, sigma, aset)
+        init = {v: sigma[v] for atom in rule.head for v in atom.variables() if v in sigma}
+        return not match_conjunction(rule.head, aset, init)
     return sigma[rule.x] is not sigma[rule.y]
 
 
@@ -419,14 +409,20 @@ def is_applicable(rule: Rule, sigma: Substitution, aset: AtomSet) -> bool:
     embedded, no extension of the match embeds a TGD head, and an EGD
     equates two distinct terms."""
     _check_domain(rule, sigma)
-    return _body_holds(rule, sigma, aset) and _violated(rule, sigma, aset)
+    held = all(Atom(a.predicate, [sigma[v] for v in a.args]) in aset for a in rule.body)
+    return held and _violated(rule, sigma, aset)
+
+
+def _merge(tx: Term, ty: Term) -> tuple[Term, Term]:
+    """The renaming (frm, to) of two equated terms: later in the term order to earlier."""
+    return (ty, tx) if tx.order_key < ty.order_key else (tx, ty)
 
 
 def apply(rule: Rule, sigma: Substitution, aset: AtomSet) -> AtomSet:
     """Apply an applicable pair, returning the successor atom set.
 
-    TGDs add the instantiated skolemised head; EGDs rename the deeper of
-    the two equated terms to the shallower one across the whole set.
+    TGDs add the instantiated skolemised head; EGDs rename one of the two
+    equated terms to the other (`_merge`) across the whole set.
     """
     if not is_applicable(rule, sigma, aset):
         raise ValueError("pair is not applicable to the atom set")
@@ -435,11 +431,7 @@ def apply(rule: Rule, sigma: Substitution, aset: AtomSet) -> AtomSet:
         for atom in skolemise(rule).head:
             out.add(apply_syntactic(atom, sigma))
     else:
-        tx, ty = sigma[rule.x], sigma[rule.y]
-        if tx.order_key < ty.order_key:
-            out.rewrite_in_place({ty: tx})
-        else:
-            out.rewrite_in_place({tx: ty})
+        out.rewrite_in_place(*_merge(sigma[rule.x], sigma[rule.y]))
     return out
 
 
@@ -548,10 +540,6 @@ class _CompiledRule:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _plan(self.rule.head, extended, self.universals, size, first=True)
 
-    def instantiate(self, key: tuple) -> list[Atom]:
-        """The skolemised head atoms of the match with this key."""
-        return self.build(self.build_args, key)
-
 
 class ChaseEngine:
     """One chase run over one ontology.
@@ -593,8 +581,8 @@ class ChaseEngine:
     candidate was selected; `_stop` pushes it back, so a run resumed
     with other limits selects it first, as one uncapped run would.
 
-    `run` tests a closed TGD's head by membership in the set's dict.  A
-    closed head holds only terms of the state, no deeper than max(1,
+    `run` tests a closed TGD's head by membership in the set's one dict.
+    A closed head holds only terms of the state, no deeper than max(1,
     cap): facts are function-free, and every other term passed the depth
     test.  So a closed TGD is depth-tested only for a cap below 1.
     """
@@ -668,13 +656,10 @@ class ChaseEngine:
         if limits.wall_clock_ms is not None:
             deadline = time.monotonic() + limits.wall_clock_ms / 1000.0
         aset, trace, compiled, gone = self.state, self.trace, self.compiled, self.gone
-        heap, queued = self.heap, self.queued
+        heap, queued, held = self.heap, self.queued, aset._atoms
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 return LimitExceeded(aset, "wall_clock_ms", trace.steps, trace)
-            # Read each step: an `on_step` that iterates the set after a
-            # merge replaces its dict.
-            held = aset._atoms
             # Pop until a candidate passes the test: `cr` and `key`, and
             # `head` for a TGD.
             while True:
@@ -692,11 +677,11 @@ class ChaseEngine:
                 if cr.kind == "egd":
                     break
                 if cr.closed:
-                    head = cr.instantiate(key)
+                    head = cr.build(cr.build_args, key)
                     if not all(map(held.__contains__, head)):
                         break
                 elif next(iter(match_conjunction(cr.head, aset, key)), None) is None:
-                    head = cr.instantiate(key)
+                    head = cr.build(cr.build_args, key)
                     break
             if max_steps is not None and trace.steps >= max_steps:
                 return self._stop(entry, "max_steps")
@@ -712,12 +697,11 @@ class ChaseEngine:
                 self._queue(fresh)
                 trace.tgd_steps += 1
             else:
-                # Rename the later term in the order to the earlier one
-                # and queue the matches over the atoms this re-ranked.
-                tx, ty = key[cr.x], key[cr.y]
-                frm, to = (ty, tx) if tx.order_key < ty.order_key else (tx, ty)
+                # Rename one term to the other and queue the matches over
+                # the atoms this re-ranked.
+                frm, to = _merge(key[cr.x], key[cr.y])
                 gone.add(frm)
-                self._queue(aset.rewrite_in_place({frm: to}))
+                self._queue(aset.rewrite_in_place(frm, to))
                 trace.egd_steps += 1
             trace.steps += 1
             if self.on_step is not None:

@@ -204,13 +204,15 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     else:
         for a in atoms:
             print(a)
-        status = (
-            f"% terminated after {outcome.steps} steps"
-            if isinstance(outcome, Terminated)
-            else f"% stopped after {outcome.steps} steps: {outcome.limit} exceeded"
-        )
-        print(status)
+        print(_status(outcome))
     return EXIT_OK if isinstance(outcome, Terminated) else EXIT_LIMIT
+
+
+def _status(outcome) -> str:
+    """The last line of a chase's text output, and of a stopped query's."""
+    if isinstance(outcome, Terminated):
+        return f"% terminated after {outcome.steps} steps"
+    return f"% stopped after {outcome.steps} steps: {outcome.limit} exceeded"
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -248,6 +250,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if witness is not None:
                 extra = "  [" + ", ".join(f"{v}={t}" for v, t in witness) + "]"
             print(f"{status}: {serialize_query(q)}{extra}")
+        if not finished:
+            print(_status(outcome))
     return EXIT_OK if finished else EXIT_LIMIT
 
 
@@ -385,8 +389,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Formats its usage once: each argparse formatter refers to itself."""
+
+    def format_usage(self) -> str:
+        if "_usage" not in vars(self):
+            self._usage = super().format_usage()
+        return self._usage
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="eqchase",
         description="Chase-based reasoning for existential rules with equality.",
     )

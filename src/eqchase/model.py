@@ -301,22 +301,6 @@ class Atom:
 Substitution = dict  # Variable -> ground Term
 
 
-def _map_atom(atom: Atom, m: Mapping[Term, Term]) -> Atom:
-    """Argument-level term rewriting of one atom: an argument is replaced
-    exactly when the whole argument is a key of `m`; occurrences nested
-    inside functional terms are left untouched."""
-    if not m:
-        return atom
-    changed = False
-    new_args = []
-    for a in atom.args:
-        b = m.get(a, a)
-        if b is not a:
-            changed = True
-        new_args.append(b)
-    return Atom(atom.predicate, new_args) if changed else atom
-
-
 def apply_syntactic(atom: Atom, subst: Mapping[Variable, Term]) -> Atom:
     """Syntactic variable substitution: descends into the arguments of
     functional terms, unlike argument-level rewriting.  This is the
@@ -620,17 +604,19 @@ class AtomSet:
     order is rank order, and so is the order of every `bucket`,
     `arg0_bucket` and `arg_bucket` list.  A lookup returns the index's
     own list, so do not mutate it, and read it again after any change:
-    a change may replace a list rather than update it.  `add` gives a
-    new atom a rank above every other.  `rewrite_in_place` gives each
-    image the least rank among its preimages and the atom it may equal
-    already, so an image reuses a rank.
+    a change may replace a list rather than update it.  The dict from
+    atom to rank, `_atoms`, is one object for the set's life: iteration
+    re-sorts it in place.  `add` gives a new atom a rank above every
+    other.  `rewrite_in_place` renames one term and gives each image the
+    least rank among its preimages and the atom it may equal already, so
+    an image reuses a rank.
 
     The position index, from (predicate, position, term) to the atoms
     holding the term there, is built for one (predicate, position) on its
     first lookup, and `add` and `_relink` keep its lists in step from then
     on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  A rewrite first
     indexes every position not yet built, so from the first rewrite on
-    all are; that index is how it finds the atoms that hold a rewritten
+    all are; that index is how it finds the atoms that hold the renamed
     term, and it touches only those: an image takes its preimage's slot
     in every position list whose key it keeps.  The predicate buckets,
     the long lists, are not updated by a rewrite: each predicate it
@@ -670,8 +656,8 @@ class AtomSet:
 
     @property
     def rank(self) -> Callable[[Atom], int]:
-        """The function from an atom to its position in the set's order
-        (KeyError if absent), valid until the set changes."""
+        """The function from an atom to its current position in the set's
+        order (KeyError if absent), which stays valid as the set changes."""
         return self._atoms.__getitem__
 
     def __contains__(self, atom: Atom) -> bool:
@@ -679,7 +665,9 @@ class AtomSet:
 
     def __iter__(self) -> Iterator[Atom]:
         if not self._in_order:
-            self._atoms = dict(sorted(self._atoms.items(), key=itemgetter(1)))
+            items = sorted(self._atoms.items(), key=itemgetter(1))
+            self._atoms.clear()
+            self._atoms.update(items)
             self._in_order = True
         return iter(self._atoms)
 
@@ -733,32 +721,29 @@ class AtomSet:
                                               key=ranks.__getitem__)
         return self._buckets.get(predicate, ())
 
-    def rewrite_in_place(self, m: Mapping[Term, Term]) -> list[Atom]:
-        """Argument-level rewriting of the set, with the result of a sweep
-        over the whole set in rank order where the first image wins and
-        keeps the rank of that preimage.
-
-        No value of `m` may also be a key of `m` (ValueError); a pair
-        `t: t` is ignored.  So an image holds no key and equals no
-        preimage, and the atoms holding a key are relinked in one pass in
-        rank order: a new image takes its preimage's rank and slot, an
-        image equal to a higher-ranked atom moves that atom down to the
-        preimage's rank and slot, and any other image is dropped.
-        Returns, in rank order, the atoms whose rank is new or changed.
+    def rewrite_in_place(self, frm: Term, to: Term) -> list[Atom]:
+        """Rename the term `frm` to `to` wherever it is a whole argument,
+        with the result of a sweep over the whole set in rank order where
+        the first image wins and keeps the rank of that preimage; renaming
+        a term to itself changes nothing.  An image holds no `frm` and so
+        equals no preimage, and the atoms holding `frm` are relinked in one
+        pass in rank order: a new image takes its preimage's rank and slot,
+        an image equal to a higher-ranked atom moves that atom down to the
+        preimage's rank and slot, and any other image is dropped.  Returns,
+        in rank order, the atoms whose rank is new or changed.
         """
-        m = {t: u for t, u in m.items() if t is not u}
-        if any(u in m for u in m.values()):
-            raise ValueError("rewrite_in_place: a value of the map is also one of its keys")
+        if frm is to:
+            return []
         ranks = self._atoms
         for p in self._buckets:
             if len(self._pos.get(p, ())) < p.arity:
                 for i in set(range(p.arity)).difference(self._pos.get(p, ())):
                     self._position(p, i)
-        hit: set[Atom] = set().union(*[index.get(t, ()) for positions in self._pos.values()
-                                       for index in positions.values() for t in m])
+        hit: set[Atom] = set().union(*[index.get(frm, ()) for positions in self._pos.values()
+                                       for index in positions.values()])
         changed = []
         for r, a in sorted([(ranks[a], a) for a in hit]):
-            img = _map_atom(a, m)
+            img = Atom(a.predicate, [to if t is frm else t for t in a.args])
             old = ranks.get(img)
             if old is not None and old < r:
                 img = None

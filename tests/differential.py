@@ -42,10 +42,17 @@ def _oracle_steps(o, limits, seed):
     return steps
 
 
-def _engine_steps(o, limits, seed):
+def _engine_steps(o, limits, seed, iterate=False):
+    """The engine's run; with `iterate`, `on_step` also iterates the set
+    at every step, which re-sorts it after a merge."""
     steps = []
-    chase(o, limits, seed=seed,
-          on_step=lambda i, rule, sigma, aset: steps.append(_render(rule, sigma)))
+
+    def on_step(i, rule, sigma, aset):
+        steps.append(_render(rule, sigma))
+        if iterate:
+            frozenset(aset)
+
+    chase(o, limits, seed=seed, on_step=on_step)
     return steps
 
 
@@ -129,5 +136,8 @@ CASES = 3 * 120 + 15 + 9 + 4 + 3 + 18
 
 
 def check_case(o, seed, limits) -> None:
-    """Assert that the engine selects the naive run's step sequence."""
-    assert _engine_steps(o, limits, seed) == _oracle_steps(o, limits, seed)
+    """Assert that the engine selects the naive run's step sequence, also
+    when the set is iterated at every step."""
+    oracle = _oracle_steps(o, limits, seed)
+    assert _engine_steps(o, limits, seed) == oracle
+    assert _engine_steps(o, limits, seed, iterate=True) == oracle

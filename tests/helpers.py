@@ -3,8 +3,23 @@ class-collapsing rewriting of an eq-closed set, a reference lexer, and
 the parser's lexer output put in its form."""
 
 from eqchase import EQ, STAR, Atom, AtomSet, Constant, Functional
-from eqchase.model import _map_atom
 from eqchase.parser import Diagnostic, _lex
+
+
+def _map_atom(atom, m):
+    """Argument-level term rewriting of one atom: an argument is replaced
+    exactly when the whole argument is a key of `m`; occurrences nested
+    inside functional terms are left untouched."""
+    if not m:
+        return atom
+    changed = False
+    new_args = []
+    for a in atom.args:
+        b = m.get(a, a)
+        if b is not a:
+            changed = True
+        new_args.append(b)
+    return Atom(atom.predicate, new_args) if changed else atom
 
 
 def apply_term_map(s, m):

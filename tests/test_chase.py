@@ -437,23 +437,23 @@ def test_entails_keeps_the_rule_arity_of_a_query_predicate():
         "query: predicate 'R' used with arities 2 and 1"]
 
 
-def test_closed_tgd_head_instantiated_once_per_candidate(monkeypatch):
+def test_closed_tgd_head_instantiated_once_per_candidate():
     # One chase-datalog job: both rules are closed TGDs and nothing
     # merges, so every key is queued once and popped once.  The head
     # test's atoms are the ones a firing adds, so each candidate's head
     # is built once.
-    from eqchase.chase import ChaseEngine, _CompiledRule
+    from eqchase.chase import ChaseEngine
 
     job = min(load_workloads().make_jobs("chase-datalog", 101), key=lambda j: len(j.text))
     program = parse(job.text)
-    calls = []
-
-    def counted(self, key, method=_CompiledRule.instantiate):
-        calls.append((self.rule, key))
-        return method(self, key)
-
-    monkeypatch.setattr(_CompiledRule, "instantiate", counted)
     engine = ChaseEngine(Ontology(program.rules, program.facts))
+    calls = []
+    for cr in engine.compiled:
+        def counted(args, key, rule=cr.rule, build=cr.build):
+            calls.append((rule, key))
+            return build(args, key)
+
+        cr.build = counted
     outcome = engine.run()
     assert isinstance(outcome, Terminated) and outcome.trace.egd_steps == 0
     assert all(cr.closed for cr in engine.compiled)
@@ -479,7 +479,7 @@ def test_compiled_skolem_symbols_are_those_of_skolemise():
             for _ in range(3):
                 key = tuple(Constant(f"c{keys.randrange(3)}") for _ in rule.universals)
                 sigma = dict(zip(rule.universals, key))
-                assert cr.instantiate(key) == [apply_syntactic(atom, sigma) for atom in head]
+                assert cr.build(cr.build_args, key) == [apply_syntactic(atom, sigma) for atom in head]
                 seen += 1
     assert seen > 100
 

@@ -591,6 +591,26 @@ def test_check_chain_is_acyclic_past_the_default_depth(capsys, tmp_path):
                                 "mfa-sing: acyclic [set_size=345, steps=315]"]
 
 
+def test_a_stopped_query_names_its_limit_and_step(capsys, tmp_path):
+    # `query` ends on the line `chase` ends on when the chase stopped on
+    # a limit, and prints no such line when it finished.
+    path = tmp_path / "chain14.rules"
+    path.write_text(CHAIN14 + "A0(a) .\n? exists X . A14(X) .\n")
+    code, out, _ = run(capsys, "chase", str(path))
+    assert code == 2
+    status = out.splitlines()[-1]
+    assert status == "% stopped after 9 steps: max_term_depth exceeded"
+    code, out, _ = run(capsys, "query", str(path))
+    assert code == 2
+    assert out.splitlines() == ["unknown: ? exists X . A14(X) .", status]
+    code, out, _ = run(capsys, "query", str(path), "--max-depth", "15")
+    assert code == 0
+    witness = "a"
+    for name in ["f_Y", *(f"f_Y__{k}" for k in range(2, 15))]:
+        witness = f"{name}({witness})"
+    assert out.splitlines() == [f"entailed: ? exists X . A14(X) .  [X={witness}]"]
+
+
 def test_help_exits_zero(capsys):
     # Also after a good call and a usage error in the same process.
     assert run(capsys, "chase", THM2, "--facts", AA)[0] == 0

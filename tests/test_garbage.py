@@ -81,9 +81,13 @@ FILES = {
 }
 
 # Every subcommand on each exit code it can give: 0, 1 for bad input and
-# 2 for a hit limit.  A usage error (`check FILE --bogus`) is left out:
-# it leaves 6 unreachable objects, all made inside argparse.
+# 2 for a hit limit; and usage errors, which exit 1.
 CLI_RUNS = {
+    "usage-unknown-flag": (["check", "{d}/ok.rules", "--bogus"], 1),
+    "usage-bad-count": (["chase", "{d}/ok.rules", "--max-steps", "x"], 1),
+    "usage-unknown-subcommand": (["bogus"], 1),
+    "usage-no-arguments": ([], 1),
+    "usage-no-file": (["check"], 1),
     "validate-ok": (["validate", "{d}/ok.rules"], 0),
     "validate-parse-error": (["validate", "{d}/parse.rules"], 1),
     "validate-invalid": (["validate", "{d}/invalid.rules", "--format", "json"], 1),

@@ -44,7 +44,7 @@ def _apply(s, ops):
         if kind == "add":
             s.add(_atom(x, y))
         else:
-            s.rewrite_in_place({x: y})
+            s.rewrite_in_place(x, y)
 
 
 _terms3 = st.lists(st.sampled_from(_TERMS), min_size=3, max_size=3)
