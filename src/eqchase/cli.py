@@ -390,12 +390,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Formats its usage once: each argparse formatter refers to itself."""
+    """Formats its usage and its help once each: each argparse formatter
+    refers to itself."""
 
     def format_usage(self) -> str:
         if "_usage" not in vars(self):
             self._usage = super().format_usage()
         return self._usage
+
+    def format_help(self) -> str:
+        if "_help" not in vars(self):
+            self._help = super().format_help()
+        return self._help
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -614,24 +614,28 @@ class AtomSet:
     The position index, from (predicate, position, term) to the atoms
     holding the term there, is built for one (predicate, position) on its
     first lookup, and `add` and `_relink` keep its lists in step from then
-    on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  A rewrite first
-    indexes every position not yet built, so from the first rewrite on
-    all are; that index is how it finds the atoms that hold the renamed
-    term, and it touches only those: an image takes its preimage's slot
-    in every position list whose key it keeps.  The predicate buckets,
-    the long lists, are not updated by a rewrite: each predicate it
-    touched goes stale, and its bucket is re-sorted from the set on its
-    next read.  Mutation is confined to those two methods, which keeps
-    every run deterministic.
+    on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  A rewrite finds
+    the atoms that hold the renamed term in the occurrence index, from a
+    term to the atoms holding it as a whole argument, which the first
+    rewrite builds and `add` extends; the entry of an atom since renamed
+    away is dropped when its term is renamed.  An image takes its
+    preimage's slot in every built position list whose key it keeps.
+    The predicate buckets, the long lists, are not updated by a rewrite:
+    each predicate it touched goes stale, and its bucket is re-sorted
+    from the set on its next read, as is a position first built after.
+    Mutation is confined to those two methods, which keeps every run
+    deterministic.
     """
 
-    __slots__ = ("_atoms", "_buckets", "_pos", "_next_rank", "_in_order", "_stale")
+    __slots__ = ("_atoms", "_buckets", "_pos", "_occ", "_next_rank", "_in_order", "_stale")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict[Atom, int] = {}
         self._buckets: dict[Predicate, list[Atom]] = {}
         # predicate -> position -> term -> atoms, for the positions built.
         self._pos: dict[Predicate, dict[int, dict[Term, list[Atom]]]] = {}
+        # term -> atoms holding it, built by the first rewrite.
+        self._occ: Optional[dict[Term, list[Atom]]] = None
         self._next_rank = 0
         # Whether `_atoms` iterates in rank order; a rewrite can break it.
         self._in_order = True
@@ -652,6 +656,9 @@ class AtomSet:
         if positions:
             for i, index in positions.items():
                 index.setdefault(atom.args[i], []).append(atom)
+        if self._occ is not None:
+            for t in atom.args:
+                self._occ.setdefault(t, []).append(atom)
         return True
 
     @property
@@ -734,26 +741,30 @@ class AtomSet:
         """
         if frm is to:
             return []
-        ranks = self._atoms
-        for p in self._buckets:
-            if len(self._pos.get(p, ())) < p.arity:
-                for i in set(range(p.arity)).difference(self._pos.get(p, ())):
-                    self._position(p, i)
-        hit: set[Atom] = set().union(*[index.get(frm, ()) for positions in self._pos.values()
-                                       for index in positions.values()])
+        ranks, occ = self._atoms, self._occ
+        if occ is None:
+            occ = self._occ = {}
+            for a in ranks:
+                for t in a.args:
+                    occ.setdefault(t, []).append(a)
+        hit = {a for a in occ.pop(frm, ()) if a in ranks}
         changed = []
         for r, a in sorted([(ranks[a], a) for a in hit]):
             img = Atom(a.predicate, [to if t is frm else t for t in a.args])
             old = ranks.get(img)
             if old is not None and old < r:
                 img = None
-            self._relink(a, r, img, old)
+            if a.predicate in self._pos:
+                self._relink(a, r, img, old)
             del ranks[a]
             if img is not None:
                 if old is not None:
                     # Key the entry by the image object, which the
                     # position lists and `changed` hold.
                     del ranks[img]
+                else:
+                    for t in img.args:
+                        occ.setdefault(t, []).append(img)
                 ranks[img] = r
                 changed.append(img)
         self._stale.update(a.predicate for a in hit)
@@ -762,9 +773,10 @@ class AtomSet:
         return changed
 
     def _relink(self, atom: Atom, r: int, image: Optional[Atom], old: Optional[int]) -> None:
-        """Put `image` in the slot of `atom`, of rank `r`, in every position
-        list, taking it out of its own slot at rank `old` if the set holds
-        it already; with no image, unlink `atom`.  Ranks change after this."""
+        """Put `image` in the slot of `atom`, of rank `r`, in every built
+        position list, taking it out of its own slot at rank `old` if the
+        set holds it already; with no image, unlink `atom`.  Ranks change
+        after this."""
         rank = self._atoms.__getitem__
         for i, index in self._pos[atom.predicate].items():
             k, k2 = atom.args[i], image and image.args[i]

@@ -135,3 +135,17 @@ def test_cli_run_leaves_no_cycles(name, tmp_path):
         assert code == want, err
 
     assert _unreachable_after(run) == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in
+                                                 ("validate", "chase", "query", "axiomatise", "check", "bench")],
+                         ids=lambda argv: " ".join(argv))
+def test_help_leaves_no_cycles(argv):
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            w.run_cli(main, argv)
+        code = exc.value.code
+        del exc  # its traceback holds this frame
+        assert code == 0
+
+    assert _unreachable_after(run) == 0

@@ -357,19 +357,22 @@ _op = st.one_of(
     st.tuples(st.just("add"), st.sampled_from(_PREDS), st.lists(st.sampled_from(_TERMS), min_size=3, max_size=3)),
     st.tuples(st.just("rewrite"), st.sampled_from(_TERMS), st.sampled_from(_TERMS)),
     st.tuples(st.just("read"), st.sampled_from(_PREDS)),
+    st.tuples(st.just("index"), st.sampled_from(_POSITIONS)),
 )
 
 
 def _run_ops(ops, built=()):
     """Run the ops on an `AtomSet` and on the sweep reference, checking
-    after each op the order, the ranks and every index lookup but the
-    bucket, which is read at a "read" op and at the end.  The position
-    indexes of `built` are built before any op; the others are first
-    read after the first rewrite."""
+    after each op the order, the ranks and the lookups of every position
+    index built so far.  The positions of `built` are built before any
+    op, and an "index" op builds one more, so rewrites run with some
+    positions built and others not.  A "read" op reads a bucket.  The
+    run ends by reading every bucket and every position, which builds
+    the rest from their buckets."""
     s, ref = AtomSet(), _SweepReference()
-    for p, i in built:
+    indexed = set(built)
+    for p, i in indexed:
         s.arg_bucket(p, i, a)
-    rewritten = False
 
     def check_buckets(preds, order):
         for p in preds:
@@ -377,31 +380,34 @@ def _run_ops(ops, built=()):
             assert list(s.bucket(p)) == expected
             assert s.bucket_size(p) == len(expected)
 
+    def check_positions(positions, order):
+        at = {}
+        for atom in order:
+            for i, t in enumerate(atom.args):
+                at.setdefault((atom.predicate, i, t), []).append(atom)
+        for p, i in positions:
+            for t in _TERMS:
+                assert list(s.arg_bucket(p, i, t)) == at.get((p, i, t), [])
+                if i == 0:
+                    assert list(s.arg0_bucket(p, t)) == at.get((p, 0, t), [])
+
     for op in ops:
         if op[0] == "add":
             atom = Atom(op[1], op[2][: op[1].arity])
             assert s.add(atom) == ref.add(atom)
         elif op[0] == "rewrite":
             assert s.rewrite_in_place(op[1], op[2]) == ref.rewrite(op[1], op[2])
-            rewritten = True
+        elif op[0] == "index":
+            indexed.add(op[1])
         order = ref.order()
         if op[0] == "read":
             check_buckets([op[1]], order)
         assert list(s) == order
         assert [s.rank(atom) for atom in order] == [ref.ranks[atom] for atom in order]
-        at = {}
-        for atom in order:
-            for i, t in enumerate(atom.args):
-                at.setdefault((atom.predicate, i, t), []).append(atom)
-        for p, i in _POSITIONS:
-            if rewritten or (p, i) in built:
-                for t in _TERMS:
-                    assert list(s.arg_bucket(p, i, t)) == at.get((p, i, t), [])
-        for p in _PREDS:
-            if rewritten or (p, 0) in built:
-                for t in _TERMS:
-                    assert list(s.arg0_bucket(p, t)) == at.get((p, 0, t), [])
+        check_positions(indexed, order)
+    assert {(p, i) for p, positions in s._pos.items() for i in positions} == indexed
     check_buckets(_PREDS, ref.order())
+    check_positions(_POSITIONS, ref.order())
     return s
 
 
@@ -425,13 +431,23 @@ def _run_ops(ops, built=()):
 # A stale predicate is first read by the lazy build of a position index.
 @example([("add", S3, [a, b, c]), ("add", S3, [c, b, a]), ("add", S3, [b, b, b]),
           ("rewrite", c, a)], {(R2, 1)})
-# A rewrite while no position is indexed: it indexes every one to find
-# the atoms that hold b.
+# A rewrite while no position is indexed: it builds none, and finds the
+# atoms that hold b through the occurrence index.
 @example([("add", R2, [b, a, a]), ("add", S3, [c, d, b]), ("add", P1, [b, a, a]),
           ("rewrite", b, c)], set())
 # A predicate first added after one rewrite, and renamed by the next two.
 @example([("add", P1, [a, a, a]), ("rewrite", a, b), ("add", R2, [c, d, a]),
           ("rewrite", c, a), ("rewrite", d, b)], set())
+# b is renamed away, which leaves R(a,b) listed under a; an equal R(a,b)
+# is added, so a lists two equal objects, one of them stale; a and then b
+# are renamed again.
+@example([("add", R2, [a, b, a]), ("rewrite", b, c), ("add", R2, [a, b, a]),
+          ("rewrite", a, d), ("rewrite", b, c)], {(R2, 0)})
+# Rewrites leave S stale with one position built, and the first lookup
+# of another S position builds it from the re-sorted bucket.
+@example([("add", S3, [a, b, c]), ("add", S3, [c, b, a]), ("add", S3, [b, b, c]),
+          ("rewrite", c, a), ("rewrite", b, d), ("index", (S3, 2)), ("rewrite", a, b)],
+         {(S3, 0)})
 def test_incremental_rewrite_matches_the_whole_set_sweep(ops, built):
     _run_ops(ops, built)
 
@@ -484,6 +500,7 @@ def test_a_reranked_atom_is_held_as_its_image_object():
     # is an identity probe, not a call of `Atom.__eq__`.
     held = Atom(R2, [a, c])
     s = AtomSet([Atom(R2, [b, c]), held, Atom(P1, [c])])
+    s.arg_bucket(R2, 0, a)
     s.arg_bucket(R2, 1, c)
     image, = s.rewrite_in_place(b, a)
     assert image == held and image is not held
@@ -494,6 +511,24 @@ def test_a_reranked_atom_is_held_as_its_image_object():
     assert len(s.bucket(R2)) == 1 and s.bucket(R2)[0] is image
     assert list(s) == [image, Atom(P1, [c])]
 
+
+def test_a_rewrite_touches_only_the_atoms_holding_the_renamed_term(monkeypatch):
+    # A merge's work must not grow with the predicates of the set: over
+    # 1,000 predicates, a rewrite builds no position index and an image
+    # only for each atom that holds the renamed term.
+    s = AtomSet(Atom(Predicate(f"Q{i}", 2), [c, d]) for i in range(1000))
+    s.add(Atom(R2, [a, b]))
+    s.add(Atom(P1, [b]))
+    s.arg_bucket(R2, 1, b)
+    built, images = [], []
+    position, init = AtomSet._position, Atom.__init__
+    monkeypatch.setattr(AtomSet, "_position", lambda self, p, i: built.append((p, i)) or position(self, p, i))
+    monkeypatch.setattr(Atom, "__init__", lambda self, p, args: images.append(p) or init(self, p, args))
+    changed = [s.rewrite_in_place(b, a), s.rewrite_in_place(a, d)]
+    monkeypatch.undo()
+    assert changed == [[Atom(R2, [a, a]), Atom(P1, [a])], [Atom(R2, [d, d]), Atom(P1, [d])]]
+    assert built == [] and images == [R2, P1, R2, P1]
+    assert list(s.arg_bucket(R2, 1, d)) == [Atom(R2, [d, d])]
 
 
 def test_ruleset_renames_past_a_user_name_of_the_fresh_form():
