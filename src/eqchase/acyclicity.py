@@ -30,7 +30,7 @@ from .model import (
     RuleSet,
     Term,
 )
-from .chase import ChaseLimits, _CompiledRule, match_conjunction
+from .chase import ChaseLimits, _CompiledRule, _skeleton, match_conjunction
 from .axiomatisation import (
     AxiomatisedRuleSet,
     canonical_singularisation,
@@ -73,12 +73,20 @@ def _compile(rule: Rule) -> _CompiledRule:
 
 
 def _compile_all(*rule_sets: RuleSet) -> dict[Rule, _CompiledRule]:
-    """Each distinct rule of the sets compiled once."""
+    """Each distinct rule of the sets compiled once: the first of each
+    skeleton (`_skeleton`) in full, the others bound to its form.  The
+    table of skeletons lives for this call only."""
     compiled: dict[Rule, _CompiledRule] = {}
+    forms: dict[tuple, _CompiledRule] = {}
     for rs in rule_sets:
         for rule in rs:
             if rule not in compiled:
-                compiled[rule] = _compile(rule)
+                key = _skeleton(rule)
+                like = forms.get(key)
+                if like is None:
+                    compiled[rule] = forms[key] = _compile(rule)
+                else:
+                    compiled[rule] = like.bind(rule)
     return compiled
 
 
@@ -88,8 +96,9 @@ class _Saturation:
     current set.  So a body match is found once for each of its atoms
     processed after the others were added, and a repeat adds nothing:
     what a match adds depends on the match alone.  Replacement maps from
-    EGD matches stay active: a new map sweeps the whole current set, and
-    every later atom passes through all active maps.
+    EGD matches stay active: a new map sweeps the atoms that hold its
+    replaced term, and every later atom passes through the active maps of
+    its terms.
 
     Atoms are processed first in, first out.  Rules run in the chase
     engine's `_CompiledRule` form (see `_compile`), with anchored plans
@@ -101,11 +110,15 @@ class _Saturation:
     it: one per distinct rule, shared by its repeats.  `readers`, filled
     in rule order by `_CompiledRule.file_plans` as the chase engine's
     is, pairs each plan with the index of the rule occurrence it serves,
-    which derivation records carry, and `maps` each replacement (frm, to)
-    with the index and key of the EGD match that made it first.  A TGD
-    match builds its head from the key by the rule's `build`, and a
-    derivation record only for an atom the set does not hold yet, with
-    the body instance matched.
+    which derivation records carry.  `maps` holds each replacement (frm,
+    to), and `by_term` lists under frm each as (number in order made,
+    frm, to, index and key of the EGD match that made it first); an atom
+    passes through its terms' maps in number order, which is the order
+    of all maps, and a new map sweeps `AtomSet.holding(frm)`.  A TGD
+    match builds its head from the key by the rule's `build`.  Each
+    caller of `_add` tests that the set does not hold the atom yet, so a
+    derivation record is made once per atom; a TGD's holds the body
+    instance matched.
 
     The plans skip idle matches (see `_CompiledRule`): an EGD match
     equating a term with itself adds no replacement map, and a closed TGD
@@ -122,7 +135,8 @@ class _Saturation:
         self.held = self.atoms._atoms  # the set's dict, one for its life
         self.queue: deque[Atom] = deque()
         self.derivations: dict[Atom, tuple] = {}
-        self.maps: dict[tuple[Term, Term], tuple[int, tuple]] = {}
+        self.maps: set[tuple[Term, Term]] = set()
+        self.by_term: dict[Term, list[tuple]] = {}
         if compiled is None:
             compiled = _compile_all(rules)
         self.readers: dict = {}
@@ -132,21 +146,19 @@ class _Saturation:
         self.ci = critical_instance(rules)
 
     def _add(self, atom: Atom, deriv: tuple) -> None:
-        """Add the atom unless held.  The caps are tested before an atom
-        without a cyclic term is added, so only the witness passes them."""
-        atoms = self.atoms
-        if atom in atoms:
-            return
+        """Add the atom, which the set does not hold.  The caps are tested
+        before an atom without a cyclic term is added, so only the witness
+        passes them."""
         for t in atom.args:  # leaves `t` the first cyclic argument, if any
             if t.cyclic:
                 break
         else:
-            if len(atoms) >= self.max_atoms:
+            if len(self.held) >= self.max_atoms:
                 raise _Stop("max_atoms")
             for t in atom.args:
                 if t.depth > self.max_depth:
                     raise _Stop("max_term_depth")
-        atoms.add(atom)
+        self.atoms.add(atom)
         self.derivations[atom] = deriv
         self.queue.append(atom)
         if t.cyclic:
@@ -163,19 +175,25 @@ class _Saturation:
         for frm, to in pairs:
             if (frm, to) in self.maps:
                 continue
-            self.maps[frm, to] = idx, key
-            for existing in list(self.atoms):
+            self.maps.add((frm, to))
+            self.by_term.setdefault(frm, []).append((len(self.maps), frm, to, idx, key))
+            for existing in self.atoms.holding(frm):
                 self._rewrite(existing, frm, to, idx, key)
 
     def _rewrite(self, atom: Atom, frm: Term, to: Term, idx: int, key: tuple) -> None:
-        """Add the image of the atom under the replacement of frm by to."""
-        if frm in atom.args:
-            img = Atom(atom.predicate, [to if t is frm else t for t in atom.args])
+        """Add the image of the atom, which holds frm, under the
+        replacement of frm by to, unless the set holds it."""
+        img = Atom(atom.predicate, [to if t is frm else t for t in atom.args])
+        if img not in self.held:
             self._add(img, ("egd", idx, key, atom, frm, to))
 
     def _process(self, atom: Atom) -> None:
-        for (frm, to), (idx, key) in self.maps.items():
-            self._rewrite(atom, frm, to, idx, key)
+        by_term = self.by_term
+        if by_term:
+            hits = [m for t in set(atom.args) for m in by_term.get(t, ())]
+            hits.sort()  # by number: the numbers differ
+            for _, frm, to, idx, key in hits:
+                self._rewrite(atom, frm, to, idx, key)
         aset = self.atoms
         for cr, idx, plan in self.readers.get(atom.predicate, ()):
             found = match_conjunction(plan, aset, (), atom)
@@ -195,7 +213,8 @@ class _Saturation:
             deadline = time.monotonic() + self.limits.wall_clock_ms / 1000.0
         try:
             for fact in self.ci:
-                self._add(fact, ("ci",))
+                if fact not in self.held:
+                    self._add(fact, ("ci",))
             while self.queue:
                 if deadline is not None and time.monotonic() > deadline:
                     raise _Stop("wall_clock_ms")

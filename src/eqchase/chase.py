@@ -156,7 +156,7 @@ def _join(pattern: tuple, bound=(), size=None, pos=None) -> tuple:
 class _Plan:
     """A join over a body, compiled once, that binds the body's variables
     to slots; made by `_plan`, or for a rule's anchored plans in body
-    order from the per-shape cache `_anchored`.
+    order by `_anchored_plans` from the per-shape cache `_anchored`.
 
     `kernel` runs the join, with the steps' predicates `preds` as an
     argument, and returns its matches as one list (see `_kernel`).  An
@@ -204,12 +204,17 @@ def _plan(body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
 @lru_cache(maxsize=1024)
 def _anchored(pattern: tuple, idle: tuple) -> tuple:
     """For a body of this slot pattern with these idle conjunctions, the
-    plan anchored at each body position, in body order, as its join order
-    (the anchor, then the other body positions in body order) and its
-    kernel.  Integers and kernels only: a rule binds its own predicates."""
-    shapes = [_join(pattern, pos=pos) for pos in range(len(pattern))]
-    return tuple([(tuple([step[0] for step in shape]), _kernel(shape, idle, True))
-                  for shape in shapes])
+    kernel of the plan anchored at each body position, in body order;
+    `_anchored_plans` binds them to a rule's predicates."""
+    return tuple([_kernel(_join(pattern, pos=pos), idle, True) for pos in range(len(pattern))])
+
+
+def _anchored_plans(body: Sequence[Atom], kernels: Sequence[Callable]) -> list[_Plan]:
+    """The body's anchored plans, from `_anchored`'s kernels: each joins
+    its anchor first, then the other body atoms in body order."""
+    preds = [atom.predicate for atom in body]
+    return [_Plan((preds[i], *preds[:i], *preds[i + 1:]), kernel)
+            for i, kernel in enumerate(kernels)]
 
 
 # Steps per kernel: CPython nests at most 20 blocks in one function.
@@ -461,8 +466,9 @@ class _CompiledRule:
     `universals`, which are the slots of the rule's plans (`slot` maps
     each to its index).  The engine builds every plan (`compile`); the
     saturation builds only the anchored ones (`compile_anchored`), in
-    body order, from the per-shape cache `_anchored`.  Both look up the
-    plans that read an atom in a `readers` map that `file_plans` fills.
+    body order, from the per-shape cache `_anchored`, or shares all but
+    its predicates with a form of its skeleton (`bind`).  Both look up
+    the plans that read an atom in a `readers` map that `file_plans` fills.
     An anchored plan tests its anchor atom before its kernel's first
     loop, so a run on an atom that does not fit the anchor position
     returns no match.
@@ -510,17 +516,32 @@ class _CompiledRule:
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
         """Build `plans`, the join plans over the key's slots anchored at
         each body position, in body order.  `size` is as for `_plan`;
-        without it the plans join in body order, and their join orders and
-        kernels come from `_anchored` by the body's slot pattern and
-        `idle`, so rules of one shape compile their joins once."""
+        without it the plans join in body order, and their kernels come
+        from `_anchored` by the body's slot pattern and `idle`, so rules
+        of one shape compile their joins once."""
         body, slot = self.rule.body, self.slot
         if size is None:
-            preds = [atom.predicate for atom in body]
-            self.plans = [_Plan(tuple([preds[i] for i in order]), kernel)
-                          for order, kernel in _anchored(_pattern(body, slot), self.idle)]
+            self.plans = _anchored_plans(body, _anchored(_pattern(body, slot), self.idle))
         else:
             self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
                           for pos in range(len(body))]
+
+    def bind(self, rule: Rule) -> "_CompiledRule":
+        """`rule`, of this form's skeleton (`_skeleton`), compiled as this
+        form is by `compile_anchored()`.  Only its predicates are its own:
+        the rest is shared, its Skolem symbols too, which `skolem_symbols`
+        derives from the existentials and universals the skeleton fixes."""
+        cr = object.__new__(type(self))
+        cr.rule, cr.kind, cr.universals, cr.slot = rule, self.kind, self.universals, self.slot
+        cr.idle = self.idle
+        if self.kind == "tgd":
+            cr.closed, cr.build = self.closed, self.build
+            head = rule.head
+            cr.build_args = (*(a.predicate for a in head), *self.build_args[len(head):])
+        else:
+            cr.x, cr.y = self.x, self.y
+        cr.plans = _anchored_plans(rule.body, [plan.kernel for plan in self.plans])
+        return cr
 
     def file_plans(self, readers: dict, idx: int) -> None:
         """Append each anchored plan, in body order, to `readers` as
@@ -539,6 +560,20 @@ class _CompiledRule:
         if self.kind == "tgd" and not self.closed:
             extended = {v: i for i, v in enumerate((*self.universals, *self.rule.existentials))}
             self.head = _plan(self.rule.head, extended, self.universals, size, first=True)
+
+
+def _skeleton(rule: Rule) -> tuple:
+    """All a rule's compiled form depends on but its predicates: its
+    atoms' arguments, its existentials or equated variables, and which
+    body atoms have the predicate of a one-atom head (`idle`).  A TGD's
+    key has four parts and an EGD's three, so they never meet."""
+    body = tuple([atom.args for atom in rule.body])
+    if type(rule) is TGD:
+        head = rule.head
+        p = head[0].predicate if len(head) == 1 else None
+        return (body, tuple([atom.args for atom in head]), rule.existentials,
+                tuple([atom.predicate is p for atom in rule.body]))
+    return body, rule.x, rule.y
 
 
 class ChaseEngine:
@@ -734,7 +769,10 @@ class NotEntailed:
 
 @dataclass(frozen=True)
 class Unknown:
+    """No witness in a chase that `limit` stopped after `steps` steps."""
+
     limit: str
+    steps: int
 
 
 EntailmentVerdict = Union[Entailed, NotEntailed, Unknown]
@@ -763,4 +801,4 @@ def entails(
     w = homomorphism(query.body, outcome.partial)
     if w is not None:
         return Entailed(w)
-    return Unknown(outcome.limit)
+    return Unknown(outcome.limit, outcome.steps)

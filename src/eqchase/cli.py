@@ -242,6 +242,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 entry["witness"] = dict(witness)
             if not finished:
                 entry["limit"] = outcome.limit
+                entry["steps"] = outcome.steps
             doc.append(entry)
         print(json.dumps(doc))
     else:

@@ -614,12 +614,13 @@ class AtomSet:
     The position index, from (predicate, position, term) to the atoms
     holding the term there, is built for one (predicate, position) on its
     first lookup, and `add` and `_relink` keep its lists in step from then
-    on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  A rewrite finds
-    the atoms that hold the renamed term in the occurrence index, from a
-    term to the atoms holding it as a whole argument, which the first
-    rewrite builds and `add` extends; the entry of an atom since renamed
-    away is dropped when its term is renamed.  An image takes its
-    preimage's slot in every built position list whose key it keeps.
+    on; `arg0_bucket(p, t)` is `arg_bucket(p, 0, t)`.  `holding`, and so
+    a rewrite, finds the atoms that hold a term in the occurrence index,
+    from a term to the atoms holding it as a whole argument, which its
+    first call builds and `add` extends; the entry of an atom since
+    renamed away is skipped, and dropped when its term is renamed.  An
+    image takes its preimage's slot in every built position list whose
+    key it keeps.
     The predicate buckets, the long lists, are not updated by a rewrite:
     each predicate it touched goes stale, and its bucket is re-sorted
     from the set on its next read, as is a position first built after.
@@ -634,7 +635,7 @@ class AtomSet:
         self._buckets: dict[Predicate, list[Atom]] = {}
         # predicate -> position -> term -> atoms, for the positions built.
         self._pos: dict[Predicate, dict[int, dict[Term, list[Atom]]]] = {}
-        # term -> atoms holding it, built by the first rewrite.
+        # term -> atoms holding it, built by the first `holding`.
         self._occ: Optional[dict[Term, list[Atom]]] = None
         self._next_rank = 0
         # Whether `_atoms` iterates in rank order; a rewrite can break it.
@@ -645,10 +646,10 @@ class AtomSet:
             self.add(a)
 
     def add(self, atom: Atom) -> bool:
-        if atom in self._atoms:
+        r = self._next_rank  # above every rank held, so new exactly when stored
+        if self._atoms.setdefault(atom, r) != r:
             return False
-        self._atoms[atom] = self._next_rank
-        self._next_rank += 1
+        self._next_rank = r + 1
         p = atom.predicate
         if p not in self._stale:
             self._buckets.setdefault(p, []).append(atom)
@@ -741,15 +742,11 @@ class AtomSet:
         """
         if frm is to:
             return []
-        ranks, occ = self._atoms, self._occ
-        if occ is None:
-            occ = self._occ = {}
-            for a in ranks:
-                for t in a.args:
-                    occ.setdefault(t, []).append(a)
-        hit = {a for a in occ.pop(frm, ()) if a in ranks}
+        ranks, hit, occ = self._atoms, self.holding(frm), self._occ
+        occ.pop(frm, None)
         changed = []
-        for r, a in sorted([(ranks[a], a) for a in hit]):
+        for a in hit:
+            r = ranks[a]
             img = Atom(a.predicate, [to if t is frm else t for t in a.args])
             old = ranks.get(img)
             if old is not None and old < r:
@@ -771,6 +768,16 @@ class AtomSet:
         if changed:
             self._in_order = False
         return changed
+
+    def holding(self, term: Term) -> list[Atom]:
+        """The atoms that hold `term` as a whole argument, in rank order."""
+        ranks, occ = self._atoms, self._occ
+        if occ is None:
+            occ = self._occ = {}
+            for a in ranks:
+                for t in a.args:
+                    occ.setdefault(t, []).append(a)
+        return sorted({a for a in occ.get(term, ()) if a in ranks}, key=ranks.__getitem__)
 
     def _relink(self, atom: Atom, r: int, image: Optional[Atom], old: Optional[int]) -> None:
         """Put `image` in the slot of `atom`, of rank `r`, in every built
@@ -888,21 +895,24 @@ def validate(ontology: Ontology) -> list[Violation]:
     for p in ontology.rules.predicates():
         known.setdefault(p.name, p.arity)
     for j, fact in enumerate(ontology.facts):
-        # A functional fact is not rendered: a shared subterm prints as a tree.
         functional = any(type(t) is Functional for t in fact.args)
-        where = f"fact {j + 1}" if functional else f"fact {j + 1} ({fact})"
         p = fact.predicate
+        found = []
         if p is EQ:
-            out.append(Violation(where, f"facts must not use the reserved predicate {RESERVED_EQ_NAME!r}"))
-            continue
-        if p.name not in known:
-            out.append(Violation(where, f"predicate {p.name!r} does not occur in the rule set"))
-        elif known[p.name] != p.arity:
-            out.append(Violation(where, f"predicate {p.name!r} used with arities {known[p.name]} and {p.arity}"))
-        if functional:
-            out.append(Violation(where, "facts must be function-free"))
-        elif any(type(t) is Variable for t in fact.args):
-            out.append(Violation(where, "facts must be ground"))
+            found.append(f"facts must not use the reserved predicate {RESERVED_EQ_NAME!r}")
+        else:
+            if p.name not in known:
+                found.append(f"predicate {p.name!r} does not occur in the rule set")
+            elif known[p.name] != p.arity:
+                found.append(f"predicate {p.name!r} used with arities {known[p.name]} and {p.arity}")
+            if functional:
+                found.append("facts must be function-free")
+            elif any(type(t) is Variable for t in fact.args):
+                found.append("facts must be ground")
+        if found:
+            # A functional fact is not rendered: a shared subterm prints as a tree.
+            where = f"fact {j + 1}" if functional else f"fact {j + 1} ({fact})"
+            out += [Violation(where, message) for message in found]
     return out
 
 

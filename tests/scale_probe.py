@@ -1,16 +1,27 @@
-"""Chase time per step as the rule count grows (ROADMAP item 14).
+"""Chase and check time as the rule count grows (ROADMAP items 13 and 14).
 
     PYTHONPATH=src python3 tests/scale_probe.py [--rules 360 1440 2880 5760] [--repeat 3]
+    PYTHONPATH=src python3 tests/scale_probe.py --mode check [--notion emfa|mfa-st]
+        [--rules 90 360 1440] [--repeat 3]
 
 Each program is a run of open `chain_family` families (perfbench/
 workloads.py) of length 8 and arity 2, renamed apart so that no two
 share a predicate, with one fact per family: 9 rules and 9 chase steps
 per family, eight TGD steps and one merge.  So the work per step is the
 same at every size, and a time per step that grows with the rule count
-is work that does not belong to the step.  The chase runs in this
-process, uncalibrated; each size reports the best of `--repeat` runs as
-one JSON line.  Standard library and eqchase only; pytest does not
-collect it.
+is work that does not belong to the step.
+
+`--mode check` times `is_emfa` on the rules of the same programs, by
+default on the rules themselves (EMFA, acyclic: each family's merge
+renames one null in its last predicate) and with `--notion mfa-st` on
+their standard axiomatisation (cyclic); each family adds 52 atoms to the
+EMFA set, so a time that grows faster than the rule count is work that
+does not belong to a family.  The call is timed whole, its compile
+included.
+
+Everything runs in this process, uncalibrated; each size reports the
+best of `--repeat` runs as one JSON line.  Standard library and eqchase
+only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from eqchase import Ontology, Terminated, chase, parse  # noqa: E402
+from eqchase import Ontology, Terminated, chase, is_emfa, parse, standard_axiomatisation  # noqa: E402
 from perfbench_loader import load_workloads  # noqa: E402
 
 LENGTH, ARITY = 8, 2
@@ -61,13 +72,38 @@ def probe(rules: int, repeat: int) -> dict:
             "best_ms": round(best * 1e3, 2), "us_per_step": round(best * 1e6 / outcome.steps, 1)}
 
 
+def probe_check(rules: int, repeat: int, notion: str) -> dict:
+    families = rules // (LENGTH + 1)
+    checked = parse(program(families)).rules
+    if notion == "mfa-st":
+        checked = standard_axiomatisation(checked).rules
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        report = is_emfa(checked, notion=notion)
+        best = min(best, time.perf_counter() - start)
+    assert report.verdict == ("acyclic" if notion == "emfa" else "cyclic"), report
+    return {"rules": families * (LENGTH + 1), "families": families, "notion": notion,
+            "checked_rules": len(checked), "atoms": report.set_size,
+            "best_ms": round(best * 1e3, 2)}
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rules", type=int, nargs="+", default=[360, 1440, 2880, 5760])
+    ap.add_argument("--mode", choices=("chase", "check"), default="chase")
+    ap.add_argument("--notion", choices=("emfa", "mfa-st"), default="emfa",
+                    help="the check --mode check times")
+    ap.add_argument("--rules", type=int, nargs="+",
+                    help="default: 360 1440 2880 5760, with --mode check 90 360 1440")
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
-    for rules in args.rules:
-        print(json.dumps(probe(rules, args.repeat)), flush=True)
+    if args.mode == "chase":
+        rows = (probe(rules, args.repeat) for rules in args.rules or [360, 1440, 2880, 5760])
+    else:
+        rows = (probe_check(rules, args.repeat, args.notion)
+                for rules in args.rules or [90, 360, 1440])
+    for row in rows:
+        print(json.dumps(row), flush=True)
 
 
 if __name__ == "__main__":

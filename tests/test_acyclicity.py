@@ -9,6 +9,7 @@ from eqchase import (
     Atom,
     AtomSet,
     ChaseLimits,
+    Constant,
     Functional,
     Ontology,
     Predicate,
@@ -322,6 +323,37 @@ def test_saturation_compiles_only_anchored_plans(monkeypatch):
         anchored = [plan for plans in sat.readers.values() for _, _, plan in plans]
         assert len(anchored) == sum(len(r.body) for r in rs)
         assert sorted(set(map(id, anchored))) == sorted(map(id, built))
+
+
+def test_a_new_map_rewrites_only_the_atoms_holding_its_term(monkeypatch):
+    # A replacement map's work must not grow with the set: over 1,000
+    # atoms of other predicates, the map from f_W(a) to a visits and
+    # builds an image of only the atoms holding f_W(a), in rank order, and
+    # an atom added later passes through it only if it holds that term.
+    from eqchase.acyclicity import _Saturation, _compile
+
+    a, c = Constant("a"), Constant("c")
+    fa = Functional(SkolemSymbol("f_W", 1), [a])
+    egd = EGD([Atom(R2, [X, W])], X, W)
+    sat = _Saturation(RuleSet([egd]), LIMITS)
+    held = [Atom(Predicate(f"Q{i}", 2), [c, a]) for i in range(1000)]
+    held[500:500] = [Atom(R2, [c, fa]), Atom(P1, [fa]), Atom(R2, [fa, fa])]
+    for atom in held:
+        sat._add(atom, ("ci",))
+    later = [Atom(Predicate("Q0", 2), [c, a]), Atom(B1, [fa])]
+    images, init = [], Atom.__init__
+    visited, rewrite = [], sat._rewrite
+    monkeypatch.setattr(Atom, "__init__", lambda self, p, args: images.append(p) or init(self, p, args))
+    monkeypatch.setattr(sat, "_rewrite", lambda atom, *m: visited.append(atom) or rewrite(atom, *m))
+    sat._fire_egd(_compile(egd), 0, (a, fa))
+    built = images[:]
+    for atom in later:
+        sat._process(atom)
+    monkeypatch.undo()
+    assert visited == [*held[500:503], later[1]]
+    assert built == [R2, P1, R2] and images == [R2, P1, R2, B1]
+    assert list(sat.atoms)[-4:] == [Atom(R2, [c, a]), Atom(P1, [a]), Atom(R2, [a, a]), Atom(B1, [a])]
+    assert sat.maps == {(fa, a)}
 
 
 def test_long_body_saturates_as_a_short_one():

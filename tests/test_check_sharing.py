@@ -154,10 +154,14 @@ def test_check_cycle_compiles_each_distinct_rule_once(counting, tmp_path):
     for job in jobs:
         code, out, err = w.run_cli(main, job.cli_args(tmp_path))
         assert w.check_output("check-corpus", job, code, out) is None, err
-    # 32.0 rules and 50.3 plans per job; 2352 and 3240 (51.1 and 70.4)
-    # when each saturation compiled every rule itself.
+    # 13.2 full compiles and 50.3 plans per job: each job's 32.0
+    # distinct rules come in 13.2 skeletons, and the other rules bind the
+    # form of their skeleton's first (`_CompiledRule.bind`), which builds
+    # their plans but no `_CompiledRule.__init__`.  1473 full compiles
+    # when each distinct rule had its own, and 2352 and 3240 plans (51.1
+    # and 70.4) when each saturation compiled every rule itself.
     assert len(jobs) == 46
-    assert (counting["rules"], counting["plans"]) == (1473, 2312)
+    assert (counting["rules"], counting["plans"]) == (609, 2312)
 
 
 def _shape(cr) -> tuple:
@@ -232,9 +236,43 @@ def test_rules_of_one_shape_share_their_joins_exactly(flip):
     rules = RuleSet(SHAPES[::-1] if flip else SHAPES)
     _anchored.cache_clear()
     shared = _fresh(rules)
-    # Six rules, four (slot pattern, idle) keys.
-    assert (_anchored.cache_info().misses, _anchored.cache_info().hits) == (4, 2)
+    # Six rules, four (slot pattern, idle) keys.  The last two rules share
+    # a skeleton, so the second binds the first's form (`_compile_all`)
+    # and five look up `_anchored`.
+    assert (_anchored.cache_info().misses, _anchored.cache_info().hits) == (4, 1)
     assert shared.status == "cyclic" and len(shared.atoms) > len(rules.predicates())
+    _same_outcome(shared, _cold(rules))
+
+
+# Rules of one skeleton over other predicates (the first two, the two
+# EGDs and the last two), next to rules of the first's slot pattern whose
+# body atoms share the head's predicate in other patterns, so that their
+# idle conjunctions differ: eleven rules, eight skeletons.
+SKELETONS = RuleSet([
+    TGD([Atom(R, (X, Y)), Atom(R, (Y, Z))], (), [Atom(R, (X, Z))]),
+    TGD([Atom(S, (X, Y)), Atom(S, (Y, Z))], (), [Atom(S, (X, Z))]),
+    TGD([Atom(S, (X, Y)), Atom(R, (Y, Z))], (), [Atom(R, (X, Z))]),
+    TGD([Atom(R, (X, Y)), Atom(S, (Y, Z))], (), [Atom(R, (X, Z))]),
+    TGD([Atom(R, (X, Y)), Atom(R, (Y, Z))], (), [Atom(T, (X, Z))]),
+    TGD([Atom(A, (X,))], (W,), [Atom(R, (X, W)), Atom(B, (W,))]),
+    TGD([Atom(B, (X,))], (U,), [Atom(S, (X, U))]),
+    EGD([Atom(R, (X, Y)), Atom(R, (X, Z))], Y, Z),
+    EGD([Atom(S, (X, Y)), Atom(S, (X, Z))], Y, Z),
+    TGD([Atom(T, (X, Y))], (), [Atom(A, (Y,))]),
+    TGD([Atom(R, (X, Y))], (), [Atom(B, (Y,))]),
+])
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_rules_of_one_skeleton_bind_one_form_exactly(flip, monkeypatch):
+    rules = RuleSet(SKELETONS[::-1] if flip else SKELETONS)
+    full = []
+    compile_ = acyclicity._compile
+    monkeypatch.setattr(acyclicity, "_compile", lambda rule: full.append(rule) or compile_(rule))
+    shared = _fresh(rules)
+    monkeypatch.undo()
+    assert len(full) == 8
+    assert any(d[0] == "egd" for d in shared.derivations.values())
     _same_outcome(shared, _cold(rules))
 
 

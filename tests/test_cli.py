@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eqchase import ChaseLimits, Ontology, Unknown, entails, parse
 from eqchase.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -603,6 +604,14 @@ def test_a_stopped_query_names_its_limit_and_step(capsys, tmp_path):
     code, out, _ = run(capsys, "query", str(path))
     assert code == 2
     assert out.splitlines() == ["unknown: ? exists X . A14(X) .", status]
+    code, out, _ = run(capsys, "query", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out) == [{"query": "? exists X . A14(X) .", "status": "unknown",
+                                "limit": "max_term_depth", "steps": 9}]
+    program = parse(path.read_text())
+    ontology = Ontology(program.rules, program.facts)
+    assert entails(ontology, program.queries[0], ChaseLimits(max_term_depth=10)) == \
+        Unknown("max_term_depth", 9)
     code, out, _ = run(capsys, "query", str(path), "--max-depth", "15")
     assert code == 0
     witness = "a"

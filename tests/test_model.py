@@ -215,6 +215,16 @@ def test_validate_theorem2_ontology_clean():
     assert validate(ontology("thm2", "A(a) .\nR(a,a) .")) == []
 
 
+def test_validate_renders_no_fact_of_a_valid_ontology(monkeypatch):
+    # A fact is printed into the location of a violation alone.
+    facts = "".join(f"A(c{i}) .\nR(c{i},c{i + 1}) .\n" for i in range(35))
+    o = ontology("thm2", facts)
+    rendered, render = [], Atom.__str__
+    monkeypatch.setattr(Atom, "__str__", lambda self: rendered.append(self) or render(self))
+    assert len(o.facts) == 70 and validate(o) == []
+    assert rendered == []
+
+
 def test_validate_locates_a_nonground_fact():
     assert [str(v) for v in validate(ontology("thm2", "A(X) ."))] == [
         "fact 1 (A(X)): facts must be ground"]
