@@ -253,16 +253,23 @@ class CheckReport:
     elapsed_ms: float
     steps: int
     witness_atom: Optional[Atom] = None
-    witness_term: Optional[Term] = None
+    witness_term: Optional[Term] = None  # an argument of witness_atom
     limit: Optional[str] = None
+
+    def witness_text(self) -> tuple[str, str]:
+        """The witness atom and its cyclic term as text.  The term is an
+        argument of the atom, so each argument is rendered once and the
+        term's text is read at its position."""
+        atom = self.witness_atom
+        args = [str(a) for a in atom.args]
+        text = f"{atom.predicate.name}({','.join(args)})"
+        return text, args[atom.args.index(self.witness_term)]
 
     def to_json(self, timing: bool = True) -> dict:
         out: dict = {"notion": self.notion, "verdict": self.verdict}
         if self.witness_atom is not None:
-            out["witness"] = {
-                "atom": str(self.witness_atom),
-                "term": str(self.witness_term),
-            }
+            atom, term = self.witness_text()
+            out["witness"] = {"atom": atom, "term": term}
         out["set_size"] = self.set_size
         if timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)

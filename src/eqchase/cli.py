@@ -314,7 +314,8 @@ def _report_lines(reports: list[CheckReport], fmt: str, timing: bool) -> tuple[s
         if r.limit is not None:
             line += f" ({r.limit})"
         if r.witness_term is not None:
-            line += f" (witness {r.witness_atom}, cyclic term {r.witness_term})"
+            atom, term = r.witness_text()
+            line += f" (witness {atom}, cyclic term {term})"
         line += f" [set_size={r.set_size}, steps={r.steps}"
         if timing:
             line += f", {r.elapsed_ms:.2f}ms"

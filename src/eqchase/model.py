@@ -75,6 +75,8 @@ class SkolemSymbol:
     def __new__(cls, name: str, arity: int):
         self = cls._interned.get((name, arity))
         if self is None:
+            if arity < 1:
+                raise ValueError(f"Skolem symbol {name!r} must have arity >= 1")
             self = cls._interned[name, arity] = object.__new__(cls)
             self.name = name
             self.arity = arity
@@ -154,13 +156,20 @@ class Functional:
         self = object.__new__(cls)
         self.fn = fn
         self.args = args
-        self.depth = 1 + max(a.depth for a in args)
-        # Symbols are tracked by name: within one rule set a name denotes
-        # exactly one symbol, so this coincides with symbol identity.
-        self.fn_symbols = frozenset((fn.name,)).union(*(a.fn_symbols for a in args))
-        self.cyclic = any(a.cyclic for a in args) or any(
-            fn.name in a.fn_symbols for a in args
-        )
+        # One pass over the arguments; a constant or a variable has no
+        # symbols, so it adds only its depth.  Symbols are tracked by name:
+        # within one rule set a name denotes exactly one symbol, so this
+        # coincides with symbol identity.
+        name = fn.name
+        depth, cyclic, syms = 0, False, {name}
+        for a in args:
+            if a.depth > depth:
+                depth = a.depth
+            if type(a) is Functional:
+                if a.cyclic or name in a.fn_symbols:
+                    cyclic = True
+                syms.update(a.fn_symbols)
+        self.depth, self.fn_symbols, self.cyclic = depth + 1, frozenset(syms), cyclic
         self._key = None
         cls._interned[fn, args] = self
         return self

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from eqchase import ChaseLimits, Ontology, Unknown, entails, parse
+from eqchase import (
+    ChaseLimits, Functional, Ontology, Unknown, entails, is_mfa, parse, standard_axiomatisation,
+)
 from eqchase.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -321,6 +323,34 @@ def test_check_one_axiomatised_notion(capsys, notion, line):
     code, out, _ = run(capsys, "check", THM2, "--notion", notion, "--no-timing")
     assert code == 0
     assert out.splitlines() == [line]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_cyclic_witness_term_is_rendered_once(capsys, monkeypatch, fmt):
+    """The witness term is an argument of the witness atom, so the report
+    renders it once, with the atom, in either format; the strings are
+    those of `str` on the atom and on the term."""
+    report = is_mfa(standard_axiomatisation(parse(Path(THM2).read_text()).rules),
+                    notion="mfa-st")
+    want = {"atom": str(report.witness_atom), "term": str(report.witness_term)}
+    assert want == {"atom": "R(f_W(*),f_W(f_W(*)))", "term": "f_W(f_W(*))"}
+    assert report.to_json(timing=False)["witness"] == want
+    rendered = []
+    render = Functional._render
+
+    def counting(self, full):
+        rendered.append(render(self, full))
+        return rendered[-1]
+
+    monkeypatch.setattr(Functional, "_render", counting)
+    code, out, _ = run(capsys, "check", THM2, "--notion", "mfa-st", "--no-timing",
+                       "--format", fmt)
+    assert code == 0
+    assert rendered.count(want["term"]) == 1
+    if fmt == "json":
+        assert json.loads(out)[0]["witness"] == want
+    else:
+        assert f"(witness {want['atom']}, cyclic term {want['term']})" in out
 
 
 @pytest.mark.parametrize("notion", ["emfa", "mfa-st", "mfa-sing"])

@@ -87,6 +87,17 @@ def test_invalid_predicate_raises_after_a_valid_one_exists():
     assert Predicate("eq", 2) is eq
 
 
+def test_invalid_skolem_symbol_raises_after_a_valid_one_exists():
+    """A Skolem term has at least one argument, so a symbol of arity 0 or
+    less is rejected when it is made, not when a term is built from it."""
+    valid = SkolemSymbol("f", 1)
+    for arity in (0, -1):
+        with pytest.raises(ValueError, match="arity >= 1"):
+            SkolemSymbol("f", arity)
+    assert SkolemSymbol("f", 1) is valid
+    assert ("f", 0) not in SkolemSymbol._interned
+
+
 def test_functional_with_the_wrong_argument_count_raises_after_a_valid_one():
     fn = SkolemSymbol("f", 1)
     valid = Functional(fn, [Constant("a")])

@@ -108,12 +108,28 @@ def test_is_cyclic_examples():
     assert t.cyclic
 
 
+def _depth_oracle(t) -> int:
+    if type(t) is not Functional:
+        return 1
+    return 1 + max(_depth_oracle(u) for u in t.args)
+
+
+def _symbols_oracle(t) -> frozenset:
+    if type(t) is not Functional:
+        return frozenset()
+    return frozenset([t.fn.name]).union(*(_symbols_oracle(u) for u in t.args))
+
+
 def test_is_cyclic_matches_oracle_on_random_terms():
+    """Cyclicity, depth and the symbol set, which the constructor computes
+    in one pass over the arguments, against recursive definitions."""
     rng = random.Random(7)
     syms = [f, g, g2, SkolemSymbol("h", 1)]
     for _ in range(500):
         t = random_term(rng, syms, max_depth=5)
         assert t.cyclic == _cyclic_oracle(t)
+        assert t.depth == _depth_oracle(t)
+        assert t.fn_symbols == _symbols_oracle(t)
 
 
 def test_is_cyclic_monotone_under_embedding():
