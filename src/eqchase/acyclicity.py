@@ -105,7 +105,7 @@ class _Saturation:
     that join the processed atom first and the rest of the body in body
     order, all in one kernel run that returns the join's matches
     collected; they fire in order once it has returned, so no join sees
-    the set change.  Rules of one body shape share their plans' kernels.
+    the set change.  Plans of one body shape share one cached `_kernel`.
     `compiled` maps rules to forms made by `_compile_all`, here without
     it: one per distinct rule, shared by its repeats.  `readers`, filled
     in rule order by `_CompiledRule.file_plans` as the chase engine's

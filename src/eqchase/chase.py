@@ -131,32 +131,30 @@ def _step(args: tuple, bound: set) -> tuple:
     return src, var, tuple(checks), tuple(repeats), tuple(binds)
 
 
-def _join(pattern: tuple, bound=(), size=None, pos=None) -> tuple:
-    """The shape of a join over a body given as its slot pattern (see
-    `_pattern`): one step per atom in join order, its body position and
-    its `_step`.  Without `size` the atoms are joined in body order; with
-    it (a function from a body position to its bucket size) in greedy
+def _join(pattern: tuple, bound: int = 0, size=None, pos=None) -> tuple:
+    """The join order, a tuple of body positions, over a body of this
+    slot pattern (see `_plan`) with its first `bound` slots bound.
+    Without `size` the atoms are joined in body order; with it (a
+    function from a body position to its bucket size) in greedy
     connected order: next an atom that holds a bound slot, then the one
     with the smaller bucket.  The atom at `pos`, if given, comes first."""
-    bound = set(bound)
-    todo = list(range(len(pattern)))
-    shape = []
+    order = [] if pos is None else [pos]
+    todo = [k for k in range(len(pattern)) if k != pos]
+    if size is None:
+        return (*order, *todo)
+    bound = set(range(bound)).union(*[pattern[k] for k in order])
     while todo:
-        if pos is not None and not shape:
-            i = pos
-        elif size is None:
-            i = todo[0]
-        else:
-            i = min(todo, key=lambda k: (bound.isdisjoint(pattern[k]), size(k), k))
+        i = min(todo, key=lambda k: (bound.isdisjoint(pattern[k]), size(k), k))
         todo.remove(i)
-        shape.append((i,) + _step(pattern[i], bound))
-    return tuple(shape)
+        order.append(i)
+        bound.update(pattern[i])
+    return tuple(order)
 
 
 class _Plan:
     """A join over a body, compiled once, that binds the body's variables
-    to slots; made by `_plan`, or for a rule's anchored plans in body
-    order by `_anchored_plans` from the per-shape cache `_anchored`.
+    to slots; made by `_plan`, or by `_CompiledRule.bind` from the
+    anchored plans of a rule of the same skeleton.
 
     `kernel` runs the join, with the steps' predicates `preds` as an
     argument, and returns its matches as one list (see `_kernel`).  An
@@ -182,39 +180,20 @@ class _Plan:
         self.kernel = kernel
 
 
-def _pattern(body: Sequence[Atom], slot: Mapping) -> tuple:
-    """The body's slot pattern: each atom's arguments as slots."""
-    return tuple([tuple([slot[v] for v in atom.args]) for atom in body])
-
-
 def _plan(body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
           idle=(), first=False) -> _Plan:
     """The plan over the body with `slot` mapping each variable to its
     slot and the variables of `bound`, which take the first slots, bound
     beforehand, joined as `_join` orders it: `size` maps a predicate to
     its bucket size; `pos` anchors the plan at that body position; `idle`
-    is as for `_Plan`; `first` makes it a first-match plan."""
-    pattern = _pattern(body, slot)
+    is as for `_Plan`; `first` makes it a first-match plan.  Its kernel
+    is `_kernel`'s for the body's slot pattern, each atom's arguments as
+    slots, and that order."""
+    pattern = tuple([tuple([slot[v] for v in atom.args]) for atom in body])
     weight = None if size is None else (lambda k: size(body[k].predicate))
-    shape = _join(pattern, [slot[v] for v in bound], weight, pos)
-    kernel = _kernel(shape, idle, pos is not None, first, len(bound))
-    return _Plan(tuple([body[step[0]].predicate for step in shape]), kernel)
-
-
-@lru_cache(maxsize=1024)
-def _anchored(pattern: tuple, idle: tuple) -> tuple:
-    """For a body of this slot pattern with these idle conjunctions, the
-    kernel of the plan anchored at each body position, in body order;
-    `_anchored_plans` binds them to a rule's predicates."""
-    return tuple([_kernel(_join(pattern, pos=pos), idle, True) for pos in range(len(pattern))])
-
-
-def _anchored_plans(body: Sequence[Atom], kernels: Sequence[Callable]) -> list[_Plan]:
-    """The body's anchored plans, from `_anchored`'s kernels: each joins
-    its anchor first, then the other body atoms in body order."""
-    preds = [atom.predicate for atom in body]
-    return [_Plan((preds[i], *preds[:i], *preds[i + 1:]), kernel)
-            for i, kernel in enumerate(kernels)]
+    order = _join(pattern, len(bound), weight, pos)
+    kernel = _kernel(pattern, order, idle, pos is not None, first, len(bound))
+    return _Plan(tuple([body[i].predicate for i in order]), kernel)
 
 
 # Steps per kernel: CPython nests at most 20 blocks in one function.
@@ -230,24 +209,26 @@ def _exec(source: str, name: str, namespace: dict):
 
 
 @lru_cache(maxsize=1024)
-def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, first: bool = False,
-            bound: int = 0, start: int = 0):
+def _kernel(pattern: tuple, order: tuple, idle: tuple = (), anchored: bool = False,
+            first: bool = False, bound: int = 0, start: int = 0):
     """The function `kernel(P, aset, init, A, out)` that runs steps
-    `start`.. of a plan of this shape with these idle conjunctions (see
+    `start`.. of the join over a body of this slot pattern in this order
+    (see `_plan`), one `_step` per atom, with these idle conjunctions (see
     `_Plan`), at most `_SEGMENT` steps, then the next segment's kernel.
     It is generated code with one nested `for` loop per step and inline
     `is not` tests; each slot is a local `s{slot}` and each matched atom
-    the loop variable of its step.  The `bound` slots bound beforehand,
-    the first ones, are unpacked from the tuple `init` at entry.  An
-    anchored plan tests the anchor `A` before any loop and returns on a
-    mismatch.  Each match is appended to `out` as the pair (key, matched
-    atoms), the tuple of every slot and the tuple of the atom matched at
-    each body position, and `out` is returned, at the first match if
-    `first` is set.  A later segment is handed the slots bound so far as
-    `init` and the atoms matched so far, in join order, as `A`.  Kernels
-    are cached by shape, the steps without their predicates, which are
-    the argument `P`; so the source holds integers only, never an input
-    name."""
+    the loop variable of its step.  The `bound` slots bound beforehand, the
+    first ones, are unpacked from the tuple `init` at entry.  An anchored
+    plan tests the anchor `A` before any loop and returns on a mismatch.
+    Each match is appended to `out` as the pair (key, matched atoms), the
+    tuple of every slot and the tuple of the atom matched at each body
+    position, and `out` is returned, at the first match if `first` is set.
+    A later segment gets the slots bound so far as `init` and the atoms
+    matched so far, in join order, as `A`.  Kernels are cached by slot
+    pattern and join order, so a hit plans nothing; the predicates are the
+    argument `P`: the source holds integers only, never an input name."""
+    seen = set(range(bound))
+    shape = [(i, *_step(pattern[i], seen)) for i in order]
     end = min(start + _SEGMENT, len(shape))
     at: dict = {}  # conjunction -> the first step that binds all its slots
     binder: dict = {}  # slot -> the step that binds it
@@ -298,7 +279,7 @@ def _kernel(shape: tuple, idle: tuple = (), anchored: bool = False, first: bool 
     namespace: dict = {}
     slots = tup(f"s{s}" for s in known(end))
     if end < len(shape):
-        namespace["rest"] = _kernel(shape, idle, False, first, bound, end)
+        namespace["rest"] = _kernel(pattern, order, idle, False, first, bound, end)
         lines.append(f"{pad}rest(P, aset, {slots}, {tup(atom[:end])}, out)")
         if first:
             lines.append(f"{pad}if out: return out")
@@ -465,10 +446,11 @@ class _CompiledRule:
     A match is identified by its key, the tuple of the terms it binds to
     `universals`, which are the slots of the rule's plans (`slot` maps
     each to its index).  The engine builds every plan (`compile`); the
-    saturation builds only the anchored ones (`compile_anchored`), in
-    body order, from the per-shape cache `_anchored`, or shares all but
-    its predicates with a form of its skeleton (`bind`).  Both look up
-    the plans that read an atom in a `readers` map that `file_plans` fills.
+    saturation builds only the anchored ones (`compile_anchored`), each
+    joining the rest of the body in body order, or shares all but its
+    predicates with a form of its skeleton (`bind`).  Every plan's kernel
+    comes from the one cache `_kernel`.  Both look up the plans that read
+    an atom in a `readers` map that `file_plans` fills.
     An anchored plan tests its anchor atom before its kernel's first
     loop, so a run on an atom that does not fit the anchor position
     returns no match.
@@ -515,20 +497,16 @@ class _CompiledRule:
 
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
         """Build `plans`, the join plans over the key's slots anchored at
-        each body position, in body order.  `size` is as for `_plan`;
-        without it the plans join in body order, and their kernels come
-        from `_anchored` by the body's slot pattern and `idle`, so rules
-        of one shape compile their joins once."""
+        each body position, in body order, one `_plan` each: `size` is as
+        for `_plan`; without it the rest of the body joins in body order."""
         body, slot = self.rule.body, self.slot
-        if size is None:
-            self.plans = _anchored_plans(body, _anchored(_pattern(body, slot), self.idle))
-        else:
-            self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
-                          for pos in range(len(body))]
+        self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
+                      for pos in range(len(body))]
 
     def bind(self, rule: Rule) -> "_CompiledRule":
         """`rule`, of this form's skeleton (`_skeleton`), compiled as this
-        form is by `compile_anchored()`.  Only its predicates are its own:
+        form is by `compile_anchored()`.  Only its predicates are its own,
+        laid out for each plan as the anchor's, then the body's in order:
         the rest is shared, its Skolem symbols too, which `skolem_symbols`
         derives from the existentials and universals the skeleton fixes."""
         cr = object.__new__(type(self))
@@ -540,7 +518,9 @@ class _CompiledRule:
             cr.build_args = (*(a.predicate for a in head), *self.build_args[len(head):])
         else:
             cr.x, cr.y = self.x, self.y
-        cr.plans = _anchored_plans(rule.body, [plan.kernel for plan in self.plans])
+        preds = [atom.predicate for atom in rule.body]
+        cr.plans = [_Plan((preds[i], *preds[:i], *preds[i + 1:]), plan.kernel)
+                    for i, plan in enumerate(self.plans)]
         return cr
 
     def file_plans(self, readers: dict, idx: int) -> None:

@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run acyclicity checks")
     p.add_argument("file")
-    p.add_argument("--facts", action="append", metavar="FILE")
     p.add_argument("--notion", choices=("emfa", "mfa-st", "mfa-sing", "all"), default="all")
     p.add_argument("--sing-cap", type=_count, metavar="N",
                    help="with --notion all: also check up to N enumerated singularisations")

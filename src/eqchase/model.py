@@ -3,9 +3,10 @@
 Symbols and terms (`Predicate`, `SkolemSymbol`, `Constant`, `Variable`,
 `Functional`) are interned: constructing one with the fields of a live
 one returns that object, so equality between them is identity and their
-hash is the object's.  `Constant` and `Variable` share one base, `_Name`,
-and keep an intern table each.  Atoms, rules and the other values still
-compare structurally.  Everything is immutable; the intern tables are
+hash is the object's.  `Predicate` and `SkolemSymbol` share one base,
+`_Symbol`, and `Constant` and `Variable` one, `_Name`; each class keeps
+an intern table.  Atoms, rules and the other values still compare
+structurally.  Everything is immutable; the intern tables are
 weak and unlocked, so terms are best built from one thread at a time.
 The module also provides the primitive operations the rest of the engine
 is built on: the total term order used to direct merges, cyclic-term
@@ -28,29 +29,45 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 RESERVED_EQ_NAME = "eq"
 
 
-class Predicate:
-    """A predicate symbol with a fixed arity."""
+class _Symbol:
+    """A predicate or a Skolem symbol: a name and an arity of at least 1.
+    Each subclass keeps its own intern table and names its kind (`_noun`)."""
 
     __slots__ = ("name", "arity", "__weakref__")
-    _interned: WeakValueDictionary = WeakValueDictionary()
 
     def __new__(cls, name: str, arity: int):
         self = cls._interned.get((name, arity))
         if self is None:
             if arity < 1:
-                raise ValueError(f"predicate {name!r} must have arity >= 1")
-            if name == RESERVED_EQ_NAME and arity != 2:
-                raise ValueError(f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
+                raise ValueError(f"{cls._noun} {name!r} must have arity >= 1")
+            cls._reserve(name, arity)
             self = cls._interned[name, arity] = object.__new__(cls)
             self.name = name
             self.arity = arity
         return self
 
+    @staticmethod
+    def _reserve(name: str, arity: int) -> None:
+        """Raise ValueError if `name` is reserved for another arity."""
+
     def __reduce__(self):
-        return Predicate, (self.name, self.arity)
+        return type(self), (self.name, self.arity)
 
     def __repr__(self) -> str:
-        return f"Predicate({self.name!r}/{self.arity})"
+        return f"{type(self).__name__}({self.name!r}/{self.arity})"
+
+
+class Predicate(_Symbol):
+    """A predicate symbol with a fixed arity."""
+
+    __slots__ = ()
+    _interned: WeakValueDictionary = WeakValueDictionary()
+    _noun = "predicate"
+
+    @staticmethod
+    def _reserve(name: str, arity: int) -> None:
+        if name == RESERVED_EQ_NAME and arity != 2:
+            raise ValueError(f"{RESERVED_EQ_NAME!r} is the reserved equality predicate and must be binary")
 
 
 #: The reserved predicate used by axiomatisations in place of equality.
@@ -59,7 +76,7 @@ EQ = Predicate(RESERVED_EQ_NAME, 2)
 _EMPTY_SYMS: frozenset = frozenset()
 
 
-class SkolemSymbol:
+class SkolemSymbol(_Symbol):
     """A function symbol introduced for one existential variable.
 
     Identity is (name, arity).  Because existential variable names never
@@ -69,24 +86,9 @@ class SkolemSymbol:
     their heads untouched).
     """
 
-    __slots__ = ("name", "arity", "__weakref__")
+    __slots__ = ()
     _interned: WeakValueDictionary = WeakValueDictionary()
-
-    def __new__(cls, name: str, arity: int):
-        self = cls._interned.get((name, arity))
-        if self is None:
-            if arity < 1:
-                raise ValueError(f"Skolem symbol {name!r} must have arity >= 1")
-            self = cls._interned[name, arity] = object.__new__(cls)
-            self.name = name
-            self.arity = arity
-        return self
-
-    def __reduce__(self):
-        return SkolemSymbol, (self.name, self.arity)
-
-    def __repr__(self) -> str:
-        return f"SkolemSymbol({self.name!r}/{self.arity})"
+    _noun = "Skolem symbol"
 
 
 class _Name:

@@ -1,8 +1,8 @@
 """Chase and check time as the rule count grows (ROADMAP items 13 and 14).
 
     PYTHONPATH=src python3 tests/scale_probe.py [--rules 360 1440 2880 5760] [--repeat 3]
-    PYTHONPATH=src python3 tests/scale_probe.py --mode check [--notion emfa|mfa-st]
-        [--rules 90 360 1440] [--repeat 3]
+    PYTHONPATH=src python3 tests/scale_probe.py --mode check
+        [--notion emfa|mfa-st|mfa-sing] [--rules 90 360 1440] [--repeat 3]
 
 Each program is a run of open `chain_family` families (perfbench/
 workloads.py) of length 8 and arity 2, renamed apart so that no two
@@ -13,9 +13,11 @@ is work that does not belong to the step.
 
 `--mode check` times `is_emfa` on the rules of the same programs, by
 default on the rules themselves (EMFA, acyclic: each family's merge
-renames one null in its last predicate) and with `--notion mfa-st` on
-their standard axiomatisation (cyclic); each family adds 52 atoms to the
-EMFA set, so a time that grows faster than the rule count is work that
+renames one null in its last predicate), with `--notion mfa-st` on
+their standard axiomatisation (cyclic) and with `--notion mfa-sing` on
+their canonical singularisation (acyclic; most of its rules differ only
+in their predicates, so they bind one compiled form of their skeleton);
+each family adds 52 atoms to the EMFA set, so a time that grows faster than the rule count is work that
 does not belong to a family.  The call is timed whole, its compile
 included.
 
@@ -36,10 +38,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from eqchase import Ontology, Terminated, chase, is_emfa, parse, standard_axiomatisation  # noqa: E402
+from eqchase import (  # noqa: E402
+    Ontology,
+    Terminated,
+    canonical_singularisation,
+    chase,
+    is_emfa,
+    parse,
+    standard_axiomatisation,
+)
 from perfbench_loader import load_workloads  # noqa: E402
 
 LENGTH, ARITY = 8, 2
+# The rules each check notion saturates, and its verdict on the programs.
+NOTIONS = {
+    "emfa": (lambda rules: rules, "acyclic"),
+    "mfa-st": (lambda rules: standard_axiomatisation(rules).rules, "cyclic"),
+    "mfa-sing": (lambda rules: canonical_singularisation(rules).rules, "acyclic"),
+}
 
 
 def program(families: int) -> str:
@@ -74,15 +90,14 @@ def probe(rules: int, repeat: int) -> dict:
 
 def probe_check(rules: int, repeat: int, notion: str) -> dict:
     families = rules // (LENGTH + 1)
-    checked = parse(program(families)).rules
-    if notion == "mfa-st":
-        checked = standard_axiomatisation(checked).rules
+    axiomatise, verdict = NOTIONS[notion]
+    checked = axiomatise(parse(program(families)).rules)
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
         report = is_emfa(checked, notion=notion)
         best = min(best, time.perf_counter() - start)
-    assert report.verdict == ("acyclic" if notion == "emfa" else "cyclic"), report
+    assert report.verdict == verdict, report
     return {"rules": families * (LENGTH + 1), "families": families, "notion": notion,
             "checked_rules": len(checked), "atoms": report.set_size,
             "best_ms": round(best * 1e3, 2)}
@@ -91,7 +106,7 @@ def probe_check(rules: int, repeat: int, notion: str) -> dict:
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--mode", choices=("chase", "check"), default="chase")
-    ap.add_argument("--notion", choices=("emfa", "mfa-st"), default="emfa",
+    ap.add_argument("--notion", choices=tuple(NOTIONS), default="emfa",
                     help="the check --mode check times")
     ap.add_argument("--rules", type=int, nargs="+",
                     help="default: 360 1440 2880 5760, with --mode check 90 360 1440")

@@ -10,13 +10,16 @@ from eqchase import (
     AtomSet,
     ChaseLimits,
     Constant,
+    Entailed,
     Functional,
+    LimitExceeded,
     Ontology,
     Predicate,
     RuleSet,
     STAR,
     SkolemSymbol,
     Terminated,
+    Unknown,
     Variable,
     apply_syntactic,
     canonical_singularisation,
@@ -24,6 +27,7 @@ from eqchase import (
     chase,
     critical_instance,
     emfa_set,
+    entails,
     is_emfa,
     is_mfa,
     match_conjunction,
@@ -284,6 +288,42 @@ def test_theorem6_coupling_sampled():
                 assert {star_atom(atom) for atom in state} <= fixpoint
             checked += 1
     assert checked >= 10
+
+
+def test_a_chase_capped_at_the_emfa_depth_never_stops_on_depth():
+    # Criterion 8 maps every chase state of an EMFA-acyclic rule set into
+    # its EMFA set, keeping term depth, so the depth of that set is a cap
+    # the chase never exceeds: a certified cap the CLI may lift a guessed
+    # one to.
+    rng = random.Random(31)
+    sets = exact = 0
+    for _ in range(600):
+        rs = random_ruleset(rng)
+        certified = emfa_set(rs, ChaseLimits(max_atoms=20_000))
+        if certified.status != "completed":
+            continue
+        sets += 1
+        cap = certified.atoms.max_term_depth()
+        for _ in range(4):
+            o = Ontology(rs, random_facts(rng, rs))
+            out = chase(o, ChaseLimits(max_atoms=50_000, max_term_depth=cap))
+            assert not (isinstance(out, LimitExceeded) and out.limit == "max_term_depth")
+            assert isinstance(out, Terminated)
+            exact += out.result.max_term_depth() == cap
+    # 334 sets and 1,336 chases, of which 977 reach the certified depth.
+    assert (sets, exact) == (334, 977)
+
+
+def test_the_chain_needs_exactly_its_emfa_depth():
+    # Ai(X) -> exists Y . Ri(X,Y), Ai+1(Y) for i = 0..13: the chase of
+    # A0(a) builds a term of depth 15, which the EMFA set certifies.
+    text = "".join(f"A{i}(X) -> exists Y . R{i}(X,Y), A{i + 1}(Y) .\n" for i in range(14))
+    program = parse(text + "A0(a) .\n? exists X . A14(X) .\n")
+    assert emfa_set(program.rules).atoms.max_term_depth() == 15
+    ontology, query = Ontology(program.rules, program.facts), program.queries[0]
+    assert isinstance(entails(ontology, query, ChaseLimits(max_term_depth=15)), Entailed)
+    assert isinstance(chase(ontology, ChaseLimits(max_term_depth=15)), Terminated)
+    assert entails(ontology, query, ChaseLimits(max_term_depth=14)) == Unknown("max_term_depth", 13)
 
 
 def test_is_emfa_takes_notion_by_keyword_only():

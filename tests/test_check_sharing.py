@@ -8,7 +8,7 @@ requires the same atoms in rank order, derivation records, status,
 witness and counts.  The counting tests pin how much compiling one
 `check --notion all` job does, that a compiled form lives no longer
 than the call that made it, and that a second pass over the benchmark's
-check cycle generates no join or head kernel and plans no rule shape.
+check cycle generates no join or head kernel.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from eqchase import (
 )
 from eqchase import acyclicity
 from eqchase.acyclicity import _Saturation
-from eqchase.chase import _CompiledRule, _Plan, _anchored, _head_kernel, _kernel
+from eqchase.chase import _CompiledRule, _Plan, _head_kernel, _kernel
 from eqchase.cli import main
 from perfbench_loader import load_workloads
 from rulesets import ALL_TEXTS
 
 w = load_workloads()
-# The kernel and shape caches every compiled join comes from.
-CACHES = (_kernel, _head_kernel, _anchored)
+# The kernel caches every compiled join and head builder comes from.
+CACHES = (_kernel, _head_kernel)
 LIMITS = ChaseLimits(max_atoms=20_000, max_term_depth=10)
 SING_CAP = 4
 
@@ -165,8 +165,9 @@ def test_check_cycle_compiles_each_distinct_rule_once(counting, tmp_path):
 
 
 def _shape(cr) -> tuple:
-    """The key a compiled rule's anchored plans are cached under: its
-    body's slot pattern and its idle conjunctions."""
+    """A compiled rule's body shape: its slot pattern and its idle
+    conjunctions, which with a join order key each anchored plan's
+    kernel."""
     return tuple(tuple(cr.slot[v] for v in atom.args) for atom in cr.rule.body), cr.idle
 
 
@@ -189,9 +190,10 @@ def test_a_second_check_cycle_compiles_no_new_join(tmp_path):
     for cache in CACHES:
         cache.cache_clear()
     first = cycle()
-    # One shape entry per distinct (slot pattern, idle) pair: the 1473
-    # rules the cycle compiles plan their joins 24 times.
-    assert (len(rules), len(shapes), first[2]) == (1473, 24, 24)
+    # The 1473 rules the cycle compiles come in 24 distinct (slot pattern,
+    # idle) pairs, whose anchored plans are 42 distinct joins: one kernel
+    # per (slot pattern, join order, idle).
+    assert (len(rules), len(shapes), first[0]) == (1473, 24, 42)
     assert cycle() == first
 
 
@@ -221,7 +223,7 @@ SHAPES = RuleSet([
 
 def _cold(rules: RuleSet):
     """The saturation with each distinct rule compiled from empty kernel
-    and shape caches, so that no two rules share a compiled join."""
+    caches, so that no two rules share a compiled join."""
     compiled = {}
     for rule in rules:
         if rule not in compiled:
@@ -234,12 +236,13 @@ def _cold(rules: RuleSet):
 @pytest.mark.parametrize("flip", [False, True])
 def test_rules_of_one_shape_share_their_joins_exactly(flip):
     rules = RuleSet(SHAPES[::-1] if flip else SHAPES)
-    _anchored.cache_clear()
+    _kernel.cache_clear()
     shared = _fresh(rules)
     # Six rules, four (slot pattern, idle) keys.  The last two rules share
     # a skeleton, so the second binds the first's form (`_compile_all`)
-    # and five look up `_anchored`.
-    assert (_anchored.cache_info().misses, _anchored.cache_info().hits) == (4, 1)
+    # and five plan their anchored joins: seven plans, of which the second
+    # rule's one repeats the first rule's (slot pattern, join order, idle).
+    assert (_kernel.cache_info().misses, _kernel.cache_info().hits) == (6, 1)
     assert shared.status == "cyclic" and len(shared.atoms) > len(rules.predicates())
     _same_outcome(shared, _cold(rules))
 

@@ -531,6 +531,8 @@ def test_a_decoding_error_after_a_byte_order_mark_names_its_file_offset(capsys, 
         # Each subcommand takes only the flags it reads.
         ("check", THM2, "--max-steps", "5"),
         ("check", THM2, "--seed", "3"),
+        # The checks read the rules alone, so `check` takes no extra facts.
+        ("check", THM2, "--facts", AA),
         ("bench", THM2, "--max-steps", "5"),
         ("bench", THM2, "--seed", "3"),
         ("bench", THM2, "--format", "csv"),
@@ -560,7 +562,7 @@ def test_a_decoding_error_after_a_byte_order_mark_names_its_file_offset(capsys, 
     ],
     ids=["unknown-notion", "non-integer", "negative-sing-cap-check",
          "negative-sing-cap-axiomatise", "removed-option",
-         "check-max-steps", "check-seed", "bench-max-steps", "bench-seed", "bench-format",
+         "check-max-steps", "check-seed", "check-facts", "bench-max-steps", "bench-seed", "bench-format",
          "validate-max-depth", "validate-max-atoms", "validate-max-steps",
          "validate-timeout-ms", "validate-seed", "validate-no-timing",
          "axiomatise-max-depth", "axiomatise-max-atoms", "axiomatise-max-steps",
