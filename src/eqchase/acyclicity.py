@@ -115,10 +115,10 @@ class _Saturation:
     frm, to, index and key of the EGD match that made it first); an atom
     passes through its terms' maps in number order, which is the order
     of all maps, and a new map sweeps `AtomSet.holding(frm)`.  A TGD
-    match builds its head from the key by the rule's `build`.  Each
-    caller of `_add` tests that the set does not hold the atom yet, so a
-    derivation record is made once per atom; a TGD's holds the body
-    instance matched.
+    match builds only the head atoms `held` lacks, by the rule's `build`.
+    Each caller of `_add` tests that the set does not hold the atom yet
+    (`_process` again, as a head may repeat an atom), so a derivation
+    record is made once per atom; a TGD's holds the body instance matched.
 
     The plans skip idle matches (see `_CompiledRule`): an EGD match
     equating a term with itself adds no replacement map, and a closed TGD
@@ -148,16 +148,18 @@ class _Saturation:
     def _add(self, atom: Atom, deriv: tuple) -> None:
         """Add the atom, which the set does not hold.  The caps are tested
         before an atom without a cyclic term is added, so only the witness
-        passes them."""
+        passes them; `max_atoms` is tested before `max_term_depth`."""
+        deep, max_depth = False, self.max_depth
         for t in atom.args:  # leaves `t` the first cyclic argument, if any
             if t.cyclic:
                 break
+            if t.depth > max_depth:
+                deep = True
         else:
             if len(self.held) >= self.max_atoms:
                 raise _Stop("max_atoms")
-            for t in atom.args:
-                if t.depth > self.max_depth:
-                    raise _Stop("max_term_depth")
+            if deep:
+                raise _Stop("max_term_depth")
         self.atoms.add(atom)
         self.derivations[atom] = deriv
         self.queue.append(atom)
@@ -203,8 +205,8 @@ class _Saturation:
                 continue
             held, build, args = self.held, cr.build, cr.build_args
             for key, body in found:
-                for head in build(args, key):
-                    if head not in held:
+                for head in build(args, key, held):
+                    if head not in held:  # a head may repeat an atom
                         self._add(head, ("tgd", idx, key, body))
 
     def run(self) -> SaturationOutcome:

@@ -133,7 +133,7 @@ def _step(args: tuple, bound: set) -> tuple:
 
 def _join(pattern: tuple, bound: int = 0, size=None, pos=None) -> tuple:
     """The join order, a tuple of body positions, over a body of this
-    slot pattern (see `_plan`) with its first `bound` slots bound.
+    slot pattern (see `_pattern`) with its first `bound` slots bound.
     Without `size` the atoms are joined in body order; with it (a
     function from a body position to its bucket size) in greedy
     connected order: next an atom that holds a bound slot, then the one
@@ -149,6 +149,11 @@ def _join(pattern: tuple, bound: int = 0, size=None, pos=None) -> tuple:
         order.append(i)
         bound.update(pattern[i])
     return tuple(order)
+
+
+def _pattern(body: Sequence[Atom], slot: Mapping) -> tuple:
+    """The body's slot pattern: each atom's arguments as slots."""
+    return tuple([tuple([slot[v] for v in atom.args]) for atom in body])
 
 
 class _Plan:
@@ -181,15 +186,15 @@ class _Plan:
 
 
 def _plan(body: Sequence[Atom], slot: Mapping, bound=(), size=None, pos=None,
-          idle=(), first=False) -> _Plan:
+          idle=(), first=False, pattern=None) -> _Plan:
     """The plan over the body with `slot` mapping each variable to its
     slot and the variables of `bound`, which take the first slots, bound
     beforehand, joined as `_join` orders it: `size` maps a predicate to
     its bucket size; `pos` anchors the plan at that body position; `idle`
     is as for `_Plan`; `first` makes it a first-match plan.  Its kernel
-    is `_kernel`'s for the body's slot pattern, each atom's arguments as
-    slots, and that order."""
-    pattern = tuple([tuple([slot[v] for v in atom.args]) for atom in body])
+    is `_kernel`'s for that order and the body's slot pattern, `pattern`
+    if given (a caller planning one body more than once makes it once)."""
+    pattern = pattern or _pattern(body, slot)
     weight = None if size is None else (lambda k: size(body[k].predicate))
     order = _join(pattern, len(bound), weight, pos)
     kernel = _kernel(pattern, order, idle, pos is not None, first, len(bound))
@@ -294,16 +299,22 @@ def _kernel(pattern: tuple, order: tuple, idle: tuple = (), anchored: bool = Fal
 
 @lru_cache(maxsize=1024)
 def _head_kernel(shape: tuple):
-    """A function of (predicates and Skolem symbols, key) that builds the
-    head atoms of this shape as one list display.  `shape` gives each
-    head atom's arguments: an index into the key, or -1 - k for the k-th
-    Skolem symbol, applied once to the whole key."""
+    """A function `build(C, key, held=())` of (predicates and Skolem
+    symbols, key) that returns the head atoms of this shape in order,
+    built only for the (predicate, args) pairs `held` lacks (see `Atom`);
+    an empty `held`, the engine's, takes one list display of them all.
+    `shape` gives each head atom's arguments: an index into the key, or
+    -1 - k for the k-th Skolem symbol, applied once to the whole key."""
     n = len(shape)
     symbols = sorted({-1 - a for args in shape for a in args if a < 0})
-    lines = ["def build(C, key):"]
+    lines = ["def build(C, key, held=()):"]
     lines += [f" f{k} = Functional(C[{n + k}], key)" for k in symbols]
     terms = [" ".join(f"key[{a}]," if a >= 0 else f"f{-1 - a}," for a in args) for args in shape]
-    lines.append(f" return [{', '.join(f'Atom(C[{i}], ({t}))' for i, t in enumerate(terms))}]")
+    lines.append(f" if not held: return [{', '.join(f'Atom(C[{i}], ({t}))' for i, t in enumerate(terms))}]")
+    lines.append(" out = []")
+    for i, t in enumerate(terms):
+        lines += [f" x = ({t})", f" if (C[{i}], x) not in held: out.append(Atom(C[{i}], x))"]
+    lines.append(" return out")
     return _exec("\n".join(lines), "build", {"Atom": Atom, "Functional": Functional})
 
 
@@ -497,10 +508,11 @@ class _CompiledRule:
 
     def compile_anchored(self, size: Optional[Callable] = None) -> None:
         """Build `plans`, the join plans over the key's slots anchored at
-        each body position, in body order, one `_plan` each: `size` is as
-        for `_plan`; without it the rest of the body joins in body order."""
+        each body position, in body order, one `_plan` each over one slot
+        pattern: `size` is as for `_plan`; without it the rest joins in body order."""
         body, slot = self.rule.body, self.slot
-        self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle)
+        pattern = _pattern(body, slot)
+        self.plans = [_plan(body, slot, size=size, pos=pos, idle=self.idle, pattern=pattern)
                       for pos in range(len(body))]
 
     def bind(self, rule: Rule) -> "_CompiledRule":

@@ -262,6 +262,10 @@ STAR = Constant("*")
 
 
 class Atom:
+    """A predicate applied to a tuple of terms.  It hashes as, and equals,
+    the pair (predicate, args), so the head kernels probe a set of atoms
+    before building one; it equals no other object that is not an atom."""
+
     __slots__ = ("predicate", "args", "_hash")
 
     def __init__(self, predicate: Predicate, args: Sequence[Term]):
@@ -275,12 +279,11 @@ class Atom:
         self._hash = hash((predicate, args))
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Atom
-            and other._hash == self._hash
-            and other.predicate is self.predicate
-            and other.args == self.args
-        )
+        if type(other) is Atom:
+            return self is other or (other._hash == self._hash
+                                     and other.predicate is self.predicate and other.args == self.args)
+        return type(other) is tuple and len(other) == 2 and (
+            other[0] is self.predicate and other[1] == self.args)
 
     def __hash__(self) -> int:
         return self._hash

@@ -19,7 +19,9 @@ their canonical singularisation (acyclic; most of its rules differ only
 in their predicates, so they bind one compiled form of their skeleton);
 each family adds 52 atoms to the EMFA set, so a time that grows faster than the rule count is work that
 does not belong to a family.  The call is timed whole, its compile
-included.
+included.  `built` counts the atoms the call constructs, in one more,
+untimed run with `Atom.__init__` wrapped, next to `atoms`, the atoms its
+set holds: a held head the saturation builds again shows as their gap.
 
 Everything runs in this process, uncalibrated; each size reports the
 best of `--repeat` runs as one JSON line.  Standard library and eqchase
@@ -39,6 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from eqchase import (  # noqa: E402
+    Atom,
     Ontology,
     Terminated,
     canonical_singularisation,
@@ -88,6 +91,22 @@ def probe(rules: int, repeat: int) -> dict:
             "best_ms": round(best * 1e3, 2), "us_per_step": round(best * 1e6 / outcome.steps, 1)}
 
 
+def built(checked, notion: str) -> int:
+    """The atoms one `is_emfa` call on `checked` constructs."""
+    count, init = [0], Atom.__init__
+
+    def counted(self, predicate, args):
+        count[0] += 1
+        init(self, predicate, args)
+
+    Atom.__init__ = counted
+    try:
+        is_emfa(checked, notion=notion)
+    finally:
+        Atom.__init__ = init
+    return count[0]
+
+
 def probe_check(rules: int, repeat: int, notion: str) -> dict:
     families = rules // (LENGTH + 1)
     axiomatise, verdict = NOTIONS[notion]
@@ -100,7 +119,7 @@ def probe_check(rules: int, repeat: int, notion: str) -> dict:
     assert report.verdict == verdict, report
     return {"rules": families * (LENGTH + 1), "families": families, "notion": notion,
             "checked_rules": len(checked), "atoms": report.set_size,
-            "best_ms": round(best * 1e3, 2)}
+            "built": built(checked, notion), "best_ms": round(best * 1e3, 2)}
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -396,6 +396,53 @@ def test_a_new_map_rewrites_only_the_atoms_holding_its_term(monkeypatch):
     assert sat.maps == {(fa, a)}
 
 
+@pytest.mark.parametrize("name", ["chain", "chain-loop", "thm2"])
+def test_a_check_saturation_builds_no_head_it_holds(monkeypatch, name):
+    # Each saturation of the pipeline builds an atom for its critical
+    # instance, for each EGD image, and for each head atom of a TGD
+    # firing that the set lacked before the firing: the atoms it adds and
+    # a repeat within one head (reflexivity over eq(t,t)), and the heads
+    # after a cyclic witness.  No held head is built.
+    from eqchase import acyclicity
+
+    checked = {"chain": RuleSet(list(LOOPING_CHAIN)[:-1]), "chain-loop": LOOPING_CHAIN,
+               "thm2": rules("thm2")}[name]
+    made, images, runs, counting = [], [], [], []
+    init, rewrite, saturate = Atom.__init__, acyclicity._Saturation._rewrite, acyclicity.emfa_set
+
+    def counted(self, p, args):
+        if counting:
+            made.append(p)
+        init(self, p, args)
+
+    def emfa(rs, limits, *, compiled):
+        counting.append(True)
+        runs.append((list(rs), compiled, saturate(rs, limits, compiled=compiled)))
+        counting.clear()
+        return runs[-1][2]
+
+    monkeypatch.setattr(Atom, "__init__", counted)
+    monkeypatch.setattr(acyclicity._Saturation, "_rewrite",
+                        lambda self, *m: images.append(m) or rewrite(self, *m))
+    monkeypatch.setattr(acyclicity, "emfa_set", emfa)
+    reports = check_pipeline(checked, LIMITS)
+    monkeypatch.undo()
+    expected = len(images)
+    for rs, compiled, outcome in runs:
+        expected += len(critical_instance(RuleSet(rs)))
+        before, fired = set(), set()
+        for atom in outcome.atoms:  # in rank order
+            deriv = outcome.derivations[atom]
+            if deriv[0] == "tgd" and deriv not in fired:
+                fired.add(deriv)
+                cr = compiled[rs[deriv[1]]]
+                expected += sum(h not in before for h in cr.build(cr.build_args, deriv[2]))
+            before.add(atom)
+    verdicts = ["cyclic"] * 3 if name == "chain-loop" else ["acyclic", "cyclic", "acyclic"]
+    assert [r.verdict for r in reports] == verdicts and len(runs) == 3
+    assert len(made) == expected
+
+
 def test_long_body_saturates_as_a_short_one():
     # A 25-atom body is longer than one compiled join may nest loops.  On
     # the critical instance a chain of E atoms matches as one E atom does.

@@ -484,6 +484,55 @@ def test_compiled_skolem_symbols_are_those_of_skolemise():
     assert seen > 100
 
 
+def test_an_atom_equals_its_predicate_and_args_pair():
+    # The head kernels probe a set of atoms with an atom's (predicate,
+    # args) pair: it hashes and compares as the atom, and nothing else
+    # that is not an atom does.
+    p, q = Predicate("P", 2), Predicate("Q", 2)
+    args = (a, Functional(SkolemSymbol("f", 1), [b]))
+    atom = Atom(p, args)
+    assert atom == (p, args) and (p, args) == atom and not atom != (p, args)
+    assert hash(atom) == hash((p, args))
+    assert (p, args) in {atom: 0} and atom in {(p, args)}
+    for other in [(q, args), (p, (a, a)), (p, args, 0), (p,), [p, args], (p, list(args)),
+                  ("P", args), None, args]:
+        assert atom != other and other != atom and not atom == other
+    assert (q, args) not in {atom: 0} and [p, args] not in [atom]
+    assert atom == Atom(p, list(args)) and atom != Atom(q, args) and atom != Atom(p, (a, a))
+    assert len({atom, Atom(p, args), Atom(q, args)}) == 2
+
+
+def test_a_head_kernel_builds_only_the_atoms_held_lacks(monkeypatch):
+    # `build(C, key, held)` returns the heads `build(C, key)` returns that
+    # `held` lacks, in order, repeats kept, and builds no other atom; an
+    # empty `held` lacks every head.
+    from eqchase.chase import _CompiledRule
+
+    rng, keys = random.Random(32), random.Random(33)
+    init, made = Atom.__init__, []
+    seen = skipped = 0
+    for _ in range(150):
+        for rule in random_ruleset(rng, max_rules=6):
+            if type(rule) is not TGD:
+                continue
+            cr = _CompiledRule(rule)
+            for _ in range(3):
+                key = tuple(Constant(f"c{keys.randrange(2)}") for _ in rule.universals)
+                every = cr.build(cr.build_args, key)
+                held = {h: 0 for h in every if keys.random() < 0.5}
+                held.update({Atom(Predicate(f"Z{i}", 1), [Constant("c0")]): 0 for i in range(3)})
+                monkeypatch.setattr(Atom, "__init__", lambda s, p, a: made.append(p) or init(s, p, a))
+                fresh = cr.build(cr.build_args, key, held)
+                monkeypatch.undo()
+                assert fresh == [h for h in every if h not in held]
+                assert cr.build(cr.build_args, key, {}) == every
+                assert made == [h.predicate for h in fresh]
+                made.clear()
+                seen += 1
+                skipped += len(every) - len(fresh)
+    assert seen > 300 and skipped > 100
+
+
 E2, Q2 = Predicate("E", 2), Predicate("Q", 2)
 
 
