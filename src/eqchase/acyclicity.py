@@ -183,11 +183,11 @@ class _Saturation:
                 self._rewrite(existing, frm, to, idx, key)
 
     def _rewrite(self, atom: Atom, frm: Term, to: Term, idx: int, key: tuple) -> None:
-        """Add the image of the atom, which holds frm, under the
-        replacement of frm by to, unless the set holds it."""
-        img = Atom(atom.predicate, [to if t is frm else t for t in atom.args])
-        if img not in self.held:
-            self._add(img, ("egd", idx, key, atom, frm, to))
+        """Build and add the image of the atom, which holds frm, under
+        the replacement of frm by to, unless the set holds it."""
+        args = tuple([to if t is frm else t for t in atom.args])
+        if (atom.predicate, args) not in self.held:
+            self._add(Atom(atom.predicate, args), ("egd", idx, key, atom, frm, to))
 
     def _process(self, atom: Atom) -> None:
         by_term = self.by_term

@@ -301,8 +301,8 @@ def _kernel(pattern: tuple, order: tuple, idle: tuple = (), anchored: bool = Fal
 def _head_kernel(shape: tuple):
     """A function `build(C, key, held=())` of (predicates and Skolem
     symbols, key) that returns the head atoms of this shape in order,
-    built only for the (predicate, args) pairs `held` lacks (see `Atom`);
-    an empty `held`, the engine's, takes one list display of them all.
+    built only for the (predicate, args) pairs `held` lacks (see `Atom`),
+    one per head atom, so a repeated one as often as the head repeats it.
     `shape` gives each head atom's arguments: an index into the key, or
     -1 - k for the k-th Skolem symbol, applied once to the whole key."""
     n = len(shape)
@@ -310,7 +310,6 @@ def _head_kernel(shape: tuple):
     lines = ["def build(C, key, held=()):"]
     lines += [f" f{k} = Functional(C[{n + k}], key)" for k in symbols]
     terms = [" ".join(f"key[{a}]," if a >= 0 else f"f{-1 - a}," for a in args) for args in shape]
-    lines.append(f" if not held: return [{', '.join(f'Atom(C[{i}], ({t}))' for i, t in enumerate(terms))}]")
     lines.append(" out = []")
     for i, t in enumerate(terms):
         lines += [f" x = ({t})", f" if (C[{i}], x) not in held: out.append(Atom(C[{i}], x))"]
@@ -608,10 +607,13 @@ class ChaseEngine:
     candidate was selected; `_stop` pushes it back, so a run resumed
     with other limits selects it first, as one uncapped run would.
 
-    `run` tests a closed TGD's head by membership in the set's one dict.
-    A closed head holds only terms of the state, no deeper than max(1,
-    cap): facts are function-free, and every other term passed the depth
-    test.  So a closed TGD is depth-tested only for a cap below 1.
+    `run` builds a TGD candidate's head with the set's one dict as `held`:
+    only `fresh`, the head atoms the set lacks, none for a blocked closed
+    TGD; an open TGD's head plan tests it first, and a head it finds no
+    embedding of has a fresh atom.  The caps test `fresh` alone, exactly:
+    a held term is no deeper than max(1, cap), as facts are function-free
+    and every other term passed the depth test.  A closed head holds only
+    such terms, so a closed TGD is depth-tested only for a cap below 1.
     """
 
     def __init__(
@@ -688,7 +690,7 @@ class ChaseEngine:
             if deadline is not None and time.monotonic() > deadline:
                 return LimitExceeded(aset, "wall_clock_ms", trace.steps, trace)
             # Pop until a candidate passes the test: `cr` and `key`, and
-            # `head` for a TGD.
+            # `fresh` for a TGD, the head atoms the set lacks.
             while True:
                 while not heap:
                     if len(queued) == len(compiled):
@@ -703,19 +705,17 @@ class ChaseEngine:
                 cr = compiled[idx]
                 if cr.kind == "egd":
                     break
-                if cr.closed:
-                    head = cr.build(cr.build_args, key)
-                    if not all(map(held.__contains__, head)):
+                if cr.closed or next(iter(match_conjunction(cr.head, aset, key)), None) is None:
+                    fresh = cr.build(cr.build_args, key, held)
+                    if fresh:
                         break
-                elif next(iter(match_conjunction(cr.head, aset, key)), None) is None:
-                    head = cr.build(cr.build_args, key)
-                    break
             if max_steps is not None and trace.steps >= max_steps:
                 return self._stop(entry, "max_steps")
             if cr.kind == "tgd":
-                fresh = [a for a in dict.fromkeys(head) if a not in held]
+                if len(fresh) > 1:  # a head may repeat an atom
+                    fresh = [*dict.fromkeys(fresh)]
                 if (cap is not None and (cap < 1 or not cr.closed)
-                        and max(t.depth for a in head for t in a.args) > cap):
+                        and max(t.depth for a in fresh for t in a.args) > cap):
                     return self._stop(entry, "max_term_depth")
                 if max_atoms is not None and len(held) + len(fresh) > max_atoms:
                     return self._stop(entry, "max_atoms")

@@ -751,9 +751,9 @@ class AtomSet:
         equals no preimage, and the atoms holding `frm` are relinked in one
         pass in rank order: a new image takes its preimage's rank and slot,
         an image equal to a higher-ranked atom moves that atom down to the
-        preimage's rank and slot, and any other image is dropped.  Returns,
-        in rank order, the atoms whose rank is new or changed.
-        """
+        preimage's rank and slot, and any other image is dropped, unbuilt
+        (see `Atom`).  Returns, in rank order, the atoms whose rank is new
+        or changed."""
         if frm is to:
             return []
         ranks, hit, occ = self._atoms, self.holding(frm), self._occ
@@ -761,10 +761,9 @@ class AtomSet:
         changed = []
         for a in hit:
             r = ranks[a]
-            img = Atom(a.predicate, [to if t is frm else t for t in a.args])
-            old = ranks.get(img)
-            if old is not None and old < r:
-                img = None
+            args = tuple([to if t is frm else t for t in a.args])
+            old = ranks.get((a.predicate, args))
+            img = None if old is not None and old < r else Atom(a.predicate, args)
             if a.predicate in self._pos:
                 self._relink(a, r, img, old)
             del ranks[a]

@@ -20,31 +20,37 @@ def _render(rule, sigma):
     return f"{rule!r} | " + ", ".join(f"{v.name}={sigma[v]}" for v in rule.universals)
 
 
-def _oracle_steps(o, limits, seed):
+def _oracle_run(o, limits, seed):
     """The naive run: at every step the first pair `find_applicable` yields
     over the rules in the engine's (seed-shuffled) order, applied with
-    `apply`.  Stops where the engine's step and depth caps stop it."""
+    `apply`.  Stops where the engine's step, depth and atom caps stop it,
+    tested in the engine's order.  Returns the steps and the limit that
+    stopped the run, None if none did."""
     order = list(o.rules)
     if seed:
         random.Random(seed).shuffle(order)
     state = AtomSet(o.facts)
     steps = []
-    while limits.max_steps is None or len(steps) < limits.max_steps:
+    while True:
         pair = next(find_applicable(order, state), None)
         if pair is None:
-            break
+            return steps, None
+        if limits.max_steps is not None and len(steps) >= limits.max_steps:
+            return steps, "max_steps"
         rule, sigma = pair
         after = apply(rule, sigma, state)
         if after.max_term_depth() > limits.max_term_depth:
-            break
+            return steps, "max_term_depth"
+        if limits.max_atoms is not None and len(after) > limits.max_atoms:
+            return steps, "max_atoms"
         steps.append(_render(rule, sigma))
         state = after
-    return steps
 
 
-def _engine_steps(o, limits, seed, iterate=False):
-    """The engine's run; with `iterate`, `on_step` also iterates the set
-    at every step, which re-sorts it after a merge."""
+def _engine_run(o, limits, seed, iterate=False):
+    """The engine's run: its steps and its outcome.  With `iterate`,
+    `on_step` also iterates the set at every step, which re-sorts it
+    after a merge."""
     steps = []
 
     def on_step(i, rule, sigma, aset):
@@ -52,8 +58,7 @@ def _engine_steps(o, limits, seed, iterate=False):
         if iterate:
             frozenset(aset)
 
-    chase(o, limits, seed=seed, on_step=on_step)
-    return steps
+    return steps, chase(o, limits, seed=seed, on_step=on_step)
 
 
 EGD_FAMILY = (
@@ -67,6 +72,14 @@ EGD_FAMILY = (
 # stale `B` bucket while matches are queued.
 EGD_CROSS_FAMILY = EGD_FAMILY.replace("R(X,Y), B(Y) -> C(X) .", "R(X,Y), B(U) -> C(X) .")
 TC_RULES = "E(X,Y) -> T(X,Y) .\nT(X,Y), E(Y,Z) -> T(X,Z) .\n"
+# Heads that repeat an atom, closed and open, and open multi-atom heads
+# that the set partly holds: B(X) and A(Y) often are, and the last TGD
+# grows an R chain that only the depth cap stops.
+REPEAT_FAMILY = (
+    "A(X) -> B(X), C(X), B(X) .\n"
+    "B(X), E(X,Y) -> exists W . R(Y,W), A(Y), R(Y,W) .\n"
+    "R(X,Y) -> exists V . R(Y,V), B(X) .\n"
+)
 
 
 def _many_rules(n: int) -> str:
@@ -130,14 +143,31 @@ def _differential_cases():
         program = parse(_many_rules(n))
         for seed in range(3):
             yield Ontology(program.rules, program.facts), seed, limits
+    # Repeated and partly held heads, with and without merges, under a
+    # depth cap and under atom caps that stop the run part way.
+    for n in (3, 6, 10):
+        rng = random.Random(f"repeat:{n}")
+        facts = "".join(f"A(c{i}) .\n" for i in range(0, n, 2))
+        facts += "".join(f"B(c{i}) .\n" for i in range(0, n, 3))
+        facts += "".join(f"E(c{rng.randrange(n)},c{rng.randrange(n)}) .\n" for _ in range(n))
+        for egd in ("", "R(X,Y), R(X,Z) -> Y = Z .\n"):
+            program = parse(REPEAT_FAMILY + egd + facts)
+            o = Ontology(program.rules, program.facts)
+            for seed in range(2):
+                yield o, seed, ChaseLimits(max_steps=60, max_term_depth=4)
+                for extra in (4, 12):
+                    yield o, seed, ChaseLimits(max_term_depth=4, max_atoms=len(o.facts) + extra)
 
 
-CASES = 3 * 120 + 15 + 9 + 4 + 3 + 18
+CASES = 3 * 120 + 15 + 9 + 4 + 3 + 18 + 3 * 2 * 2 * 3
 
 
 def check_case(o, seed, limits) -> None:
     """Assert that the engine selects the naive run's step sequence, also
-    when the set is iterated at every step."""
-    oracle = _oracle_steps(o, limits, seed)
-    assert _engine_steps(o, limits, seed) == oracle
-    assert _engine_steps(o, limits, seed, iterate=True) == oracle
+    when the set is iterated at every step, and stops on the naive run's
+    limit after as many steps."""
+    oracle, limit = _oracle_run(o, limits, seed)
+    for iterate in (False, True):
+        steps, outcome = _engine_run(o, limits, seed, iterate)
+        assert steps == oracle and outcome.steps == len(oracle)
+        assert getattr(outcome, "limit", None) == limit

@@ -12,7 +12,7 @@ Calls the pin tests of `test_bench_pins.py`, `test_query_pins.py`,
 `test_check_pins.py`, `test_derivation_pins.py` and `test_parse_pins.py`
 once per case, the first three through `eqchase.cli.main`, and checks
 each case of `differential.py`: the engine selects the naive run's step
-sequence.  Prints one line per suite and exits 1 if any case misses.
+sequence and stops on its limit.  Prints one line per suite and exits 1 if any case misses.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from eqchase import (
 )
 from corpus import random_facts, random_ontology, random_ruleset
 from differential import (
-    CASES, _differential_cases, _engine_steps, _oracle_steps, _render, check_case)
+    CASES, _differential_cases, _engine_run, _oracle_run, _render, check_case)
 from perfbench_loader import load_workloads
 from rulesets import facts, ontology, query, rules
 
@@ -376,8 +376,8 @@ def test_engine_applies_matches_in_rank_order_whatever_the_join_order():
     )
     o = Ontology(program.rules, program.facts)
     limits = ChaseLimits(max_steps=10, max_term_depth=4)
-    steps = _engine_steps(o, limits, 0)
-    assert steps == _oracle_steps(o, limits, 0)
+    steps, _ = _engine_run(o, limits, 0)
+    assert steps == _oracle_run(o, limits, 0)[0]
     assert [step.split(" | ")[1] for step in steps] == ["X=a1, Y=b", "X=a2, Y=b"]
 
 
@@ -449,9 +449,9 @@ def test_closed_tgd_head_instantiated_once_per_candidate():
     engine = ChaseEngine(Ontology(program.rules, program.facts))
     calls = []
     for cr in engine.compiled:
-        def counted(args, key, rule=cr.rule, build=cr.build):
+        def counted(args, key, held=(), rule=cr.rule, build=cr.build):
             calls.append((rule, key))
-            return build(args, key)
+            return build(args, key, held)
 
         cr.build = counted
     outcome = engine.run()
@@ -459,6 +459,24 @@ def test_closed_tgd_head_instantiated_once_per_candidate():
     assert all(cr.closed for cr in engine.compiled)
     assert len(calls) == len(set(calls)) == sum(map(len, engine.queued))
     assert outcome.trace.tgd_steps < len(calls)
+
+
+def test_a_datalog_chase_builds_one_atom_per_step(monkeypatch):
+    # One chase-datalog job: every head is one atom, built only when the
+    # set lacks it, so the run builds exactly the atoms its steps add and
+    # none for the heads of blocked candidates.
+    from eqchase.chase import ChaseEngine
+
+    job = min(load_workloads().make_jobs("chase-datalog", 101), key=lambda j: len(j.text))
+    program = parse(job.text)
+    engine = ChaseEngine(Ontology(program.rules, program.facts))
+    built, init = [], Atom.__init__
+    monkeypatch.setattr(Atom, "__init__", lambda self, p, args: built.append(p) or init(self, p, args))
+    outcome = engine.run()
+    monkeypatch.undo()
+    assert isinstance(outcome, Terminated) and outcome.trace.egd_steps == 0
+    assert len(built) == outcome.trace.tgd_steps == len(outcome.result) - len(program.facts)
+    assert sum(map(len, engine.queued)) > outcome.trace.tgd_steps
 
 
 def test_compiled_skolem_symbols_are_those_of_skolemise():
@@ -566,8 +584,8 @@ def _long_ontology():
 def test_long_rule_body_chases_as_the_oracle():
     o = _long_ontology()
     limits = ChaseLimits(max_steps=100, max_term_depth=3)
-    steps = _engine_steps(o, limits, 0)
-    assert steps == _oracle_steps(o, limits, 0)
+    steps, _ = _engine_run(o, limits, 0)
+    assert steps == _oracle_run(o, limits, 0)[0]
     outcome = chase(o, limits)
     assert isinstance(outcome, Terminated)
     # Pinned before the joins were compiled.

@@ -519,6 +519,23 @@ def test_rewrite_reports_new_and_reranked_atoms():
     assert [s.rank(x) for x in s] == [0, 2, 3, 4]
 
 
+def test_a_rewrite_builds_only_the_images_it_keeps(monkeypatch):
+    # R(b,c) rewrites to the lower-ranked R(a,c) and is dropped: no image
+    # is built for it.  P(b) becomes the new P(a), and R(b,d) becomes
+    # R(a,d), equal to a higher-ranked atom that moves down to rank 3:
+    # each kept image is built once.
+    s = AtomSet([Atom(R2, [a, c]), Atom(R2, [b, c]), Atom(P1, [b]), Atom(R2, [b, d]),
+                 Atom(R2, [a, d])])
+    images, init = [], Atom.__init__
+    monkeypatch.setattr(Atom, "__init__", lambda self, p, args: images.append(p) or init(self, p, args))
+    changed = s.rewrite_in_place(b, a)
+    monkeypatch.undo()
+    assert images == [P1, R2]
+    assert changed == [Atom(P1, [a]), Atom(R2, [a, d])]
+    assert list(s) == [Atom(R2, [a, c]), Atom(P1, [a]), Atom(R2, [a, d])]
+    assert [s.rank(x) for x in s] == [0, 2, 3]
+
+
 def test_a_reranked_atom_is_held_as_its_image_object():
     # R(b,c) rewrites to an R(a,c) equal to the held, higher-ranked one,
     # which moves down to rank 0.  The set's dict, every position list and
